@@ -2,39 +2,57 @@
 
 Usage (from the repository root, no install needed)::
 
-    python3 bench/run.py --workload dense-eval --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload dense-eval --seed 1 --seconds 45 --trace 0
 
 The benchmark process generates the workload's inputs from ``--seed`` in a
-temporary directory inside the checkout and lists the workload's command
-sequence (a "pass"). Every command is a child ``python -m larvaekit ...``
-started with this interpreter and an absolute ``src`` path. Children run
-one at a time, a closed loop with one client; each one's wall time and
-peak RSS (``ru_maxrss`` from ``os.wait4``) are recorded.
+temporary directory inside the checkout and lists the workload's
+commands; the ``load`` commands make up a "pass" (command roles are
+described in ``workloads.py``). Every command is a child
+``python -m larvaekit ...`` started with this interpreter and an absolute
+``src`` path. Children run one at a time, a closed loop with one client;
+each one's wall time and peak RSS (``ru_maxrss`` from ``os.wait4``) are
+recorded.
 
-Scheduling: one full pass first, then, until ``--seconds`` have elapsed,
-the command with the least accumulated wall time runs next, so each
-command gets an equal share of the run and the samples of short commands
-spread over all of it. Past the deadline, commands that still have fewer
-than ``MIN_SAMPLES`` runs (up to ``TARGET_SAMPLES`` for short ones) keep
-running, interleaved; a run of a long workload can so exceed
-``--seconds``. The
-``--version`` launches behind ``setup_s`` take part in the same schedule.
+Scheduling: whole passes, each a launch of ``--version`` (behind
+``setup_s``) and every timed command, with the yardstick (below)
+launched before the first and before the middle one, until ``--seconds``
+have elapsed and at least ``MIN_PASSES`` passes have run.
+Every command so gets as many samples as there are passes, spread over
+the whole run, and the longest commands, which weigh most in a pass's
+time, get as many as the shortest. The ``check`` commands run once afterwards.
 
-With ``--trace 0`` the result carries the end-to-end metrics:
+With ``--trace 0`` only the load commands are timed and the result
+carries the end-to-end metrics:
 
 - ``setup_s``: median wall time of ``python -m larvaekit --version``;
-- ``<subcommand>_s``: one pass's invocations of that subcommand (or
-  preprocess action), the sum of their median wall times;
-- ``wall_s``: one whole pass, the sum of every command's median;
-- ``boxes_per_s``: GT plus prediction boxes given to ``eval`` per second
-  of ``eval_s``; ``mpix_per_s``: megapixels through the four image
-  actions per second of their summed time;
-- ``peak_rss_mb``: the largest median RSS of any command.
+- ``wall_in_refs``: the median over passes of one pass's wall time
+  divided by the mean wall time of the two yardsticks launched in it;
+- ``peak_rss_mb``: the largest median RSS of any load command.
 
-With ``--trace 1`` every command also runs through ``traced_cli.py``,
-which installs spans around the package's public functions, and the
-result carries per-pass span times, call counts and counters, each the
-sum over commands of the median over that command's traced runs.
+The yardstick is a fixed child, independent of the package, that starts
+the interpreter, imports numpy and runs a fixed loop. The speed of a
+shared machine drifts by 20% and more over minutes and moves every
+child's time, the yardstick's included, together, so the spread of one
+pass's time over runs shrinks when it is counted in yardsticks. On a
+shared 2-vCPU VM, over ten 45-second runs of each workload, the middle
+half of ``wall_s`` spread by 0.11 of its median and ``wall_in_refs`` by
+0.03-0.05; in a noisier hour, 0.20 against 0.03. A change to the package moves a
+pass's time but not the yardstick's, so ``wall_in_refs`` moves by the
+same share. ``wall_s``, the sum of the load commands' median wall times,
+is in the detail record with the yardstick's and every command's
+median.
+
+Per-subcommand medians, with their sample counts, are in the detail
+record. They are not end-to-end metrics: each workload loads only some
+subcommands, and the others, timed on a probe set, measure interpreter
+start-up, whose run-to-run spread on a shared machine is wider than any
+useful bound.
+
+With ``--trace 1`` the probe commands are timed as well, and every timed
+command also runs through ``traced_cli.py``, which installs spans around
+the package's public functions. The result carries per-pass span times,
+call counts and counters, each the sum over timed commands of the
+median over that command's traced runs.
 
 Every output file and stdout is hashed; bytes that differ from the
 command's first run, a non-zero exit or a failed output check fail the
@@ -65,17 +83,26 @@ SRC = ROOT / "src"
 TRACED_CLI = Path(__file__).resolve().parent / "traced_cli.py"
 TAIL_PERCENTILES = (99, 95, 90)
 SETUP = "setup"  # schedule key of the --version launches
+YARDSTICK = "yardstick"  # schedule key of the yardstick launches
+# A fixed child that does what every CLI child does first, start this
+# interpreter and import numpy, then a fixed pure-Python loop like the
+# package's own parsing and matching loops. Its wall time measures the
+# machine's speed during the run, independently of the package.
+YARDSTICK_SCRIPT = (
+    "import numpy\n"
+    "total = 0\n"
+    "for i in range(1_000_000):\n"
+    "    total += i % 7\n"
+    "print(total)\n"
+)
+YARDSTICK_STDOUT = f"{sum(i % 7 for i in range(1_000_000))}\n"
 # One process's wall time can be 10-20% off on a shared machine, so even
 # the longest command is timed in more than one process.
-MIN_SAMPLES = 2
-TARGET_SAMPLES = 7
+MIN_PASSES = 2
 
 END_TO_END = (
     ("setup_s", "s"),
-    ("wall_s", "s"),
-    *((f"{kind}_s", "s") for kind in workloads.SUBCOMMANDS),
-    ("boxes_per_s", "1/s"),
-    ("mpix_per_s", "Mpix/s"),
+    ("wall_in_refs", "ref"),
     ("peak_rss_mb", "MB"),
 )
 
@@ -167,47 +194,42 @@ def summary(values: list[float]) -> dict:
     return out
 
 
+def timed_commands(workload, trace: int) -> list:
+    roles = ("load", "probe") if trace else ("load",)
+    return [c for c in workload.commands if c.role in roles]
+
+
 def schedule(runner: Runner, workload, trace: int, seconds: float, version: str):
-    """Run one pass, then least-accumulated-time-first until the deadline.
+    """Run whole passes until the deadline, then each check command once.
 
-    Past the deadline, entries keep running until each has the samples
-    its first run time calls for: as many as fit its equal share of
-    ``seconds``, but at least ``MIN_SAMPLES`` and at most
-    ``TARGET_SAMPLES``. The entry furthest from its count goes next, so
-    short and long entries interleave and every median spans the whole
-    run. Returns ``{key: [record, ...]}`` with keys ``SETUP`` and
-    ``(label, traced)``.
+    Returns ``{key: [record, ...]}`` with keys ``SETUP``, ``YARDSTICK``
+    and ``(label, traced)``.
     """
-    commands = {c.label: c for c in workload.commands}
-    keys = [SETUP] + [(label, traced) for label in commands for traced in range(trace + 1)]
+    fixed = {
+        SETUP: ([sys.executable, "-m", "larvaekit", "--version"], f"larvaekit {version}\n"),
+        YARDSTICK: ([sys.executable, "-c", YARDSTICK_SCRIPT], YARDSTICK_STDOUT),
+    }
+    commands = {c.label: c for c in timed_commands(workload, trace)}
+    timed = [(label, traced) for label in commands for traced in range(trace + 1)]
+    half = len(timed) // 2
+    keys = [SETUP, YARDSTICK, *timed[:half], YARDSTICK, *timed[half:]]
     runs = {key: [] for key in keys}
-    spent = dict.fromkeys(keys, 0.0)
-    share = seconds / len(keys)
-
-    def done(key):
-        wanted = int(share / runs[key][0]["seconds"])
-        return len(runs[key]) / min(TARGET_SAMPLES, max(MIN_SAMPLES, wanted))
-
-    version_argv = [sys.executable, "-m", "larvaekit", "--version"]
-    runner.launch(version_argv)  # warm-up: byte-compiles the package on a fresh checkout
+    runner.launch(fixed[SETUP][0])  # warm-up: byte-compiles the package on a fresh checkout
     deadline = time.perf_counter() + seconds
-    pending = list(keys)
-    while True:
-        if not pending:
-            if time.perf_counter() < deadline:
-                pending.append(min(keys, key=spent.__getitem__))
-            elif min(map(done, keys)) < 1:
-                pending.append(min(keys, key=done))
+    passes = 0
+    while passes < MIN_PASSES or time.perf_counter() < deadline:
+        for key in keys:
+            if key in fixed:
+                argv, stdout = fixed[key]
+                record = runner.launch(argv)
+                record["ok"] = record["code"] == 0 and record["stdout"] == stdout
             else:
-                break
-        key = pending.pop(0)
-        if key == SETUP:
-            record = runner.launch(version_argv)
-            record["ok"] = record["code"] == 0 and record["stdout"] == f"larvaekit {version}\n"
-        else:
-            record = runner.run_command(commands[key[0]], traced=bool(key[1]))
-        runs[key].append(record)
-        spent[key] += record["seconds"]
+                record = runner.run_command(commands[key[0]], traced=bool(key[1]))
+            runs[key].append(record)
+        passes += 1
+    for command in workload.commands:
+        if command.role == "check":
+            runs[(command.label, 0)] = [runner.run_command(command, traced=False)]
     return runs
 
 
@@ -216,17 +238,22 @@ def _median(records, field):
 
 
 def end_to_end_metrics(workload, runs) -> tuple[dict, dict]:
-    plain = {c.label: runs[(c.label, 0)] for c in workload.commands}
-    value = {"setup_s": _median(runs[SETUP], "seconds")}
-    for command in workload.commands:
-        metric = f"{command.kind}_s"
-        value[metric] = value.get(metric, 0.0) + _median(plain[command.label], "seconds")
-    value["wall_s"] = sum(_median(r, "seconds") for r in plain.values())
-    value["boxes_per_s"] = workload.eval_boxes / value["eval_s"]
-    image_s = sum(value[f"{a}_s"] for a in workloads.IMAGE_ACTIONS)
-    value["mpix_per_s"] = len(workloads.IMAGE_ACTIONS) * workload.frame_mpix / image_s
-    value["peak_rss_mb"] = max(_median(r, "rss_kb") for r in plain.values()) / 1024
-    stats = {"--version": summary([r["seconds"] for r in runs[SETUP]])}
+    plain = {c.label: runs[(c.label, 0)] for c in timed_commands(workload, 0)}
+    # Pass i is the i-th record of every command and yardsticks 2i and 2i+1.
+    yardsticks = [r["seconds"] for r in runs[YARDSTICK]]
+    in_refs = [sum(rs[i]["seconds"] for rs in plain.values())
+               / statistics.mean(yardsticks[2 * i : 2 * i + 2])
+               for i in range(len(yardsticks) // 2)]
+    value = {
+        "setup_s": _median(runs[SETUP], "seconds"),
+        "wall_in_refs": statistics.median(in_refs),
+        "peak_rss_mb": max(_median(r, "rss_kb") for r in plain.values()) / 1024,
+    }
+    stats = {
+        "wall_s": sum(_median(r, "seconds") for r in plain.values()),
+        "--version": summary([r["seconds"] for r in runs[SETUP]]),
+        "yardstick": summary([r["seconds"] for r in runs[YARDSTICK]]),
+    }
     stats.update({label: summary([r["seconds"] for r in rs]) for label, rs in plain.items()})
     return value, stats
 
@@ -247,13 +274,14 @@ def _traced_values(record) -> dict[str, float]:
 def per_layer_metrics(workload, runs) -> tuple[dict, dict]:
     per_pass: dict[str, float] = {}
     import_s = []
-    for command in workload.commands:
+    commands = timed_commands(workload, 1)
+    for command in commands:
         traced = runs[(command.label, 1)]
         import_s += [r["trace"]["import_s"] for r in traced if r["trace"]]
         values = [_traced_values(r) for r in traced]
         for key in values[0]:
             per_pass[key] = per_pass.get(key, 0.0) + statistics.median(v[key] for v in values)
-    plain_s = sum(_median(runs[(c.label, 0)], "seconds") for c in workload.commands)
+    plain_s = sum(_median(runs[(c.label, 0)], "seconds") for c in commands)
     value = dict(per_pass)
     value["cli.import_s"] = statistics.median(import_s)
     value["evaluation.matches_per_image"] = (
@@ -261,8 +289,9 @@ def per_layer_metrics(workload, runs) -> tuple[dict, dict]:
     value["growth.converged_ratio"] = per_pass["growth.converged"] / max(1, per_pass["growth.fits"])
     value["tracing.overhead_s"] = per_pass["seconds"] - plain_s
     stats = {"cli.import_s": summary(import_s)}
-    stats.update({f"{c.label} traced": summary([r["seconds"] for r in runs[(c.label, 1)]])
-                  for c in workload.commands})
+    for c in commands:
+        stats[c.label] = summary([r["seconds"] for r in runs[(c.label, 0)]])
+        stats[f"{c.label} traced"] = summary([r["seconds"] for r in runs[(c.label, 1)]])
     return value, stats
 
 
@@ -275,11 +304,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: int, tmp: Path,
     runner = Runner(tmp)
     runs = schedule(runner, workload, trace, seconds, larvaekit.__version__)
 
-    failed = sum(1 for r in runs[SETUP] if not r["ok"])
+    failed = sum(1 for r in runs[SETUP] + runs[YARDSTICK] if not r["ok"])
     problems, reference = {}, {}
     for command in workload.commands:
         label = command.label
-        records = sorted(runs[(label, 0)] + runs.get((label, 1), []), key=lambda r: r["seq"])
+        records = sorted(runs.get((label, 0), []) + runs.get((label, 1), []),
+                         key=lambda r: r["seq"])
+        if not records:
+            continue  # a probe, not run without tracing
         # The output directory holds the command's most recent run.
         found = _check(command, records[-1])
         problems[label] = list(found)

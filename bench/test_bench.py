@@ -17,11 +17,15 @@ sys.path.insert(0, str(run.SRC))
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("name", workloads.WORKLOADS)
 def test_tiny_run_passes_every_check(name, trace, tmp_path, monkeypatch):
-    monkeypatch.setattr(run, "MIN_SAMPLES", 2)  # still compares digests across runs
+    monkeypatch.setattr(run, "MIN_PASSES", 2)  # still compares digests across runs
     detail, result = run.run_workload(name, 5, 0.01, trace, tmp_path, workloads.TINY)
     assert detail["problems"] == {}
     assert result["correct"] and result["failed"] == 0
-    assert result["attempted"] == 2 * (1 + len(detail["digests"]) * (1 + trace))
+    w = workloads.build(name, 5, tmp_path / "again", workloads.TINY)
+    timed = len(run.timed_commands(w, trace))
+    checks = sum(c.role == "check" for c in w.commands)
+    assert len(detail["digests"]) == timed + checks
+    assert result["attempted"] == 2 * (3 + timed * (1 + trace)) + checks  # --version, 2 yardsticks
     expected = run.PER_LAYER if trace else run.END_TO_END
     assert {k: v["unit"] for k, v in result["metrics"].items()} == dict(expected)
     if trace:
@@ -39,8 +43,21 @@ def test_count_check_rejects_wrong_totals(tmp_path):
     assert count.check(count.out_dir, "")
 
 
+def test_grid_check_rejects_a_wrong_confusion_split(tmp_path):
+    w = workloads.build("dense-eval", 2, tmp_path / "data", workloads.TINY)
+    (grid,) = (c for c in w.commands if c.role == "check")
+    grid.out_dir.mkdir(parents=True)
+    header = "group,num_images,num_gt,tp,fp,fn,precision,recall,f1,"
+    header += "confusion_accuracy,counting_accuracy,ap\n"
+    row = "all,1,60,{},4,{},0,0,0,0,0,0\n"
+    (grid.out_dir / "eval.csv").write_text(header + row.format(55, 5))
+    assert grid.check(grid.out_dir, "") == []
+    (grid.out_dir / "eval.csv").write_text(header + row.format(54, 6))
+    assert grid.check(grid.out_dir, "")
+
+
 def test_image_check_rejects_unrotated_pixels(tmp_path):
-    w = workloads.build("frame-preprocess", 2, tmp_path / "data", workloads.TINY)
+    w = workloads.build("sparse-preprocess", 2, tmp_path / "data", workloads.TINY)
     rotate = next(c for c in w.commands if c.kind == "rotate")
     rotate.out_dir.mkdir(parents=True)
     for arg in rotate.args[2:]:
@@ -115,6 +132,6 @@ def test_benchmark_json_lists_what_the_runner_reports():
 
 def test_refuses_to_run_without_sources(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(run, "SRC", tmp_path / "src")
-    assert run.main(["--workload", "frame-preprocess", "--seed", "1", "--seconds", "1",
+    assert run.main(["--workload", "sparse-preprocess", "--seed", "1", "--seconds", "1",
                      "--trace", "0"]) == 2
     assert capsys.readouterr().out == ""
