@@ -248,9 +248,10 @@ def load_manifest(text: str) -> DatasetManifest:
     """Parse a manifest CSV.
 
     The header must contain all of :data:`MANIFEST_COLUMNS`; extra columns
-    are ignored. ``density_group`` and ``day_label`` may be empty.
+    are ignored. ``density_group`` and ``day_label`` may be empty. A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff")))
     have = set(reader.fieldnames or ())
     missing = [c for c in MANIFEST_COLUMNS if c not in have]
     if missing:
@@ -302,8 +303,8 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
     """Read the label files behind a manifest entry.
 
     Paths are resolved against ``root`` (normally the manifest's directory).
-    An empty path yields an empty box list. I/O and parse failures are
-    re-raised as :class:`AnnotationLoadError` naming the image.
+    An empty path yields an empty box list. I/O, decoding and parse
+    failures are re-raised as :class:`AnnotationLoadError` naming the image.
     """
     root = Path(root)
     try:
@@ -313,7 +314,7 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
         preds: tuple[ScoredBox, ...] = ()
         if entry.pred_path:
             preds = tuple(parse_label_file((root / entry.pred_path).read_text(), kind="pred"))
-    except (OSError, MalformedLine, OutOfRange) as err:
+    except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:
         raise AnnotationLoadError(entry.image_id, err) from err
     return ImageAnnotation(
         image_id=entry.image_id,

@@ -236,6 +236,7 @@ def cmd_fit(args) -> int:
     failed = [rm for rm in ranked if rm.error is not None]
     if failed:
         first = failed[0]
+        # The family name is added here only; fit errors do not carry it.
         print(f"error: {first.kind.value}: {first.error}", file=sys.stderr)
         return 1
     out_dir = _prepare_out_dir(args)

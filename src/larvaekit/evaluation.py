@@ -1,9 +1,13 @@
 """IoU matching of detections to ground truth and the derived metrics.
 
 The matcher is greedy: predictions are visited in descending confidence
-and each grabs its best-overlapping unclaimed ground-truth box. Counts
-feed precision/recall/F1 and two accuracy flavors that are deliberately
-kept apart:
+and each grabs its best-overlapping unclaimed ground-truth box. It runs
+once per image, with the confidence threshold at 0: the flags of that
+sweep feed the PR curve, and the thresholded counts are the same flags
+restricted to the predictions at or above the threshold. IoU is computed
+in numpy, a block of predictions against every ground-truth box at a
+time. Counts feed precision/recall/F1 and two accuracy flavors that are
+deliberately kept apart:
 
 - ``confusion_accuracy``: (TP + TN) / (TP + TN + FP + FN), with TN fixed
   at 0 since "everything that is not an object" is uncountable.
@@ -21,20 +25,26 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .annotations import (
+    Box2D,
     DatasetManifest,
     ImageAnnotation,
     LabeledBox,
     PixelBox,
     ScoredBox,
     load_image_annotation,
-    to_absolute,
 )
 from .errors import DegenerateBox, InconsistentCounts, NoGroundTruth, OutOfRange
 
 AGGREGATIONS = ("global", "per_image_mean")
 AP_METHODS = ("envelope", "101point")
 GROUP_FIELDS = ("day_label", "density_group")
+
+# Predictions per IoU block; a block holds this many rows against every
+# ground-truth box, which bounds the matcher's memory on crowded images.
+MATCH_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -92,11 +102,15 @@ class PRPoint:
     recall: float
 
 
+def _require_extent(box: PixelBox) -> None:
+    if box.x_max <= box.x_min or box.y_max <= box.y_min:
+        raise DegenerateBox(f"box {tuple(box)} has non-positive extent")
+
+
 def iou(a: PixelBox, b: PixelBox) -> float:
     """Intersection-over-union of two corner-form boxes."""
-    for box in (a, b):
-        if box.x_max <= box.x_min or box.y_max <= box.y_min:
-            raise DegenerateBox(f"box {tuple(box)} has non-positive extent")
+    _require_extent(a)
+    _require_extent(b)
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     if ix <= 0.0 or iy <= 0.0:
@@ -105,17 +119,91 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _unit_corners(box) -> PixelBox:
-    # Normalized coords are a uniform per-axis scaling, so IoU computed in
-    # the unit square equals IoU in pixel space.
-    return to_absolute(box, 1, 1)
-
-
 @dataclass(frozen=True)
 class MatchResult:
     counts: ConfusionCounts
     # (confidence, is_tp) per retained prediction, in input order.
     scored_flags: tuple[tuple[float, bool], ...]
+
+
+def _unit_corners(boxes: Sequence[Box2D]) -> np.ndarray:
+    """(n, 4) corners in the unit square, as ``to_absolute(box, 1, 1)`` gives them.
+
+    Normalized coords are a uniform per-axis scaling, so IoU computed in
+    the unit square equals IoU in pixel space.
+    """
+    c = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float)
+    center, half = c[:, :2], c[:, 2:] / 2
+    return np.hstack((center - half, center + half))
+
+
+def _first_degenerate(corners: np.ndarray) -> int:
+    """Index of the first row with non-positive extent, or -1."""
+    bad = np.flatnonzero((corners[:, 2] <= corners[:, 0]) | (corners[:, 3] <= corners[:, 1]))
+    return int(bad[0]) if bad.size else -1
+
+
+def _iou_block(pred: np.ndarray, gt: np.ndarray, gt_area: np.ndarray) -> np.ndarray:
+    """IoU of each ``pred`` row against every ``gt`` row, bit-equal to :func:`iou`."""
+    # In-place steps keep a block to a few (rows, num_gt) buffers.
+    ix = np.minimum(pred[:, 2:3], gt[:, 2])
+    ix -= np.maximum(pred[:, 0:1], gt[:, 0])
+    iy = np.minimum(pred[:, 3:4], gt[:, 3])
+    iy -= np.maximum(pred[:, 1:2], gt[:, 1])
+    inter = np.multiply(ix, iy, out=np.zeros_like(ix), where=(ix > 0.0) & (iy > 0.0))
+    pred_area = (pred[:, 2] - pred[:, 0]) * (pred[:, 3] - pred[:, 1])
+    union = np.add(pred_area[:, None], gt_area, out=iy)
+    union -= inter
+    # Pairs without a positive intersection keep IoU 0, as in iou().
+    return np.divide(inter, union, out=inter, where=inter > 0.0)
+
+
+def _greedy_flags(
+    ground_truth: Sequence[LabeledBox],
+    predictions: Sequence[ScoredBox],
+    iou_threshold: float,
+) -> list[bool]:
+    """TP flag per prediction, in input order, under the greedy rule.
+
+    A gt box below the threshold can never be taken, so each prediction's
+    candidates are the boxes at or above it, ordered by (-IoU, index); it
+    takes the first unclaimed one, which is its best unclaimed box.
+    """
+    flags = [False] * len(predictions)
+    if not ground_truth or not predictions:
+        return flags
+    gt = _unit_corners([g.box for g in ground_truth])
+    pred = _unit_corners([p.box for p in predictions])
+    visit = np.argsort(-np.array([p.confidence for p in predictions], dtype=float), kind="stable")
+    # A degenerate box raises as iou() would when the pairwise loop met it:
+    # every gt box meets the first prediction visited, and a prediction
+    # meets the gt boxes only if one is still unclaimed on its turn.
+    stop = _first_degenerate(pred[visit])
+    stop = len(visit) if stop < 0 else stop
+    bad_gt = _first_degenerate(gt)
+    if bad_gt >= 0 and stop > 0:
+        _require_extent(PixelBox(*gt[bad_gt].tolist()))
+    gt_area = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
+    claimed = [False] * len(ground_truth)
+    for start in range(0, stop, MATCH_BLOCK_ROWS):
+        rows = visit[start:min(start + MATCH_BLOCK_ROWS, stop)]
+        block = _iou_block(pred[rows], gt, gt_area)
+        r, k = np.nonzero(block >= iou_threshold)
+        ranked = np.lexsort((k, -block[r, k], r))
+        taken = -1
+        for row, col in zip(r[ranked].tolist(), k[ranked].tolist()):
+            if row != taken and not claimed[col]:
+                claimed[col] = True
+                flags[rows[row]] = True
+                taken = row
+    if stop < len(visit) and not all(claimed):
+        _require_extent(PixelBox(*pred[visit[stop]].tolist()))
+    return flags
+
+
+def _counts(flags: Sequence[bool], num_gt: int) -> ConfusionCounts:
+    tp = sum(flags)
+    return ConfusionCounts(tp=tp, fp=len(flags) - tp, fn=num_gt - tp)
 
 
 def match_detections(
@@ -131,26 +219,17 @@ def match_detections(
     reaches the threshold, consuming that box, and an FP otherwise.
     Unclaimed gt boxes are FNs. Matching is class-blind: the datasets
     here are single-class.
+
+    IoU is computed in numpy for blocks of ``MATCH_BLOCK_ROWS``
+    predictions, in visiting order, against every gt box, with the same
+    float64 operations as :func:`iou`, so each value and every match is
+    the one the pairwise loop over :func:`iou` gives. A box with
+    non-positive extent in the unit square raises :class:`DegenerateBox`
+    when that loop would have met it.
     """
     kept = [p for p in predictions if p.confidence >= config.confidence_threshold]
-    order = sorted(range(len(kept)), key=lambda j: (-kept[j].confidence, j))
-    gt_corners = [_unit_corners(g.box) for g in ground_truth]
-    claimed = [False] * len(ground_truth)
-    flags = [False] * len(kept)
-    for j in order:
-        pc = _unit_corners(kept[j].box)
-        best_iou, best_k = 0.0, -1
-        for k, gc in enumerate(gt_corners):
-            if claimed[k]:
-                continue
-            v = iou(pc, gc)
-            if v > best_iou:  # strict: ties stay with the lowest gt index
-                best_iou, best_k = v, k
-        if best_k >= 0 and best_iou >= config.iou_threshold:
-            claimed[best_k] = True
-            flags[j] = True
-    tp = sum(flags)
-    counts = ConfusionCounts(tp=tp, fp=len(kept) - tp, fn=len(ground_truth) - tp)
+    flags = _greedy_flags(ground_truth, kept, config.iou_threshold)
+    counts = _counts(flags, len(ground_truth))
     return MatchResult(counts, tuple((p.confidence, f) for p, f in zip(kept, flags)))
 
 
@@ -304,21 +383,27 @@ class _ImagePart:
 
 
 def _evaluate_image(annotation: ImageAnnotation, config: MatchConfig) -> _ImagePart:
-    matched = match_detections(annotation.ground_truth, annotation.predictions, config)
-    # The curve sweeps every score, so rematch with the threshold dropped.
+    # One match at threshold 0 gives the sweep the curve needs. The kept
+    # predictions come first in its visiting order, in the same relative
+    # order and against the same claimed boxes as in a thresholded match,
+    # so their flags are exactly that match's.
     sweep = match_detections(
         annotation.ground_truth,
         annotation.predictions,
         replace(config, confidence_threshold=0.0),
     )
+    num_gt = len(annotation.ground_truth)
+    counts = _counts(
+        [f for c, f in sweep.scored_flags if c >= config.confidence_threshold], num_gt
+    )
     report = EvalReport.build(
-        matched.counts,
-        num_gt=len(annotation.ground_truth),
+        counts,
+        num_gt=num_gt,
         num_images=1,
         scored_flags=sweep.scored_flags,
         ap_method=config.ap_method,
     )
-    return _ImagePart(annotation, matched.counts, sweep.scored_flags, report)
+    return _ImagePart(annotation, counts, sweep.scored_flags, report)
 
 
 def _pooled_report(parts: Sequence[_ImagePart], config: MatchConfig) -> EvalReport:

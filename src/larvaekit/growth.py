@@ -104,7 +104,10 @@ class FitResult:
 
 @dataclass(frozen=True)
 class RankedModel:
-    """A family's slot in the model ranking; failed fits carry the error."""
+    """A family's slot in the model ranking; failed fits carry the error.
+
+    Fit errors do not name the family; ``kind`` does.
+    """
 
     kind: GrowthModelKind
     result: FitResult | None
@@ -212,12 +215,10 @@ def _damped_least_squares(
             step = np.linalg.solve(damped, gradient)
         except np.linalg.LinAlgError:
             raise SingularNormalEquations(
-                f"{kind.value}: damped normal equations are singular (lambda={lam:g})"
+                f"damped normal equations are singular (lambda={lam:g})"
             ) from None
         if not np.all(np.isfinite(step)):
-            raise SingularNormalEquations(
-                f"{kind.value}: normal-equation solve produced non-finite step"
-            )
+            raise SingularNormalEquations("normal-equation solve produced non-finite step")
         trial = _project(kind, p + step)
         trial_sse = _sse(kind, trial, t, lengths)
         if trial_sse < best:
@@ -236,16 +237,16 @@ def _damped_least_squares(
     return p, best, iterations, converged, history
 
 
-def _prepared(observations: Sequence[GrowthObservation], n_params: int, kind: GrowthModelKind):
+def _prepared(observations: Sequence[GrowthObservation], n_params: int):
     if len(observations) < n_params + 1:
         raise InsufficientData(
-            f"{kind.value}: needs at least {n_params + 1} observations, got {len(observations)}"
+            f"needs at least {n_params + 1} observations, got {len(observations)}"
         )
     ordered = sorted(observations, key=lambda o: o.age_days)
     t = np.array([o.age_days for o in ordered], dtype=float)
     lengths = np.array([o.length_mm for o in ordered], dtype=float)
     if np.unique(t).size < 2:
-        raise InsufficientData(f"{kind.value}: needs at least two distinct ages")
+        raise InsufficientData("needs at least two distinct ages")
     return t, lengths
 
 
@@ -258,7 +259,7 @@ def _initial_params(kind: GrowthModelKind, t: np.ndarray, lengths: np.ndarray) -
     if kind is GrowthModelKind.POWER:
         pos = t > 0
         if np.unique(t[pos]).size < 2:
-            raise InsufficientData("power: needs two distinct positive ages to initialize")
+            raise InsufficientData("needs two distinct positive ages to initialize")
         b0, log_a0 = np.polyfit(np.log(t[pos]), np.log(lengths[pos]), 1)
         return [math.exp(log_a0), float(b0)]
     if kind is GrowthModelKind.EXPONENTIAL:
@@ -273,7 +274,7 @@ def _fit_linear(t: np.ndarray, lengths: np.ndarray) -> tuple[tuple[float, float]
     sxx, sxy = float((t * t).sum()), float((t * lengths).sum())
     denom = n * sxx - sx * sx
     if denom == 0.0:
-        raise SingularNormalEquations("linear: all ages identical")
+        raise SingularNormalEquations("all ages identical")
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
     residuals = lengths - (slope * t + intercept)
@@ -303,7 +304,7 @@ def fit(
     SSE, which guards the sigmoids against local minima.
     """
     names = PARAM_NAMES[kind]
-    t, lengths = _prepared(observations, len(names), kind)
+    t, lengths = _prepared(observations, len(names))
     sst = _total_sum_of_squares(lengths)
     if kind is GrowthModelKind.LINEAR:
         params, sse = _fit_linear(t, lengths)

@@ -1,8 +1,9 @@
 """Shared builders for the test suite.
 
-Most tests need one of three things: the large grid dataset with a known
+Most tests need one of four things: the large grid dataset with a known
 TP/FP/FN split, small random matching instances checked against a
-brute-force assignment oracle, or throwaway datasets on disk for the
+brute-force assignment oracle, crowded random instances checked against
+the pairwise greedy loop, or throwaway datasets on disk for the
 manifest/CLI paths. All of those builders live here.
 """
 
@@ -19,6 +20,7 @@ from larvaekit.annotations import (
     PixelBox,
     ScoredBox,
     serialize_label_file,
+    to_absolute,
 )
 from larvaekit.evaluation import iou
 from larvaekit.raster import RasterImage, encode_raster
@@ -129,6 +131,92 @@ def brute_force_tp(gts, preds, thr: float = 0.5) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+def reference_greedy_flags(ground_truth, predictions, iou_threshold=0.5, confidence_threshold=0.0):
+    """The greedy matcher as a plain pairwise loop over :func:`iou`.
+
+    Returns ``scored_flags`` as ``match_detections`` does: (confidence,
+    is_tp) per prediction at or above the confidence threshold, in input
+    order. A degenerate box raises from :func:`iou` when the loop meets it.
+    """
+    kept = [p for p in predictions if p.confidence >= confidence_threshold]
+    order = sorted(range(len(kept)), key=lambda j: (-kept[j].confidence, j))
+    gt_corners = [to_absolute(g.box, 1, 1) for g in ground_truth]
+    claimed = [False] * len(ground_truth)
+    flags = [False] * len(kept)
+    for j in order:
+        pc = to_absolute(kept[j].box, 1, 1)
+        best_iou, best_k = 0.0, -1
+        for k, gc in enumerate(gt_corners):
+            if claimed[k]:
+                continue
+            v = iou(pc, gc)
+            if v > best_iou:  # strict: ties stay with the lowest gt index
+                best_iou, best_k = v, k
+        if best_k >= 0 and best_iou >= iou_threshold:
+            claimed[best_k] = True
+            flags[j] = True
+    return tuple((p.confidence, f) for p, f in zip(kept, flags))
+
+
+def _dyadic_box(rng: np.random.Generator) -> Box2D:
+    # Coordinates on a 1/16 grid are exact in binary, so boxes built from
+    # them overlap their neighbours at exactly equal IoU values.
+    w = int(rng.integers(2, 7)) / 16
+    h = int(rng.integers(2, 7)) / 16
+    x1 = int(rng.integers(0, 17 - int(w * 16))) / 16
+    y1 = int(rng.integers(0, 17 - int(h * 16))) / 16
+    return Box2D(x1 + w / 2, y1 + h / 2, w, h)
+
+
+def crowded_instance(rng: np.random.Generator):
+    """Random crowded matching instance with no cap on gt overlap.
+
+    Ground truth mixes free-form boxes, boxes on a 1/16 grid (exact IoU
+    ties), exact duplicates and jittered near-duplicates of earlier gt
+    boxes. Predictions are exact and jittered copies of gt boxes, grid
+    boxes and strays; confidences are drawn from three values half the
+    time, so equal-confidence ties are common. Returns ([LabeledBox],
+    [ScoredBox]) with up to 12 gt boxes and 16 predictions.
+    """
+    gts: list[Box2D] = []
+    for _ in range(int(rng.integers(1, 13))):
+        roll = rng.random()
+        if gts and roll < 0.1:
+            gts.append(gts[int(rng.integers(len(gts)))])
+        elif gts and roll < 0.3:
+            gts.append(corners_to_box(jitter_corners(to_absolute(gts[-1], 1, 1), rng)))
+        elif roll < 0.6:
+            gts.append(_dyadic_box(rng))
+        else:
+            gts.append(corners_to_box(rand_corners(rng)))
+    preds: list[Box2D] = []
+    for _ in range(int(rng.integers(0, 17))):
+        roll = rng.random()
+        source = gts[int(rng.integers(len(gts)))]
+        if roll < 0.25:
+            preds.append(source)
+        elif roll < 0.6:
+            preds.append(corners_to_box(jitter_corners(to_absolute(source, 1, 1), rng)))
+        elif roll < 0.85:
+            preds.append(_dyadic_box(rng))
+        else:
+            preds.append(corners_to_box(rand_corners(rng)))
+    scores = [
+        float(rng.choice([0.3, 0.5, 0.9])) if rng.random() < 0.5 else float(rng.random())
+        for _ in preds
+    ]
+    return (
+        [LabeledBox(0, b) for b in gts],
+        [ScoredBox(0, b, c) for b, c in zip(preds, scores)],
+    )
+
+
+def corners_to_box(c: PixelBox) -> Box2D:
+    """Normalized center/extent box with the given unit-square corners."""
+    return Box2D((c.x_min + c.x_max) / 2, (c.y_min + c.y_max) / 2,
+                 c.x_max - c.x_min, c.y_max - c.y_min)
 
 
 def rect_sum_ap(curve) -> float:

@@ -107,6 +107,33 @@ class TestEval:
         assert result.stderr.startswith("error:")
         assert "image 'a'" in result.stderr
 
+    def test_non_utf8_label_file_names_the_image(self, tmp_path):
+        manifest = small_dataset(tmp_path)
+        label = tmp_path / "a_gt.txt"
+        label.write_bytes(b"\xff" + label.read_bytes())
+        result = run_cli("eval", manifest, "--out-dir", tmp_path / "out")
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: image 'a': ")
+
+    def test_manifest_with_byte_order_mark_gives_the_same_bytes(self, tmp_path):
+        gt = [LabeledBox(0, cell_box(i)) for i in range(4)]
+        preds = [ScoredBox(0, cell_box(i), 0.9 - 0.1 * i) for i in (0, 1, 5)]
+        manifest = write_dataset(tmp_path, [
+            {"image_id": "a", "gt": gt, "pred": preds, "density": 50},
+            {"image_id": "b", "gt": gt[:2], "pred": preds[1:], "density": 100},
+        ])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        runs = []
+        for path, out in ((manifest, tmp_path / "plain"), (bom, tmp_path / "bom")):
+            result = run_cli("eval", path, "--group-by", "density_group", "--out-dir", out)
+            assert result.returncode == 0, result.stderr
+            runs.append((result.stdout, (out / "eval.csv").read_bytes(),
+                         (out / "pr_curve.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_group_by_day_rows(self, tmp_path):
         gt = [LabeledBox(0, cell_box(0))]
         pred = [ScoredBox(0, cell_box(0), 0.9)]
@@ -360,6 +387,13 @@ class TestFit:
         result = run_cli("fit", csv, "--models", "gompertz", "--out-dir", tmp_path / "out")
         assert result.returncode == 1
         assert result.stderr.startswith("error: gompertz:")
+
+    def test_failed_family_is_named_once(self, tmp_path):
+        csv = tmp_path / "obs.csv"
+        csv.write_text("age_days,length_mm\n")
+        result = run_cli("fit", csv, "--models", "vbgm", "--out-dir", tmp_path / "out")
+        assert result.returncode == 1
+        assert result.stderr == "error: vbgm: needs at least 4 observations, got 0\n"
 
     def test_constant_lengths_cannot_be_ranked(self, tmp_path):
         csv = tmp_path / "obs.csv"

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from larvaekit.annotations import Box2D, LabeledBox, PixelBox, ScoredBox, load_manifest
+from larvaekit.annotations import (
+    Box2D,
+    LabeledBox,
+    PixelBox,
+    ScoredBox,
+    load_image_annotation,
+    load_manifest,
+    to_absolute,
+)
 from larvaekit.errors import (
     AnnotationLoadError,
     DegenerateBox,
@@ -27,9 +35,12 @@ from larvaekit.evaluation import (
 
 from conftest import (
     brute_force_tp,
+    corners_to_box,
+    crowded_instance,
     grid_boxes,
     rand_corners,
     rect_sum_ap,
+    reference_greedy_flags,
     separated_instance,
     write_dataset,
 )
@@ -169,9 +180,97 @@ class TestMatchDetections:
             assert got == brute_force_tp(gts, preds)
 
 
-def corners_to_box(c: PixelBox) -> Box2D:
-    return Box2D((c.x_min + c.x_max) / 2, (c.y_min + c.y_max) / 2,
-                 c.x_max - c.x_min, c.y_max - c.y_min)
+def counts_of(flags, num_gt):
+    tp = sum(f for _, f in flags)
+    return (tp, len(flags) - tp, num_gt - tp)
+
+
+class TestCrowdedGreedyOracle:
+    """The matcher against the pairwise greedy loop where boxes crowd."""
+
+    INSTANCES = 1200
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(45)
+        crowded = iou_ties = score_ties = 0
+        for i in range(self.INSTANCES):
+            gt, preds = crowded_instance(rng)
+            iou_thr = (0.5, 0.3, 0.7)[i % 3]
+            expected = reference_greedy_flags(gt, preds, iou_thr)
+            result = match_detections(gt, preds, MatchConfig(iou_threshold=iou_thr,
+                                                              confidence_threshold=0.0))
+            assert result.scored_flags == expected
+            c = result.counts
+            assert (c.tp, c.fp, c.fn) == counts_of(expected, len(gt))
+            gt_corners = [to_absolute(g.box, 1, 1) for g in gt]
+            crowded += any(iou(a, b) > 0.5 for j, a in enumerate(gt_corners)
+                           for b in gt_corners[:j])
+            for p in preds:
+                values = [iou(to_absolute(p.box, 1, 1), g) for g in gt_corners]
+                above = [v for v in values if v >= iou_thr]
+                iou_ties += len(above) != len(set(above))
+            scores = [p.confidence for p in preds]
+            score_ties += len(scores) != len(set(scores))
+        # the generator reaches the regime the separated oracle cannot
+        assert crowded >= self.INSTANCES // 4
+        assert iou_ties >= self.INSTANCES // 4
+        assert score_ties >= self.INSTANCES // 4
+
+    @pytest.mark.parametrize("conf_thr", [0.2, 0.4, 0.5, 0.9])
+    def test_thresholded_counts_come_from_the_sweep(self, conf_thr):
+        rng = np.random.default_rng(46)
+        for _ in range(300):
+            gt, preds = crowded_instance(rng)
+            sweep = match_detections(gt, preds, SWEEP).scored_flags
+            kept = [(c, f) for c, f in sweep if c >= conf_thr]
+            c = match_detections(gt, preds, MatchConfig(confidence_threshold=conf_thr)).counts
+            assert (c.tp, c.fp, c.fn) == counts_of(kept, len(gt))
+
+
+# Passes Box2D, but cx - w/2 and cx + w/2 round to the same float.
+FLAT = Box2D(0.5, 0.5, 1e-20, 0.1)
+SQUARE = Box2D(0.2, 0.2, 0.2, 0.2)
+
+
+class TestDegenerateBoxes:
+    def test_degenerate_gt_raises_once_a_prediction_is_visited(self):
+        gt = [LabeledBox(0, SQUARE), LabeledBox(0, FLAT)]
+        with pytest.raises(DegenerateBox, match="non-positive extent"):
+            match_detections(gt, [ScoredBox(0, SQUARE, 0.9)])
+        # nothing is visited: no prediction, or none above the threshold
+        assert match_detections(gt, []).counts.fn == 2
+        assert match_detections(gt, [ScoredBox(0, SQUARE, 0.1)]).counts.fn == 2
+
+    def test_degenerate_prediction_raises_while_gt_is_unclaimed(self):
+        gt = [LabeledBox(0, SQUARE)]
+        with pytest.raises(DegenerateBox, match="non-positive extent"):
+            match_detections(gt, [ScoredBox(0, FLAT, 0.95), ScoredBox(0, SQUARE, 0.9)])
+        with pytest.raises(DegenerateBox, match="non-positive extent"):
+            match_detections(gt + [LabeledBox(0, Box2D(0.7, 0.7, 0.2, 0.2))],
+                             [ScoredBox(0, SQUARE, 0.9), ScoredBox(0, FLAT, 0.5)])
+        # once every gt box is claimed, its turn compares it with nothing
+        result = match_detections(gt, [ScoredBox(0, SQUARE, 0.9), ScoredBox(0, FLAT, 0.5)])
+        assert result.scored_flags == ((0.9, True), (0.5, False))
+
+    def test_same_outcome_as_pairwise_loop(self):
+        rng = np.random.default_rng(47)
+        raised = 0
+        for _ in range(400):
+            gt, preds = crowded_instance(rng)
+            if rng.random() < 0.5:
+                gt.insert(int(rng.integers(len(gt) + 1)), LabeledBox(0, FLAT))
+            else:
+                preds.append(ScoredBox(0, FLAT, float(rng.random())))
+            try:
+                expected = reference_greedy_flags(gt, preds)
+            except DegenerateBox as err:
+                raised += 1
+                with pytest.raises(DegenerateBox) as got:
+                    match_detections(gt, preds, SWEEP)
+                assert str(got.value) == str(err)
+            else:
+                assert match_detections(gt, preds, SWEEP).scored_flags == expected
+        assert 0 < raised < 400
 
 
 class TestConfusionMetrics:
@@ -410,6 +509,22 @@ class TestEvaluateDataset:
         assert ev.overall.ap == pytest.approx(
             average_precision(ev.overall.curve), abs=1e-12
         )
+
+    def test_one_match_per_image_gives_thresholded_counts(self, tmp_path):
+        # 0.5 is one of the generator's tied confidences, so predictions sit
+        # exactly at the threshold too
+        rng = np.random.default_rng(48)
+        images = []
+        for i in range(40):
+            gt, preds = crowded_instance(rng)
+            images.append({"image_id": f"c{i}", "gt": gt, "pred": preds})
+        manifest = load_manifest(write_dataset(tmp_path, images).read_text())
+        config = MatchConfig(confidence_threshold=0.5)
+        evaluation = evaluate_dataset(manifest, config, root=tmp_path)
+        for entry in manifest:
+            annotation = load_image_annotation(entry, tmp_path)
+            expected = match_detections(annotation.ground_truth, annotation.predictions, config)
+            assert evaluation.per_image[entry.image_id].counts == expected.counts
 
     def test_missing_label_file_names_image(self, tmp_path):
         manifest_text = (
