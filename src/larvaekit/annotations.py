@@ -51,7 +51,10 @@ class Box2D:
     ``cx, cy`` locate the center and ``w, h`` the full extents, all as
     fractions of image width/height. ``y`` grows downward (row order).
     Edges up to ``BOUNDS_TOLERANCE`` outside the unit square are clamped
-    back in; larger violations raise :class:`OutOfRange`.
+    back in; larger violations raise :class:`OutOfRange`. A box whose
+    float64 corners (``cx - w/2`` and ``cx + w/2``, likewise in y)
+    coincide, or whose area underflows to 0, raises :class:`DegenerateBox`,
+    so every box that exists can be scored.
     """
 
     cx: float
@@ -77,12 +80,17 @@ class Box2D:
             # parsed coordinates bit for bit.
             x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
             y1, y2 = min(max(y1, 0.0), 1.0), min(max(y2, 0.0), 1.0)
-            if x2 <= x1 or y2 <= y1:
-                raise DegenerateBox("box collapses to zero size after clamping")
             object.__setattr__(self, "cx", (x1 + x2) / 2)
             object.__setattr__(self, "cy", (y1 + y2) / 2)
             object.__setattr__(self, "w", x2 - x1)
             object.__setattr__(self, "h", y2 - y1)
+        # The corners as to_absolute(box, 1, 1) computes them from the final fields.
+        x1, x2 = self.cx - self.w / 2, self.cx + self.w / 2
+        y1, y2 = self.cy - self.h / 2, self.cy + self.h / 2
+        if x2 <= x1 or y2 <= y1 or self.w * self.h == 0.0:
+            raise DegenerateBox(
+                f"box ({self.cx}, {self.cy}, {self.w}, {self.h}) has no extent in float64"
+            )
 
     @property
     def area(self) -> float:

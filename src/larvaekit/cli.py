@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .counting import (
     render_counts_csv,
     render_density_csv,
 )
-from .errors import LarvaekitError
+from .errors import InputFileError, LarvaekitError
 from .evaluation import (
     AGGREGATIONS,
     AP_METHODS,
@@ -81,6 +82,20 @@ def _out_path(out_dir: Path, name: str) -> Path:
     return out_dir / path
 
 
+@contextmanager
+def _reading(path: Path):
+    """Name ``path`` in a decode or parse failure raised while reading it."""
+    try:
+        yield
+    except (UnicodeDecodeError, LarvaekitError) as err:
+        raise InputFileError(path, err) from None
+
+
+def _load_manifest(path: Path):
+    with _reading(path):
+        return load_manifest(path.read_text())
+
+
 def _prepare_out_dir(args) -> Path:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -101,7 +116,7 @@ def _match_config(args) -> MatchConfig:
 def cmd_eval(args) -> int:
     config = _match_config(args)
     manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path.read_text())
+    manifest = _load_manifest(manifest_path)
     group_by = None if args.group_by == "none" else args.group_by
     evaluation = evaluate_dataset(manifest, config, root=manifest_path.parent, group_by=group_by)
     out_dir = _prepare_out_dir(args)
@@ -113,10 +128,11 @@ def cmd_eval(args) -> int:
 
 
 def _read_labels(path: Path, kind: str):
-    text = path.read_text()
-    if kind == "auto":
-        kind = detect_kind(text) or "gt"
-    return parse_label_file(text, kind=kind), kind
+    with _reading(path):
+        text = path.read_text()
+        if kind == "auto":
+            kind = detect_kind(text) or "gt"
+        return parse_label_file(text, kind=kind), kind
 
 
 def _write_pair(out_dir: Path, image_name: str, image, label_name: str | None, boxes):
@@ -158,20 +174,21 @@ def cmd_preprocess(args) -> int:
     _guard_overwrite(out_dir, args.inputs)
     for input_name in args.inputs:
         image_path = Path(input_name)
-        image = decode_raster(image_path.read_bytes())
         label_path = image_path.with_suffix(".txt")
         boxes, label_name = [], None
         if label_path.exists():
             boxes, _ = _read_labels(label_path, args.kind)
             label_name = label_path.name
-        if action == "crop":
-            image, boxes = center_crop(image, boxes, args.width, args.height)
-        elif action == "mask":
-            image = circular_mask(image, args.cx, args.cy, args.radius)
-        elif action == "noise":
-            image = add_gaussian_noise(image, args.variance, args.seed)
-        elif action == "rotate":
-            image, boxes = rotate90(image, boxes)
+        with _reading(image_path):
+            image = decode_raster(image_path.read_bytes())
+            if action == "crop":
+                image, boxes = center_crop(image, boxes, args.width, args.height)
+            elif action == "mask":
+                image = circular_mask(image, args.cx, args.cy, args.radius)
+            elif action == "noise":
+                image = add_gaussian_noise(image, args.variance, args.seed)
+            elif action == "rotate":
+                image, boxes = rotate90(image, boxes)
         _write_pair(out_dir, image_path.name, image, label_name, boxes)
     return 0
 
@@ -205,7 +222,7 @@ def cmd_count(args) -> int:
     _require(0.0 <= args.conf_thr <= 1.0, f"--conf-thr must lie in [0, 1], got {args.conf_thr}")
     _require(args.volume_factor > 0, f"--volume-factor must be positive, got {args.volume_factor}")
     manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path.read_text())
+    manifest = _load_manifest(manifest_path)
     records = []
     for entry in manifest:
         annotation = load_image_annotation(entry, manifest_path.parent)
@@ -221,10 +238,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # Checked before the first write so a bad name leaves --out-dir untouched.
+    svg_path = None if args.svg is None else _out_path(Path(args.out_dir), args.svg)
     if args.csv is None:
         observations = bundled_stage_means()
     else:
-        observations = load_observations_csv(Path(args.csv).read_text())
+        csv_path = Path(args.csv)
+        with _reading(csv_path):
+            observations = load_observations_csv(csv_path.read_text())
     if args.models == "all":
         kinds = tuple(GrowthModelKind)
     else:
@@ -250,9 +271,8 @@ def cmd_fit(args) -> int:
             f"{result.sse:.9g},{result.r_squared:.9g},{str(result.converged).lower()}\n"
         )
     _out_path(out_dir, "fits.csv").write_text("".join(lines))
-    if args.svg is not None:
-        svg = growth_chart_svg(observations, [rm.result for rm in ranked])
-        _out_path(out_dir, args.svg).write_text(svg)
+    if svg_path is not None:
+        svg_path.write_text(growth_chart_svg(observations, [rm.result for rm in ranked]))
     for place, rm in enumerate(ranked, start=1):
         print(f"{place}. {DISPLAY_NAMES[rm.kind]} r_squared={rm.result.r_squared:.4f}")
     return 0
@@ -261,7 +281,7 @@ def cmd_fit(args) -> int:
 def cmd_report(args) -> int:
     config = _match_config(args)
     manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path.read_text())
+    manifest = _load_manifest(manifest_path)
     evaluation = evaluate_dataset(manifest, config, root=manifest_path.parent)
     items = [(entry.density_group, evaluation.per_image[entry.image_id]) for entry in manifest]
     report = density_summary(items)

@@ -53,6 +53,15 @@ class AnnotationLoadError(LarvaekitError):
         self.cause = cause
 
 
+class InputFileError(LarvaekitError):
+    """An input file could not be decoded or parsed; carries its path."""
+
+    def __init__(self, path, cause: Exception):
+        super().__init__(f"{path}: {cause}")
+        self.path = path
+        self.cause = cause
+
+
 # --- raster codec / preprocessing ---
 
 

@@ -116,7 +116,8 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    # An intersection that underflows to 0 scores 0, as in _iou_block.
+    return inter / (a.area + b.area - inter) if inter > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,6 @@ def _unit_corners(boxes: Sequence[Box2D]) -> np.ndarray:
     c = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float)
     center, half = c[:, :2], c[:, 2:] / 2
     return np.hstack((center - half, center + half))
-
-
-def _first_degenerate(corners: np.ndarray) -> int:
-    """Index of the first row with non-positive extent, or -1."""
-    bad = np.flatnonzero((corners[:, 2] <= corners[:, 0]) | (corners[:, 3] <= corners[:, 1]))
-    return int(bad[0]) if bad.size else -1
 
 
 def _iou_block(pred: np.ndarray, gt: np.ndarray, gt_area: np.ndarray) -> np.ndarray:
@@ -175,18 +170,10 @@ def _greedy_flags(
     gt = _unit_corners([g.box for g in ground_truth])
     pred = _unit_corners([p.box for p in predictions])
     visit = np.argsort(-np.array([p.confidence for p in predictions], dtype=float), kind="stable")
-    # A degenerate box raises as iou() would when the pairwise loop met it:
-    # every gt box meets the first prediction visited, and a prediction
-    # meets the gt boxes only if one is still unclaimed on its turn.
-    stop = _first_degenerate(pred[visit])
-    stop = len(visit) if stop < 0 else stop
-    bad_gt = _first_degenerate(gt)
-    if bad_gt >= 0 and stop > 0:
-        _require_extent(PixelBox(*gt[bad_gt].tolist()))
     gt_area = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
     claimed = [False] * len(ground_truth)
-    for start in range(0, stop, MATCH_BLOCK_ROWS):
-        rows = visit[start:min(start + MATCH_BLOCK_ROWS, stop)]
+    for start in range(0, len(visit), MATCH_BLOCK_ROWS):
+        rows = visit[start:start + MATCH_BLOCK_ROWS]
         block = _iou_block(pred[rows], gt, gt_area)
         r, k = np.nonzero(block >= iou_threshold)
         ranked = np.lexsort((k, -block[r, k], r))
@@ -196,8 +183,6 @@ def _greedy_flags(
                 claimed[col] = True
                 flags[rows[row]] = True
                 taken = row
-    if stop < len(visit) and not all(claimed):
-        _require_extent(PixelBox(*pred[visit[stop]].tolist()))
     return flags
 
 
@@ -223,9 +208,7 @@ def match_detections(
     IoU is computed in numpy for blocks of ``MATCH_BLOCK_ROWS``
     predictions, in visiting order, against every gt box, with the same
     float64 operations as :func:`iou`, so each value and every match is
-    the one the pairwise loop over :func:`iou` gives. A box with
-    non-positive extent in the unit square raises :class:`DegenerateBox`
-    when that loop would have met it.
+    the one the pairwise loop over :func:`iou` gives.
     """
     kept = [p for p in predictions if p.confidence >= config.confidence_threshold]
     flags = _greedy_flags(ground_truth, kept, config.iou_threshold)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     InsufficientData,
+    LarvaekitError,
     MalformedLine,
     MissingColumn,
     NonFiniteResult,
@@ -260,12 +261,19 @@ def _initial_params(kind: GrowthModelKind, t: np.ndarray, lengths: np.ndarray) -
         pos = t > 0
         if np.unique(t[pos]).size < 2:
             raise InsufficientData("needs two distinct positive ages to initialize")
-        b0, log_a0 = np.polyfit(np.log(t[pos]), np.log(lengths[pos]), 1)
-        return [math.exp(log_a0), float(b0)]
+        return _log_linear_start(np.log(t[pos]), lengths[pos])
     if kind is GrowthModelKind.EXPONENTIAL:
-        b0, log_a0 = np.polyfit(t, np.log(lengths), 1)
-        return [math.exp(log_a0), float(b0)]
+        return _log_linear_start(t, lengths)
     raise ValueError(f"no initializer for {kind!r}")
+
+
+def _log_linear_start(x: np.ndarray, lengths: np.ndarray) -> list[float]:
+    """[a, b] from the regression log L = log a + b x."""
+    b0, log_a0 = np.polyfit(x, np.log(lengths), 1)
+    try:
+        return [math.exp(log_a0), float(b0)]
+    except OverflowError:
+        raise NonFiniteResult(f"initial scale exp({log_a0:.6g}) overflows") from None
 
 
 def _fit_linear(t: np.ndarray, lengths: np.ndarray) -> tuple[tuple[float, float], float]:
@@ -358,9 +366,10 @@ def rank_models(
     """Fit the requested families and sort by descending R².
 
     Ties break toward the family with fewer parameters. A family whose
-    fit raises is ranked after every successful one, with the error
-    attached. Degenerate constant-length data raises ZeroVariance
-    outright since no family can be scored on it.
+    fit raises a domain error (or ``LinAlgError``) is ranked after every
+    successful one, with the error attached; any other exception is a
+    bug and propagates. Degenerate constant-length data raises
+    ZeroVariance outright since no family can be scored on it.
     """
     lengths = np.array([o.length_mm for o in observations], dtype=float)
     if lengths.size and lengths.min() == lengths.max():
@@ -371,7 +380,7 @@ def rank_models(
     for kind in kinds:
         try:
             fitted.append(RankedModel(kind, fit(kind, observations, multi_start, seed)))
-        except Exception as err:  # attach per-family failures, keep ranking
+        except (LarvaekitError, np.linalg.LinAlgError) as err:
             failed.append(RankedModel(kind, None, err))
     fitted.sort(
         key=lambda rm: (

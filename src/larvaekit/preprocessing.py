@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .annotations import AnyBox, Box2D, LabeledBox, PixelBox, ScoredBox, to_absolute, to_normalized
-from .errors import DegenerateBox, EmptyDataset, OutOfRange, TargetTooLarge
+from .errors import EmptyDataset, OutOfRange, TargetTooLarge
 from .raster import RasterImage
 
 # Boxes whose clipped area falls below this fraction of the crop window are
@@ -118,8 +118,6 @@ def enlarge_small_boxes(
         if area >= area_threshold:
             out.append(item)
             continue
-        if area <= 0.0:
-            raise DegenerateBox(f"box area underflowed to {area}")
         factor = area_threshold / area
         scale = factor if mode == "literal" else math.sqrt(factor)
         w = min(b.w * scale, 2 * min(b.cx, 1.0 - b.cx))

@@ -138,7 +138,8 @@ def reference_greedy_flags(ground_truth, predictions, iou_threshold=0.5, confide
 
     Returns ``scored_flags`` as ``match_detections`` does: (confidence,
     is_tp) per prediction at or above the confidence threshold, in input
-    order. A degenerate box raises from :func:`iou` when the loop meets it.
+    order. ``Box2D`` refuses boxes without extent, so :func:`iou` never
+    raises here.
     """
     kept = [p for p in predictions if p.confidence >= confidence_threshold]
     order = sorted(range(len(kept)), key=lambda j: (-kept[j].confidence, j))

@@ -63,6 +63,31 @@ class TestBox2D:
     def test_area(self):
         assert Box2D(0.5, 0.5, 0.25, 0.5).area == pytest.approx(0.125)
 
+    def test_corners_collapsing_in_x_rejected(self):
+        # w > 0, but 0.5 - w/2 and 0.5 + w/2 round to the same float64
+        with pytest.raises(DegenerateBox, match="no extent"):
+            Box2D(0.5, 0.5, 1e-20, 0.1)
+
+    def test_corners_collapsing_in_y_rejected(self):
+        with pytest.raises(DegenerateBox, match="no extent"):
+            Box2D(0.5, 0.5, 0.1, 1e-20)
+
+    def test_area_underflow_rejected(self):
+        # the corners differ, but w * h underflows to 0
+        with pytest.raises(DegenerateBox, match="no extent"):
+            Box2D(1e-170, 1e-170, 1e-170, 1e-170)
+
+    def test_collapse_after_clamping_rejected(self):
+        # both x edges sit inside the tolerance beyond 1, so both clamp to 1
+        with pytest.raises(DegenerateBox, match="no extent"):
+            Box2D(1.0 + 6e-7, 0.5, 4e-7, 0.1)
+
+    def test_smallest_extents_still_pass(self):
+        b = Box2D(0.5, 0.5, 1e-15, 0.1)
+        px = to_absolute(b, 1, 1)
+        assert px.x_min < px.x_max and b.area > 0.0
+        assert (b.cx, b.cy, b.w, b.h) == (0.5, 0.5, 1e-15, 0.1)
+
 
 class TestParseLabelFile:
     def test_gt_line(self):
@@ -80,6 +105,11 @@ class TestParseLabelFile:
     def test_wrong_field_count_names_line(self):
         with pytest.raises(MalformedLine) as err:
             parse_label_file("0 0.5 0.5 0.1 0.2\n0 0.5 0.5 0.1\n")
+        assert err.value.line_no == 2
+
+    def test_collapsing_box_names_line(self):
+        with pytest.raises(OutOfRange, match="^line 2: box .* no extent") as err:
+            parse_label_file("0 0.5 0.5 0.1 0.2\n0 0.5 0.5 1e-20 0.1\n")
         assert err.value.line_no == 2
 
     def test_confidence_required_for_pred(self):

@@ -425,6 +425,8 @@ class TestFit:
         assert result.returncode == 2
         assert "would escape --out-dir" in result.stderr
         assert not (tmp_path / "evil.svg").exists()
+        # refused before fits.csv, or even --out-dir, is written
+        assert not out.exists()
 
 
 class TestReport:
@@ -460,6 +462,57 @@ class TestReport:
         assert result.returncode == 1
         assert result.stderr.startswith("error:")
         assert "density" in result.stderr.lower()
+
+
+def single_error_line(result) -> str:
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestInputErrors:
+    """A malformed input exits 1 with one ``error:`` line that names it."""
+
+    @pytest.mark.parametrize("command", ["eval", "count"])
+    def test_box_collapsing_in_float64_names_the_image(self, tmp_path, command):
+        manifest = small_dataset(tmp_path)
+        (tmp_path / "a_gt.txt").write_text("0 0.5 0.5 1e-20 0.1\n")
+        line = single_error_line(run_cli(command, manifest, "--out-dir", tmp_path / "out"))
+        assert line.startswith("error: image 'a': line 1: box (0.5, 0.5, 1e-20, 0.1) ")
+
+    @pytest.mark.parametrize("command", ["eval", "count", "report", "fit", "preprocess"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, command):
+        if command == "fit":
+            bad = tmp_path / "obs.csv"
+            bad.write_bytes(b"age_days,length_mm\n1,\xff\n")
+            argv = ("fit", bad)
+        elif command == "preprocess":
+            (tmp_path / "img.ppm").write_bytes(encode_raster(solid_image(8, 8)))
+            bad = tmp_path / "img.txt"
+            bad.write_bytes(b"\xff0 0.5 0.5 0.1 0.1\n")
+            argv = ("preprocess", "rotate", tmp_path / "img.ppm")
+        else:
+            bad = small_dataset(tmp_path)
+            bad.write_bytes(b"\xff" + bad.read_bytes())
+            argv = (command, bad)
+        line = single_error_line(run_cli(*argv, "--out-dir", tmp_path / "out"))
+        assert line.startswith(f"error: {bad}: ")
+
+    def test_truncated_frame_names_the_file(self, tmp_path):
+        frame = tmp_path / "x.ppm"
+        frame.write_bytes(b"P5\n2 2\n255\n\x00")
+        result = run_cli("preprocess", "rotate", frame, "--out-dir", tmp_path / "out")
+        assert single_error_line(result) == f"error: {frame}: expected 4 payload bytes, got 1"
+
+    def test_malformed_sibling_label_names_the_file(self, tmp_path):
+        (tmp_path / "img.ppm").write_bytes(encode_raster(solid_image(8, 8)))
+        label = tmp_path / "img.txt"
+        label.write_text("0 0.5 0.5 0.1\n")
+        result = run_cli("preprocess", "rotate", tmp_path / "img.ppm",
+                         "--out-dir", tmp_path / "out")
+        assert single_error_line(result) == f"error: {label}: line 1: expected 5 fields, got 4"
 
 
 class TestTopLevel:

@@ -73,6 +73,12 @@ class TestIoU:
         with pytest.raises(DegenerateBox):
             iou(PixelBox(0, 0, 0, 1), PixelBox(0, 0, 1, 1))
 
+    def test_underflowing_intersection_scores_zero(self):
+        # Box2D refuses such a box; iou() takes any PixelBox, so it must cope.
+        b = PixelBox(0, 0, 1e-170, 1e-170)
+        assert iou(b, b) == 0.0
+        assert iou(b, PixelBox(0, 0, 1, 1)) == 0.0
+
 
 class TestMatchConfig:
     def test_defaults(self):
@@ -225,52 +231,6 @@ class TestCrowdedGreedyOracle:
             kept = [(c, f) for c, f in sweep if c >= conf_thr]
             c = match_detections(gt, preds, MatchConfig(confidence_threshold=conf_thr)).counts
             assert (c.tp, c.fp, c.fn) == counts_of(kept, len(gt))
-
-
-# Passes Box2D, but cx - w/2 and cx + w/2 round to the same float.
-FLAT = Box2D(0.5, 0.5, 1e-20, 0.1)
-SQUARE = Box2D(0.2, 0.2, 0.2, 0.2)
-
-
-class TestDegenerateBoxes:
-    def test_degenerate_gt_raises_once_a_prediction_is_visited(self):
-        gt = [LabeledBox(0, SQUARE), LabeledBox(0, FLAT)]
-        with pytest.raises(DegenerateBox, match="non-positive extent"):
-            match_detections(gt, [ScoredBox(0, SQUARE, 0.9)])
-        # nothing is visited: no prediction, or none above the threshold
-        assert match_detections(gt, []).counts.fn == 2
-        assert match_detections(gt, [ScoredBox(0, SQUARE, 0.1)]).counts.fn == 2
-
-    def test_degenerate_prediction_raises_while_gt_is_unclaimed(self):
-        gt = [LabeledBox(0, SQUARE)]
-        with pytest.raises(DegenerateBox, match="non-positive extent"):
-            match_detections(gt, [ScoredBox(0, FLAT, 0.95), ScoredBox(0, SQUARE, 0.9)])
-        with pytest.raises(DegenerateBox, match="non-positive extent"):
-            match_detections(gt + [LabeledBox(0, Box2D(0.7, 0.7, 0.2, 0.2))],
-                             [ScoredBox(0, SQUARE, 0.9), ScoredBox(0, FLAT, 0.5)])
-        # once every gt box is claimed, its turn compares it with nothing
-        result = match_detections(gt, [ScoredBox(0, SQUARE, 0.9), ScoredBox(0, FLAT, 0.5)])
-        assert result.scored_flags == ((0.9, True), (0.5, False))
-
-    def test_same_outcome_as_pairwise_loop(self):
-        rng = np.random.default_rng(47)
-        raised = 0
-        for _ in range(400):
-            gt, preds = crowded_instance(rng)
-            if rng.random() < 0.5:
-                gt.insert(int(rng.integers(len(gt) + 1)), LabeledBox(0, FLAT))
-            else:
-                preds.append(ScoredBox(0, FLAT, float(rng.random())))
-            try:
-                expected = reference_greedy_flags(gt, preds)
-            except DegenerateBox as err:
-                raised += 1
-                with pytest.raises(DegenerateBox) as got:
-                    match_detections(gt, preds, SWEEP)
-                assert str(got.value) == str(err)
-            else:
-                assert match_detections(gt, preds, SWEEP).scored_flags == expected
-        assert 0 < raised < 400
 
 
 class TestConfusionMetrics:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from larvaekit import growth
 from larvaekit.errors import (
     InsufficientData,
     MalformedLine,
@@ -269,6 +270,29 @@ class TestRankModels:
         assert ranked[-1].result is None
         assert isinstance(ranked[-1].error, InsufficientData)
         assert all(rm.result is not None for rm in ranked[:-1])
+
+    def test_overflowing_start_is_a_failed_family(self):
+        # log-space regressions at ages near 1e6 put exp() of the intercept
+        # far beyond float range for power and exponential
+        data = obs([1e6, 1e6 + 0.25, 1e6 + 0.5, 1e6 + 1], [20, 10, 5, 1])
+        ranked = rank_models(data)
+        assert [rm.kind for rm in ranked] == [
+            K.LINEAR, K.VBGM, K.GOMPERTZ, K.POWER, K.EXPONENTIAL
+        ]
+        assert all(rm.result is not None for rm in ranked[:2])
+        assert isinstance(ranked[2].error, InsufficientData)
+        for rm in ranked[3:]:
+            assert rm.result is None
+            assert isinstance(rm.error, NonFiniteResult)
+            assert "overflows" in str(rm.error)
+
+    def test_non_domain_error_propagates(self, means, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise TypeError("a programming bug")
+
+        monkeypatch.setattr(growth, "fit", broken_fit)
+        with pytest.raises(TypeError, match="a programming bug"):
+            rank_models(means, kinds=(K.LINEAR,))
 
     def test_constant_lengths_raise(self):
         data = obs([0, 1, 2, 3, 4, 5], [2.0] * 6)
