@@ -195,11 +195,20 @@ def parse_label_file(text: str, kind: str = "gt") -> list[AnyBox]:
 
 
 def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
-    """Render boxes back to label-file text, six decimals, LF endings."""
+    """Render boxes back to label-file text, six decimals, LF endings.
+
+    Raises :class:`DegenerateBox` for a box whose width or height rounds to
+    ``0.000000``, since that line could not be parsed back.
+    """
     lines = []
     for item in boxes:
         b = item.box
-        line = f"{item.class_id} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f}"
+        w, h = f"{b.w:.6f}", f"{b.h:.6f}"
+        if "0.000000" in (w, h):
+            raise DegenerateBox(
+                f"box ({b.cx}, {b.cy}, {b.w}, {b.h}) has no extent at six decimals"
+            )
+        line = f"{item.class_id} {b.cx:.6f} {b.cy:.6f} {w} {h}"
         if isinstance(item, ScoredBox):
             line += f" {item.confidence:.6f}"
         lines.append(line + "\n")

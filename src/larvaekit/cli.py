@@ -4,8 +4,8 @@ Five subcommands: ``eval`` (metrics + PR curve over a manifest),
 ``preprocess`` (batch image/label transforms), ``count`` (per-image
 counts with pond extrapolation), ``fit`` (growth-model fitting and
 ranking) and ``report`` (per-density summary). Every run is
-deterministic given the same inputs, flags and seeds, and only writes
-inside ``--out-dir``.
+deterministic given the same inputs, flags and seeds, writes only inside
+``--out-dir``, and leaves it as it was unless the run succeeds.
 
 Exit codes: 0 on success, 1 on domain errors (unreadable or malformed
 inputs, codec failures), 2 on usage errors (missing or out-of-range
@@ -15,8 +15,9 @@ flags).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,16 +76,46 @@ def _require(condition: bool, message: str):
         raise CommandUsageError(message)
 
 
-def _out_path(out_dir: Path, name: str) -> Path:
-    path = Path(name)
-    _require(not path.is_absolute() and ".." not in path.parts,
-             f"output name {name!r} would escape --out-dir")
-    return out_dir / path
+@contextmanager
+def _staged_outputs(out_dir: Path):
+    """Yield ``write(name, data)``, which stages one output inside ``out_dir``.
+
+    Each output goes to a hidden ``.<name>.partial`` beside its target and is
+    renamed onto it when the block succeeds. On any exception the staging
+    files, and the directories this run created, are removed.
+    """
+    staged: dict[Path, Path] = {}
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+
+    def write(name: str, data: str | bytes) -> None:
+        path = Path(name)
+        _require(path.parts and not path.is_absolute() and ".." not in path.parts,
+                 f"output name {name!r} would escape --out-dir")
+        target = out_dir / path
+        _require(target not in staged, f"output {name!r} would be written twice")
+        _require(not target.is_dir(), f"output {name!r} is a directory in --out-dir")
+        if not staged:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        staged[target] = staging = target.with_name(f".{target.name}.partial")
+        with open(staging, "wb" if isinstance(data, bytes) else "w") as file:
+            file.write(data)
+
+    try:
+        yield write
+        for target, staging in staged.items():
+            os.replace(staging, target)
+    except BaseException:
+        for staging in staged.values():
+            staging.unlink(missing_ok=True)
+        for directory in created:
+            with suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 @contextmanager
 def _reading(path: Path):
-    """Name ``path`` in a decode or parse failure raised while reading it."""
+    """Name ``path`` in a failure to decode, parse or re-serialize its content."""
     try:
         yield
     except (UnicodeDecodeError, LarvaekitError) as err:
@@ -94,12 +125,6 @@ def _reading(path: Path):
 def _load_manifest(path: Path):
     with _reading(path):
         return load_manifest(path.read_text())
-
-
-def _prepare_out_dir(args) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
 
 
 def _match_config(args) -> MatchConfig:
@@ -113,18 +138,16 @@ def _match_config(args) -> MatchConfig:
     )
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, write) -> str:
     config = _match_config(args)
     manifest_path = Path(args.manifest)
     manifest = _load_manifest(manifest_path)
     group_by = None if args.group_by == "none" else args.group_by
     evaluation = evaluate_dataset(manifest, config, root=manifest_path.parent, group_by=group_by)
-    out_dir = _prepare_out_dir(args)
-    _out_path(out_dir, "eval.csv").write_text(render_eval_csv(evaluation))
-    _out_path(out_dir, "pr_curve.csv").write_text(render_pr_curve_csv(evaluation.overall.curve))
+    write("eval.csv", render_eval_csv(evaluation))
+    write("pr_curve.csv", render_pr_curve_csv(evaluation.overall.curve))
     # Summary row (always the pooled 'all' row) to stdout.
-    print(render_eval_csv(replace(evaluation, group_by=None, groups={})), end="")
-    return 0
+    return render_eval_csv(replace(evaluation, group_by=None, groups={}))
 
 
 def _read_labels(path: Path, kind: str):
@@ -132,14 +155,7 @@ def _read_labels(path: Path, kind: str):
         text = path.read_text()
         if kind == "auto":
             kind = detect_kind(text) or "gt"
-        return parse_label_file(text, kind=kind), kind
-
-
-def _write_pair(out_dir: Path, image_name: str, image, label_name: str | None, boxes):
-    target = _out_path(out_dir, image_name)
-    target.write_bytes(encode_raster(image))
-    if label_name is not None:
-        _out_path(out_dir, label_name).write_text(serialize_label_file(boxes))
+        return parse_label_file(text, kind=kind)
 
 
 def _guard_overwrite(out_dir: Path, inputs) -> None:
@@ -153,11 +169,11 @@ def _guard_overwrite(out_dir: Path, inputs) -> None:
         _require(target != p, f"refusing to overwrite input {p}; pick another --out-dir")
 
 
-def cmd_preprocess(args) -> int:
-    out_dir = _prepare_out_dir(args)
+def cmd_preprocess(args, write) -> str:
+    _guard_overwrite(Path(args.out_dir), args.inputs)
     action = args.action
     if action == "enlarge":
-        return _preprocess_enlarge(args, out_dir)
+        return _preprocess_enlarge(args, write)
     if action == "crop":
         _require(args.width is not None and args.height is not None,
                  "crop requires --width and --height")
@@ -171,14 +187,11 @@ def cmd_preprocess(args) -> int:
         _require(args.variance is not None and args.seed is not None,
                  "noise requires --variance and --seed (seeds are never defaulted)")
         _require(args.variance >= 0, f"--variance must be non-negative, got {args.variance}")
-    _guard_overwrite(out_dir, args.inputs)
     for input_name in args.inputs:
         image_path = Path(input_name)
         label_path = image_path.with_suffix(".txt")
-        boxes, label_name = [], None
-        if label_path.exists():
-            boxes, _ = _read_labels(label_path, args.kind)
-            label_name = label_path.name
+        labelled = label_path.exists()
+        boxes = _read_labels(label_path, args.kind) if labelled else []
         with _reading(image_path):
             image = decode_raster(image_path.read_bytes())
             if action == "crop":
@@ -189,11 +202,14 @@ def cmd_preprocess(args) -> int:
                 image = add_gaussian_noise(image, args.variance, args.seed)
             elif action == "rotate":
                 image, boxes = rotate90(image, boxes)
-        _write_pair(out_dir, image_path.name, image, label_name, boxes)
-    return 0
+        write(image_path.name, encode_raster(image))
+        if labelled:
+            with _reading(label_path):
+                write(label_path.name, serialize_label_file(boxes))
+    return ""
 
 
-def _preprocess_enlarge(args, out_dir: Path) -> int:
+def _preprocess_enlarge(args, write) -> str:
     _require((args.threshold is None) != (args.quantile is None),
              "enlarge requires exactly one of --threshold or --quantile")
     if args.threshold is not None:
@@ -202,23 +218,18 @@ def _preprocess_enlarge(args, out_dir: Path) -> int:
     else:
         _require(0.0 <= args.quantile <= 1.0,
                  f"--quantile must lie in [0, 1], got {args.quantile}")
-    _guard_overwrite(out_dir, args.inputs)
-    parsed = []
-    for input_name in args.inputs:
-        path = Path(input_name)
-        boxes, _ = _read_labels(path, args.kind)
-        parsed.append((path.name, boxes))
+    parsed = [(path, _read_labels(path, args.kind)) for path in map(Path, args.inputs)]
     threshold = args.threshold
     if threshold is None:
         threshold = area_quantile((b.box for _, boxes in parsed for b in boxes), args.quantile)
-    for name, boxes in parsed:
+    for path, boxes in parsed:
         enlarged = enlarge_small_boxes(boxes, threshold, mode=args.mode)
-        _out_path(out_dir, name).write_text(serialize_label_file(enlarged))
-    print(f"area_threshold={threshold:.9g}")
-    return 0
+        with _reading(path):
+            write(path.name, serialize_label_file(enlarged))
+    return f"area_threshold={threshold:.9g}\n"
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, write) -> str:
     _require(0.0 <= args.conf_thr <= 1.0, f"--conf-thr must lie in [0, 1], got {args.conf_thr}")
     _require(args.volume_factor > 0, f"--volume-factor must be positive, got {args.volume_factor}")
     manifest_path = Path(args.manifest)
@@ -227,19 +238,13 @@ def cmd_count(args) -> int:
     for entry in manifest:
         annotation = load_image_annotation(entry, manifest_path.parent)
         records.append(count_image(annotation, args.conf_thr, truth_known=bool(entry.gt_path)))
-    out_dir = _prepare_out_dir(args)
-    _out_path(out_dir, "counts.csv").write_text(render_counts_csv(records, args.volume_factor))
+    write("counts.csv", render_counts_csv(records, args.volume_factor))
     total = sum(r.predicted_count for r in records)
-    print(
-        f"images={len(records)} predicted={total} "
-        f"estimated_total={extrapolate_pond(total, args.volume_factor):.1f}"
-    )
-    return 0
+    return (f"images={len(records)} predicted={total} "
+            f"estimated_total={extrapolate_pond(total, args.volume_factor):.1f}\n")
 
 
-def cmd_fit(args) -> int:
-    # Checked before the first write so a bad name leaves --out-dir untouched.
-    svg_path = None if args.svg is None else _out_path(Path(args.out_dir), args.svg)
+def cmd_fit(args, write) -> str:
     if args.csv is None:
         observations = bundled_stage_means()
     else:
@@ -254,13 +259,10 @@ def cmd_fit(args) -> int:
         except ValueError as err:
             raise CommandUsageError(f"--models: {err}") from None
     ranked = rank_models(observations, kinds, multi_start=args.multi_start, seed=args.seed)
-    failed = [rm for rm in ranked if rm.error is not None]
-    if failed:
-        first = failed[0]
-        # The family name is added here only; fit errors do not carry it.
-        print(f"error: {first.kind.value}: {first.error}", file=sys.stderr)
-        return 1
-    out_dir = _prepare_out_dir(args)
+    for rm in ranked:
+        if rm.error is not None:
+            # The family name is added here only; fit errors do not carry it.
+            raise LarvaekitError(f"{rm.kind.value}: {rm.error}")
     lines = ["model,param_names,param_values,sse,r_squared,converged\n"]
     for rm in ranked:
         result = rm.result
@@ -270,27 +272,24 @@ def cmd_fit(args) -> int:
             f"{DISPLAY_NAMES[result.kind]},{names},{values},"
             f"{result.sse:.9g},{result.r_squared:.9g},{str(result.converged).lower()}\n"
         )
-    _out_path(out_dir, "fits.csv").write_text("".join(lines))
-    if svg_path is not None:
-        svg_path.write_text(growth_chart_svg(observations, [rm.result for rm in ranked]))
-    for place, rm in enumerate(ranked, start=1):
-        print(f"{place}. {DISPLAY_NAMES[rm.kind]} r_squared={rm.result.r_squared:.4f}")
-    return 0
+    write("fits.csv", "".join(lines))
+    if args.svg is not None:
+        write(args.svg, growth_chart_svg(observations, [rm.result for rm in ranked]))
+    return "".join(f"{place}. {DISPLAY_NAMES[rm.kind]} r_squared={rm.result.r_squared:.4f}\n"
+                   for place, rm in enumerate(ranked, start=1))
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, write) -> str:
     config = _match_config(args)
     manifest_path = Path(args.manifest)
     manifest = _load_manifest(manifest_path)
     evaluation = evaluate_dataset(manifest, config, root=manifest_path.parent)
     items = [(entry.density_group, evaluation.per_image[entry.image_id]) for entry in manifest]
     report = density_summary(items)
-    out_dir = _prepare_out_dir(args)
     csv_text = render_density_csv(report)
-    _out_path(out_dir, "density_report.csv").write_text(csv_text)
-    print(csv_text, end="")
-    print(f"accuracy_strictly_decreasing={str(report.accuracy_decreases_with_density).lower()}")
-    return 0
+    write("density_report.csv", csv_text)
+    decreasing = str(report.accuracy_decreases_with_density).lower()
+    return f"{csv_text}accuracy_strictly_decreasing={decreasing}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,13 +366,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _staged_outputs(Path(args.out_dir)) as write:
+            stdout = args.func(args, write)
     except CommandUsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (LarvaekitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    print(stdout, end="")
+    return 0
 
 
 if __name__ == "__main__":

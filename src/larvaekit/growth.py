@@ -475,7 +475,7 @@ def stage_for_length(
 
 def load_observations_csv(text: str) -> list[GrowthObservation]:
     """Parse `age_days,length_mm[,stage]` CSV text into observations."""
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff")))
     have = set(reader.fieldnames or ())
     missing = [c for c in ("age_days", "length_mm") if c not in have]
     if missing:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from larvaekit.annotations import (
     Box2D,
@@ -182,6 +183,39 @@ class TestSerializeLabelFile:
             )
             again = serialize_label_file(parse_label_file(text, kind="pred"))
             assert again == text
+
+
+# Extents down to 1e-9, with extra weight below the 5e-7 that six
+# decimals round to zero.
+EXTENTS = st.floats(1e-9, 1e-5) | st.floats(1e-9, 1.0)
+
+
+@st.composite
+def edge_hugging_boxes(draw):
+    """Valid boxes whose centres sit on, or just past, the unit-square edges."""
+    w, h = draw(EXTENTS), draw(EXTENTS)
+
+    def centre(extent):
+        half = extent / 2
+        base = draw(st.sampled_from([half, 1 - half]) | st.floats(half, 1 - half))
+        return base + draw(st.sampled_from([0.0]) | st.floats(-1e-6, 1e-6))
+
+    try:
+        box = Box2D(centre(w), centre(h), w, h)
+    except (DegenerateBox, OutOfRange):
+        assume(False)
+    return LabeledBox(draw(st.integers(0, 9)), box)
+
+
+class TestSerializeRoundTrip:
+    @given(st.lists(edge_hugging_boxes(), max_size=6))
+    def test_serialized_text_parses_back_or_is_refused(self, boxes):
+        try:
+            text = serialize_label_file(boxes)
+        except DegenerateBox:
+            assert min(min(b.box.w, b.box.h) for b in boxes) < 1e-6
+            return
+        assert len(parse_label_file(text, kind="gt")) == len(boxes)
 
 
 class TestDetectKind:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -419,6 +420,20 @@ class TestFit:
         assert (one / "fits.csv").read_bytes() == (two / "fits.csv").read_bytes()
         assert (one / "chart.svg").read_bytes() == (two / "chart.svg").read_bytes()
 
+    def test_csv_with_byte_order_mark_gives_the_same_bytes(self, tmp_path):
+        plain = tmp_path / "obs.csv"
+        plain.write_bytes(
+            resources.files("larvaekit.data").joinpath("stage_mean_lengths.csv").read_bytes()
+        )
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        runs = []
+        for path, out in ((plain, tmp_path / "plain"), (bom, tmp_path / "bom")):
+            result = run_cli("fit", path, "--out-dir", out)
+            assert result.returncode == 0, result.stderr
+            runs.append((result.stdout, (out / "fits.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_svg_name_cannot_escape_out_dir(self, tmp_path):
         out = tmp_path / "out"
         result = run_cli("fit", "--svg", "../evil.svg", "--out-dir", out)
@@ -513,6 +528,108 @@ class TestInputErrors:
         result = run_cli("preprocess", "rotate", tmp_path / "img.ppm",
                          "--out-dir", tmp_path / "out")
         assert single_error_line(result) == f"error: {label}: line 1: expected 5 fields, got 4"
+
+    @pytest.mark.parametrize("action", ["rotate", "enlarge"])
+    def test_box_too_thin_for_six_decimals_names_the_file(self, tmp_path, action):
+        # Parses, but its width would be written as 0.000000, which no
+        # later run could read back.
+        label = tmp_path / "img.txt"
+        label.write_text("0 0.5 0.5 0.0000001 0.1\n")
+        if action == "rotate":
+            (tmp_path / "img.ppm").write_bytes(encode_raster(solid_image(8, 8)))
+            argv = ("rotate", tmp_path / "img.ppm")
+        else:
+            argv = ("enlarge", label, "--threshold", 1e-12)
+        out = tmp_path / "out"
+        line = single_error_line(run_cli("preprocess", *argv, "--out-dir", out))
+        assert line.startswith(f"error: {label}: box ")
+        assert not out.exists()
+
+
+def tree(root: Path) -> dict:
+    """Every file under ``root``, hidden ones included, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestStagedOutputs:
+    """Outputs appear in --out-dir only when the whole run succeeds."""
+
+    def frames(self, root: Path):
+        good, bad = root / "a.ppm", root / "b.ppm"
+        good.write_bytes(encode_raster(solid_image(8, 6)))
+        bad.write_bytes(b"P5\n2 2\n255\n\x00")
+        return good, bad
+
+    @pytest.mark.parametrize("out_dir", ["out", "new/out"])
+    def test_failed_batch_creates_no_out_dir(self, tmp_path, out_dir):
+        good, bad = self.frames(tmp_path)
+        result = run_cli("preprocess", "rotate", good, bad, "--out-dir", tmp_path / out_dir)
+        assert single_error_line(result).startswith(f"error: {bad}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "b.ppm"]
+
+    def test_failed_batch_keeps_older_outputs(self, tmp_path):
+        good, bad = self.frames(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.ppm").write_bytes(b"older output")
+        result = run_cli("preprocess", "rotate", good, bad, "--out-dir", out)
+        assert single_error_line(result).startswith(f"error: {bad}: ")
+        assert tree(out) == {Path("a.ppm"): b"older output"}
+
+    def test_successful_run_replaces_older_outputs(self, tmp_path):
+        good, _ = self.frames(tmp_path)
+        (tmp_path / "a.txt").write_text("0 0.5 0.5 0.1 0.2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.ppm").write_bytes(b"older output")
+        result = run_cli("preprocess", "rotate", good, "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        files = tree(out)
+        assert sorted(map(str, files)) == ["a.ppm", "a.txt"]
+        assert decode_raster(files[Path("a.ppm")]).width == 6
+        assert files[Path("a.txt")] == b"0 0.500000 0.500000 0.200000 0.100000\n"
+
+    def test_directory_in_the_way_is_refused_before_any_rename(self, tmp_path):
+        manifest = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        (out / "pr_curve.csv").mkdir(parents=True)
+        (out / "eval.csv").write_bytes(b"older output")
+        result = run_cli("eval", manifest, "--out-dir", out)
+        assert result.returncode == 2
+        assert result.stderr == "usage error: output 'pr_curve.csv' is a directory in --out-dir\n"
+        assert tree(out) == {Path("eval.csv"): b"older output"}
+
+    @pytest.mark.parametrize("argv", [
+        ("preprocess", "crop", "a.ppm", "--width", 9, "--height", 9),
+        ("fit", "--svg", "sub/x.svg"),
+    ])
+    def test_late_failure_creates_no_out_dir(self, tmp_path, argv):
+        self.frames(tmp_path)
+        out = tmp_path / "out"
+        result = run_cli(*argv, "--out-dir", out, cwd=tmp_path)
+        single_error_line(result)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", ["same label name", "shared sibling label"])
+    def test_colliding_output_names_are_refused(self, tmp_path, shape):
+        label = serialize_label_file([LabeledBox(0, Box2D(0.5, 0.5, 0.1, 0.2))])
+        if shape == "same label name":
+            inputs = [tmp_path / "d1" / "x.txt", tmp_path / "d2" / "x.txt"]
+            for path in inputs:
+                path.parent.mkdir()
+                path.write_text(label)
+            argv, name = ("enlarge", *inputs, "--threshold", 0.5), "x.txt"
+        else:
+            inputs = [tmp_path / "a.ppm", tmp_path / "a.pgm"]
+            for path in inputs:
+                path.write_bytes(encode_raster(solid_image(8, 8)))
+            (tmp_path / "a.txt").write_text(label)
+            argv, name = ("rotate", *inputs), "a.txt"
+        out = tmp_path / "out"
+        result = run_cli("preprocess", *argv, "--out-dir", out)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [f"usage error: output {name!r} would be written twice"]
+        assert not out.exists()
 
 
 class TestTopLevel:
