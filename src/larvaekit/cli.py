@@ -15,6 +15,7 @@ flags).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -76,6 +77,15 @@ def _require(condition: bool, message: str):
         raise CommandUsageError(message)
 
 
+def _check_numeric_flags(args) -> None:
+    """Refuse a non-finite float flag or a negative seed, whatever the command."""
+    for dest, value in vars(args).items():
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 f"--{dest.replace('_', '-')} must be finite, got {value}")
+    seed = getattr(args, "seed", None)
+    _require(seed is None or seed >= 0, f"--seed must be non-negative, got {seed}")
+
+
 @contextmanager
 def _staged_outputs(out_dir: Path):
     """Yield ``write(name, data)``, which stages one output inside ``out_dir``.
@@ -97,8 +107,11 @@ def _staged_outputs(out_dir: Path):
         if not staged:
             out_dir.mkdir(parents=True, exist_ok=True)
         staged[target] = staging = target.with_name(f".{target.name}.partial")
-        with open(staging, "wb" if isinstance(data, bytes) else "w") as file:
-            file.write(data)
+        try:
+            with open(staging, "wb" if isinstance(data, bytes) else "w") as file:
+                file.write(data)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, str(target)) from None
 
     try:
         yield write
@@ -366,6 +379,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numeric_flags(args)
         with _staged_outputs(Path(args.out_dir)) as write:
             stdout = args.func(args, write)
     except CommandUsageError as err:

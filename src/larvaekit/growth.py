@@ -2,9 +2,12 @@
 
 Five families are supported (von Bertalanffy, Gompertz, linear, power,
 exponential). The nonlinear ones are fitted by a damped Gauss-Newton
-iteration with a numerically differenced Jacobian; the linear model is
-solved in closed form. Goodness of fit is the coefficient of
-determination R² = 1 - SSE/SST.
+iteration with analytic Jacobians; the linear model is solved in closed
+form. Goodness of fit is the coefficient of determination R² = 1 - SSE/SST.
+
+Gompertz, ``l_inf·exp(-k2·exp(-a(t - tr)))``, depends on ``k2`` and ``tr``
+only through ``k2·exp(a·tr)``, so it is fitted as ``(l_inf, k2, a)`` and
+reported with ``tr = 0``.
 
 The damping schedule is the classic one: multiply the factor by 10 when a
 trial step increases the SSE (and reject the step), divide by 10 when it
@@ -60,13 +63,8 @@ PARAM_NAMES = {
     GrowthModelKind.EXPONENTIAL: ("a", "b"),
 }
 
-# Gompertz tr trades off against k2 almost perfectly on short series;
-# keep it from wandering.
-GOMPERTZ_TR_BOUNDS = (-5.0, 5.0)
-
 MAX_ITERATIONS = 200
 REL_SSE_TOL = 1e-10
-JACOBIAN_STEP = 1e-6
 MULTI_STARTS = 5
 
 
@@ -115,24 +113,40 @@ class RankedModel:
     error: Exception | None = None
 
 
-def _model_values(kind: GrowthModelKind, params: Sequence[float], t: np.ndarray) -> np.ndarray:
-    # Raw evaluator: no domain checks, non-finite values pass through so the
-    # damping loop can reject overflowing trial steps.
-    p = params
+def _model(kind: GrowthModelKind, p: Sequence[float], t: np.ndarray):
+    """Model values at ages ``t`` and their Jacobian, one column per parameter.
+
+    No domain checks: non-finite values pass through so the damping loop
+    can reject overflowing trial steps. Gompertz takes ``tr`` as an
+    optional fourth parameter, 0 when absent.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is GrowthModelKind.VBGM:
-            return p[0] * (1.0 - np.exp(-p[1] * (t - p[2])))
+            l_inf, k1, t0 = p
+            decay = np.exp(-k1 * (t - t0))
+            columns = [1.0 - decay, l_inf * (t - t0) * decay, -l_inf * k1 * decay]
+            return l_inf * (1.0 - decay), np.column_stack(columns)
         if kind is GrowthModelKind.GOMPERTZ:
-            return p[0] * np.exp(-p[1] * np.exp(-p[2] * (t - p[3])))
+            l_inf, k2, a, tr = (*p, 0.0)[:4]
+            decay = np.exp(-a * (t - tr))
+            shape = np.exp(-k2 * decay)
+            values = l_inf * shape
+            slope = values * k2 * decay
+            columns = [shape, -values * decay, slope * (t - tr), -slope * a]
+            return values, np.column_stack(columns[:len(p)])
         if kind is GrowthModelKind.LINEAR:
-            return p[0] * t + p[1]
+            a, b = p
+            return a * t + b, np.column_stack([t, np.ones_like(t)])
         if kind is GrowthModelKind.POWER:
-            out = np.zeros_like(t, dtype=float)
+            a, b = p
             pos = t > 0
-            out[pos] = p[0] * np.power(t[pos], p[1])
-            return out
+            powered = np.power(t, b, out=np.zeros_like(t), where=pos)
+            log_t = np.log(t, out=np.zeros_like(t), where=pos)
+            return a * powered, np.column_stack([powered, a * powered * log_t])
         if kind is GrowthModelKind.EXPONENTIAL:
-            return p[0] * np.exp(p[1] * t)
+            a, b = p
+            grown = np.exp(b * t)
+            return a * grown, np.column_stack([grown, a * t * grown])
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -148,7 +162,7 @@ def predict(kind: GrowthModelKind, params: Sequence[float], t):
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0):
         raise OutOfRange("ages must be finite and non-negative")
-    values = _model_values(kind, tuple(float(v) for v in params), np.atleast_1d(t_arr))
+    values, _ = _model(kind, tuple(float(v) for v in params), np.atleast_1d(t_arr))
     if not np.all(np.isfinite(values)):
         raise NonFiniteResult(f"{kind.value} overflowed at the requested ages")
     if t_arr.ndim == 0:
@@ -156,30 +170,17 @@ def predict(kind: GrowthModelKind, params: Sequence[float], t):
     return values
 
 
-def forward_jacobian(kind: GrowthModelKind, params: Sequence[float], t: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian d model / d params at the sample ages."""
-    p = np.asarray(params, dtype=float)
-    base = _model_values(kind, p, t)
-    J = np.zeros((t.size, p.size))
-    for j in range(p.size):
-        h = JACOBIAN_STEP * max(1.0, abs(p[j]))
-        q = p.copy()
-        q[j] += h
-        J[:, j] = (_model_values(kind, q, t) - base) / h
-    return J
+def jacobian(kind: GrowthModelKind, params: Sequence[float], t) -> np.ndarray:
+    """Analytic Jacobian d model / d params at ages ``t``, one row per age."""
+    return _model(kind, np.asarray(params, dtype=float), np.atleast_1d(np.asarray(t, float)))[1]
 
 
-def _project(kind: GrowthModelKind, p: np.ndarray) -> np.ndarray:
-    if kind is GrowthModelKind.GOMPERTZ:
-        lo, hi = GOMPERTZ_TR_BOUNDS
-        p = p.copy()
-        p[3] = min(max(p[3], lo), hi)
-    return p
-
-
-def _sse(kind: GrowthModelKind, p: np.ndarray, t: np.ndarray, lengths: np.ndarray) -> float:
-    r = lengths - _model_values(kind, p, t)
-    return float(r @ r)
+def _sse(kind: GrowthModelKind, p: np.ndarray, t: np.ndarray, lengths: np.ndarray):
+    """(SSE, residuals, Jacobian) at ``p``."""
+    values, J = _model(kind, p, t)
+    r = lengths - values
+    with np.errstate(over="ignore"):
+        return float(r @ r), r, J
 
 
 def _damped_least_squares(
@@ -193,41 +194,33 @@ def _damped_least_squares(
     """Damped Gauss-Newton refinement.
 
     Returns (params, sse, iterations, converged, accepted-SSE history).
-    Every attempted step counts as an iteration; the Jacobian is only
-    recomputed after an accepted step since rejected ones leave the
-    parameters untouched.
+    Every attempted step counts as an iteration; each trial's residuals
+    and Jacobian are kept only when the step is accepted.
     """
-    p = _project(kind, np.asarray(p0, dtype=float))
-    best = _sse(kind, p, t, lengths)
+    p = np.asarray(p0, dtype=float)
+    best, r, J = _sse(kind, p, t, lengths)
     history = [best]
     lam = 1e-3
     converged = best == 0.0
     iterations = 0
-    normal_matrix = gradient = None
     while not converged and iterations < max_iterations:
         iterations += 1
-        if normal_matrix is None:
-            J = forward_jacobian(kind, p, t)
-            r = lengths - _model_values(kind, p, t)
-            normal_matrix = J.T @ J
-            gradient = J.T @ r
-        damped = normal_matrix + lam * np.eye(p.size)
+        damped = J.T @ J + lam * np.eye(p.size)
         try:
-            step = np.linalg.solve(damped, gradient)
+            step = np.linalg.solve(damped, J.T @ r)
         except np.linalg.LinAlgError:
             raise SingularNormalEquations(
                 f"damped normal equations are singular (lambda={lam:g})"
             ) from None
         if not np.all(np.isfinite(step)):
             raise SingularNormalEquations("normal-equation solve produced non-finite step")
-        trial = _project(kind, p + step)
-        trial_sse = _sse(kind, trial, t, lengths)
+        trial = p + step
+        trial_sse, trial_r, trial_J = _sse(kind, trial, t, lengths)
         if trial_sse < best:
             rel = (best - trial_sse) / best if best > 0 else 1.0
-            p, best = trial, trial_sse
+            p, best, r, J = trial, trial_sse, trial_r, trial_J
             history.append(best)
             lam = max(lam / 10.0, 1e-12)
-            normal_matrix = gradient = None
             if best == 0.0 or rel < rel_tol:
                 converged = True
         else:
@@ -256,7 +249,7 @@ def _initial_params(kind: GrowthModelKind, t: np.ndarray, lengths: np.ndarray) -
     if kind is GrowthModelKind.VBGM:
         return [l_top, 0.1, 0.0]
     if kind is GrowthModelKind.GOMPERTZ:
-        return [l_top, math.log(l_top / float(lengths[0])), 0.1, 0.0]
+        return [l_top, math.log(l_top / float(lengths[0])), 0.1]
     if kind is GrowthModelKind.POWER:
         pos = t > 0
         if np.unique(t[pos]).size < 2:
@@ -307,9 +300,10 @@ def fit(
     The linear family is solved exactly; power/exponential start from a
     log-space regression (power drops t=0 points for the initialization
     only) and the sigmoids start from l_inf = 1.1*max(L), rates 0.1/day,
-    zero offsets, k2 = ln(l_inf / first length). ``multi_start`` adds
-    five jittered restarts (seeded, deterministic) and keeps the lowest
-    SSE, which guards the sigmoids against local minima.
+    t0 = 0, k2 = ln(l_inf / first length), with Gompertz tr held at 0.
+    ``multi_start`` adds five jittered restarts (seeded, deterministic)
+    and keeps the lowest SSE, which guards the sigmoids against local
+    minima.
     """
     names = PARAM_NAMES[kind]
     t, lengths = _prepared(observations, len(names))
@@ -330,9 +324,10 @@ def fit(
         if best is None or sse < best[1]:
             best = (p, sse, iterations, converged)
     p, sse, iterations, converged = best
+    fixed = (0.0,) * (len(names) - p.size)  # Gompertz tr
     return FitResult(
         kind,
-        tuple(float(v) for v in p),
+        tuple(float(v) for v in p) + fixed,
         sse,
         1.0 - sse / sst,
         iterations=iterations,

@@ -27,7 +27,7 @@ from larvaekit.growth import (
     GrowthModelKind,
     bundled_stage_means,
     fit,
-    forward_jacobian,
+    jacobian,
     predict,
     rank_models,
 )
@@ -237,7 +237,7 @@ def test_criterion_7_property_suites():
     for kind, bounds in ranges.items():
         for _ in range(10):
             params = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-            jac = forward_jacobian(kind, params, ages)
+            jac = jacobian(kind, params, ages)
             for j in range(params.size):
                 step = 1e-6 * max(1.0, abs(params[j]))
                 hi_p, lo_p = params.copy(), params.copy()

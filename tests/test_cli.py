@@ -607,7 +607,9 @@ class TestStagedOutputs:
         self.frames(tmp_path)
         out = tmp_path / "out"
         result = run_cli(*argv, "--out-dir", out, cwd=tmp_path)
-        single_error_line(result)
+        line = single_error_line(result)
+        assert ".partial" not in line
+        assert {"preprocess": "a.ppm", "fit": "sub/x.svg"}[argv[0]] in line
         assert not out.exists()
 
     @pytest.mark.parametrize("shape", ["same label name", "shared sibling label"])
@@ -630,6 +632,29 @@ class TestStagedOutputs:
         assert result.returncode == 2
         assert result.stderr.splitlines() == [f"usage error: output {name!r} would be written twice"]
         assert not out.exists()
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (("preprocess", "mask", "img.ppm", "--cx", "nan", "--cy", 4, "--radius", 3),
+         "--cx must be finite, got nan"),
+        (("preprocess", "noise", "img.ppm", "--variance", "inf", "--seed", 7),
+         "--variance must be finite, got inf"),
+        (("count", "manifest.csv", "--volume-factor", "inf"),
+         "--volume-factor must be finite, got inf"),
+        (("eval", "manifest.csv", "--conf-thr=-inf"), "--conf-thr must be finite, got -inf"),
+        (("fit", "--multi-start", "--seed", -1), "--seed must be non-negative, got -1"),
+        (("preprocess", "noise", "img.ppm", "--variance", 25, "--seed", -3),
+         "--seed must be non-negative, got -3"),
+    ], ids=["mask-cx", "noise-variance", "count-volume-factor", "eval-conf-thr", "fit-seed",
+            "noise-seed"])
+    def test_refused_before_any_output(self, tmp_path, argv, message):
+        small_dataset(tmp_path)
+        (tmp_path / "img.ppm").write_bytes(encode_raster(solid_image(8, 8)))
+        result = run_cli(*argv, "--out-dir", "out", cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"usage error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestTopLevel:

@@ -23,7 +23,7 @@ from larvaekit.growth import (
     _damped_least_squares,
     bundled_stage_means,
     fit,
-    forward_jacobian,
+    jacobian,
     load_observations_csv,
     parse_model_kind,
     predict,
@@ -188,6 +188,14 @@ class TestFitSynthetic:
         assert once.params == again.params
         assert once.sse <= base.sse + 1e-12
 
+    def test_gompertz_is_identifiable(self, means):
+        # k2 and tr enter only as k2*exp(a*tr); with tr held at 0 the best
+        # curve has one set of parameters, whichever start reaches it
+        single = fit(K.GOMPERTZ, means)
+        multi = fit(K.GOMPERTZ, means, multi_start=True)
+        assert single.params[3] == multi.params[3] == 0.0
+        np.testing.assert_allclose(single.params, multi.params, rtol=1e-6, atol=0.0)
+
 
 class TestRSquared:
     def test_perfect_predictions(self, means):
@@ -334,7 +342,7 @@ class TestSolverProperties:
         for kind, bounds in ranges.items():
             for _ in range(25):
                 params = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-                J = forward_jacobian(kind, params, ages)
+                J = jacobian(kind, params, ages)
                 for j in range(params.size):
                     h = 1e-6 * max(1.0, abs(params[j]))
                     hi_p, lo_p = params.copy(), params.copy()
