@@ -93,6 +93,12 @@ class GrowthObservation:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One family's fitted parameters and fit quality.
+
+    ``iterations`` counts damped steps summed over every start, so under
+    ``multi_start`` it is the total work, not the winning start's share.
+    """
+
     kind: GrowthModelKind
     params: tuple[float, ...]
     sse: float
@@ -319,18 +325,20 @@ def fit(
         for _ in range(MULTI_STARTS):
             starts.append(list(p0 + 0.25 * scale * rng.standard_normal(len(p0))))
     best = None
+    total_iterations = 0
     for start in starts:
         p, sse, iterations, converged, _ = _damped_least_squares(kind, start, t, lengths)
+        total_iterations += iterations
         if best is None or sse < best[1]:
-            best = (p, sse, iterations, converged)
-    p, sse, iterations, converged = best
+            best = (p, sse, converged)
+    p, sse, converged = best
     fixed = (0.0,) * (len(names) - p.size)  # Gompertz tr
     return FitResult(
         kind,
         tuple(float(v) for v in p) + fixed,
         sse,
         1.0 - sse / sst,
-        iterations=iterations,
+        iterations=total_iterations,
         converged=converged,
     )
 

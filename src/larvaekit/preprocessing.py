@@ -19,6 +19,11 @@ from .raster import RasterImage
 # discarded rather than kept as slivers.
 MIN_CLIPPED_AREA_FRACTION = 1e-6
 
+# Noise and masking work on strips of at most this many samples (noise) or
+# pixels (mask), so their float64 temporaries stay a fixed size whatever
+# the frame.
+_STRIP_SAMPLES = 1 << 16
+
 
 def _with_box(item: AnyBox, box: Box2D) -> AnyBox:
     if isinstance(item, ScoredBox):
@@ -48,7 +53,7 @@ def center_crop(
     off_x = (image.width - target_w) // 2
     off_y = (image.height - target_h) // 2
     arr = image.to_array()[off_y : off_y + target_h, off_x : off_x + target_w]
-    cropped = RasterImage.from_array(np.ascontiguousarray(arr))
+    cropped = RasterImage.from_array(arr)
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
         # Full-frame crop: hand the boxes back untouched.
         return cropped, list(boxes)
@@ -76,10 +81,18 @@ def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> Ra
     if radius < 0:
         raise OutOfRange(f"radius must be non-negative, got {radius}")
     arr = image.to_array().copy()
-    ys = np.arange(image.height, dtype=np.float64)[:, np.newaxis]
-    xs = np.arange(image.width, dtype=np.float64)[np.newaxis, :]
-    outside = (xs - cx) ** 2 + (ys - cy) ** 2 > radius * radius
-    arr[outside] = 0
+    r2 = radius * radius
+    # Tiles of at most _STRIP_SAMPLES pixels: whole rows unless a single
+    # row is wider than that.
+    cols = min(image.width, _STRIP_SAMPLES)
+    rows = max(1, _STRIP_SAMPLES // cols)
+    for x0 in range(0, image.width, cols):
+        x1 = min(x0 + cols, image.width)
+        dx2 = (np.arange(x0, x1, dtype=np.float64) - cx) ** 2
+        for y0 in range(0, image.height, rows):
+            y1 = min(y0 + rows, image.height)
+            dy2 = (np.arange(y0, y1, dtype=np.float64) - cy) ** 2
+            arr[y0:y1, x0:x1][dx2 + dy2[:, np.newaxis] > r2] = 0
     return RasterImage.from_array(arr)
 
 
@@ -131,7 +144,8 @@ def gaussian_noise_stream(variance: float, seed: int, count: int) -> np.ndarray:
 
     Exposed so callers can inspect the pre-clamp distribution; samples are
     generated sequentially, so the first ``k`` values do not depend on
-    ``count``.
+    ``count``. ``add_gaussian_noise`` draws this same stream in strips:
+    consecutive draws from one generator continue the sequence.
     """
     if variance < 0:
         raise OutOfRange(f"variance must be non-negative, got {variance}")
@@ -149,9 +163,17 @@ def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> Raster
         raise OutOfRange(f"variance must be non-negative, got {variance}")
     if variance == 0:
         return image
-    samples = np.frombuffer(image.pixels, dtype=np.uint8).astype(np.float64)
-    noise = gaussian_noise_stream(variance, seed, samples.size)
-    noisy = np.clip(np.rint(samples + noise), 0, 255).astype(np.uint8)
+    samples = np.frombuffer(image.pixels, dtype=np.uint8)
+    noisy = np.empty_like(samples)
+    rng = np.random.default_rng(seed)
+    sd = math.sqrt(variance)
+    for start in range(0, samples.size, _STRIP_SAMPLES):
+        stop = min(start + _STRIP_SAMPLES, samples.size)
+        strip = rng.normal(0.0, sd, size=stop - start)
+        strip += samples[start:stop]
+        np.rint(strip, out=strip)
+        np.clip(strip, 0, 255, out=strip)
+        noisy[start:stop] = strip
     return RasterImage(image.width, image.height, image.channels, noisy.tobytes())
 
 
@@ -163,7 +185,7 @@ def rotate90(image: RasterImage, boxes: Sequence[AnyBox]) -> tuple[RasterImage, 
     scene (up to float rounding in the box centers).
     """
     arr = np.rot90(image.to_array(), k=1)
-    rotated = RasterImage.from_array(np.ascontiguousarray(arr))
+    rotated = RasterImage.from_array(arr)
     remapped = [
         _with_box(item, Box2D(item.box.cy, 1.0 - item.box.cx, item.box.h, item.box.w))
         for item in boxes

@@ -135,6 +135,13 @@ class TestFitOnStageMeans:
         assert fit(K.POWER, means).r_squared == pytest.approx(0.905068, abs=5e-5)
         assert fit(K.EXPONENTIAL, means).r_squared == pytest.approx(0.899833, abs=5e-5)
 
+    @pytest.mark.parametrize("kind", [K.VBGM, K.GOMPERTZ, K.POWER, K.EXPONENTIAL])
+    def test_multi_start_iterations_count_every_start(self, means, kind):
+        # The first start is the single-start fit; each jittered restart
+        # takes at least one step.
+        single = fit(kind, means).iterations
+        assert fit(kind, means, multi_start=True).iterations >= single + growth.MULTI_STARTS
+
     def test_r_squared_field_consistent_with_sse(self, means):
         lengths = np.array([o.length_mm for o in means])
         sst = float(((lengths - lengths.mean()) ** 2).sum())

@@ -1,8 +1,11 @@
 """Crop, mask, box enlargement, noise, and rotation transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from larvaekit import preprocessing
 from larvaekit.annotations import Box2D, LabeledBox, ScoredBox
 from larvaekit.errors import EmptyDataset, OutOfRange, TargetTooLarge
 from larvaekit.preprocessing import (
@@ -285,3 +288,118 @@ class TestRotate90:
         _, rotated = rotate90(solid_image(20, 20), [box])
         b = rotated[0].box
         assert b.cy + b.h / 2 == pytest.approx(1.0, abs=1e-12)
+
+
+# Frames whose mask strips are exactly 64 rows, so these heights sit
+# below, on and across strip edges; noise strips fall mid-row.
+STRIP_W = preprocessing._STRIP_SAMPLES // 64
+WIDE = preprocessing._STRIP_SAMPLES + 5
+STRIP_SHAPES = [
+    (h, STRIP_W, c) for h in (1, 63, 64, 65, 129) for c in (1, 3)
+] + [
+    (2 * preprocessing._STRIP_SAMPLES + 3, 1, 1),
+    (preprocessing._STRIP_SAMPLES // 3 + 2, 1, 3),
+    (1, WIDE, 1),
+    (1, WIDE, 3),
+    (3, 7, 3),
+]
+
+
+def random_image(shape, seed):
+    rng = np.random.default_rng(seed)
+    return RasterImage.from_array(rng.integers(0, 256, size=shape, dtype=np.uint8))
+
+
+def whole_frame_noise(image, variance, seed):
+    samples = np.frombuffer(image.pixels, dtype=np.uint8).astype(np.float64)
+    noise = gaussian_noise_stream(variance, seed, samples.size)
+    return np.clip(np.rint(samples + noise), 0, 255).astype(np.uint8).tobytes()
+
+
+def whole_frame_mask(image, cx, cy, radius):
+    arr = image.to_array().copy()
+    ys = np.arange(image.height, dtype=np.float64)[:, np.newaxis]
+    xs = np.arange(image.width, dtype=np.float64)[np.newaxis, :]
+    arr[(xs - cx) ** 2 + (ys - cy) ** 2 > radius * radius] = 0
+    return arr.tobytes()
+
+
+class TestStripsChangeNoBytes:
+    """Strip-wise noise and mask against the whole-frame formulas."""
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    @pytest.mark.parametrize("variance", [1e-3, 25.0, 1e5])
+    def test_noise(self, shape, variance):
+        image = random_image(shape, seed=sum(shape))
+        out = add_gaussian_noise(image, variance, seed=11)
+        assert out.pixels == whole_frame_noise(image, variance, 11)
+
+    def test_large_variance_saturates_both_ends(self):
+        image = random_image((65, STRIP_W, 3), seed=3)
+        out = np.frombuffer(add_gaussian_noise(image, 1e5, seed=4).pixels, dtype=np.uint8)
+        assert out.min() == 0 and out.max() == 255
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    def test_mask(self, shape):
+        image = random_image(shape, seed=sum(shape) + 1)
+        h, w = shape[0], shape[1]
+        circles = [
+            (w / 2, h / 2, min(w, h) / 3 + 0.5),  # inside the frame
+            (-50.0, -50.0, 10.0),  # off the frame: everything zeroed
+            (w / 2, h / 2, 0.0),  # radius 0
+            (3, 4, 5),  # exact-distance ties on the circle
+            (w / 2, h / 2, float(w + h)),  # covers the whole frame
+            (w - 0.5, h + 2.0, (w + h) / 2),  # centre below the frame
+        ]
+        for cx, cy, radius in circles:
+            out = circular_mask(image, cx, cy, radius)
+            assert out.pixels == whole_frame_mask(image, cx, cy, radius), (cx, cy, radius)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 64])
+    def test_tiny_strips(self, monkeypatch, budget):
+        # Tiles of a handful of samples cross every row and column edge.
+        monkeypatch.setattr(preprocessing, "_STRIP_SAMPLES", budget)
+        for shape in [(1, 1, 1), (5, 9, 3), (13, 4, 1), (1, 17, 3), (17, 1, 1)]:
+            image = random_image(shape, seed=budget + sum(shape))
+            h, w = shape[0], shape[1]
+            for cx, cy, r in [(w / 2, h / 2, 2.5), (3, 4, 5), (-9, 2, 4), (0, 0, 0)]:
+                out = circular_mask(image, cx, cy, r)
+                assert out.pixels == whole_frame_mask(image, cx, cy, r)
+            for variance in (0.01, 400.0, 1e5):
+                out = add_gaussian_noise(image, variance, seed=budget)
+                assert out.pixels == whole_frame_noise(image, variance, budget)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 999, 262_144])
+    def test_chunked_draws_continue_one_stream(self, chunk):
+        count = 1_000_003
+        rng = np.random.default_rng(2024)
+        drawn = np.empty(count)
+        for start in range(0, count, chunk):
+            stop = min(start + chunk, count)
+            drawn[start:stop] = rng.normal(0.0, 5.0, size=stop - start)
+        assert np.array_equal(drawn, gaussian_noise_stream(25.0, 2024, count))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Noise and mask hold no whole-frame float64 arrays."""
+
+    def frame(self):
+        return random_image((1000, 1200, 3), seed=8)
+
+    def test_noise_peak(self):
+        image = self.frame()
+        assert traced_peak(add_gaussian_noise, image, 25.0, 7) <= 3 * len(image.pixels)
+
+    def test_mask_peak(self):
+        image = self.frame()
+        assert traced_peak(circular_mask, image, 600.0, 500.0, 450.0) <= 3 * len(image.pixels)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from larvaekit.errors import MaxvalNot255, TruncatedPayload, UnsupportedFormat
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
@@ -93,3 +94,38 @@ class TestEncode:
             ch = int(rng.choice([1, 3]))
             img = RasterImage(w, h, ch, rng.integers(0, 256, size=w * h * ch, dtype=np.uint8).tobytes())
             assert decode_raster(encode_raster(img)) == img
+
+
+def images(max_side: int = 64):
+    return st.tuples(
+        st.integers(1, max_side), st.integers(1, max_side), st.sampled_from([1, 3])
+    ).flatmap(
+        lambda whc: st.binary(
+            min_size=whc[0] * whc[1] * whc[2], max_size=whc[0] * whc[1] * whc[2]
+        ).map(lambda px: RasterImage(whc[0], whc[1], whc[2], px))
+    )
+
+
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"])
+# A comment runs from '#' to the next CR or LF, which also ends the field.
+COMMENT = st.tuples(
+    st.binary(max_size=12).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+    st.sampled_from([b"\r", b"\n"]),
+).map(lambda parts: b"#" + parts[0] + parts[1])
+# Between header fields: a whitespace byte, then any mix of whitespace and comments.
+SEPARATOR = st.tuples(WHITESPACE, st.lists(WHITESPACE | COMMENT, max_size=4)).map(
+    lambda parts: parts[0] + b"".join(parts[1])
+)
+
+
+class TestCodecProperties:
+    @given(images())
+    def test_round_trip(self, img):
+        assert decode_raster(encode_raster(img)) == img
+
+    @given(images(max_side=16), st.lists(SEPARATOR, min_size=3, max_size=3), WHITESPACE)
+    def test_commented_header_decodes_like_canonical(self, img, seps, last):
+        magic = b"P5" if img.channels == 1 else b"P6"
+        fields = [magic, b"%d" % img.width, b"%d" % img.height, b"255"]
+        header = fields[0] + b"".join(sep + f for sep, f in zip(seps, fields[1:])) + last
+        assert decode_raster(header + img.pixels) == decode_raster(encode_raster(img))
