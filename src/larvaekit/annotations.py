@@ -261,6 +261,31 @@ class DatasetManifest:
         return len(self.entries)
 
 
+def _csv_rows(text: str, required: Sequence[str], what: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(row number, row)`` for CSV ``text``, the header being row 1.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    skipped. A header lacking a ``required`` column raises
+    :class:`MissingColumn` naming ``what``; a CSV syntax error, such as an
+    oversized field, raises :class:`MalformedLine` at the line it was read on.
+    """
+    reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff")))
+    try:
+        missing = [c for c in required if c not in (reader.fieldnames or ())]
+        if missing:
+            raise MissingColumn(f"{what} lacks column(s): {', '.join(missing)}")
+        yield from enumerate(reader, start=2)
+    except csv.Error as err:
+        raise MalformedLine(reader.reader.line_num, str(err)) from None
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted if it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def load_manifest(text: str) -> DatasetManifest:
     """Parse a manifest CSV.
 
@@ -268,14 +293,9 @@ def load_manifest(text: str) -> DatasetManifest:
     are ignored. ``density_group`` and ``day_label`` may be empty. A
     leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff")))
-    have = set(reader.fieldnames or ())
-    missing = [c for c in MANIFEST_COLUMNS if c not in have]
-    if missing:
-        raise MissingColumn(f"manifest header lacks column(s): {', '.join(missing)}")
     entries = []
     seen: set[str] = set()
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in _csv_rows(text, MANIFEST_COLUMNS, "manifest header"):
         image_id = (row["image_id"] or "").strip()
         if not image_id:
             raise MalformedLine(row_no, "empty image_id")
@@ -301,12 +321,15 @@ def load_manifest(text: str) -> DatasetManifest:
                     f"density_group {density} not one of {', '.join(map(str, DENSITY_GROUPS))}"
                 )
         day = (row["day_label"] or "").strip() or None
+        paths = [(row[c] or "").strip() for c in ("image_path", "gt_path", "pred_path")]
+        if any("\0" in path for path in paths):
+            raise MalformedLine(row_no, "a path holds a NUL byte")
         entries.append(
             ManifestEntry(
                 image_id=image_id,
-                image_path=(row["image_path"] or "").strip(),
-                gt_path=(row["gt_path"] or "").strip(),
-                pred_path=(row["pred_path"] or "").strip(),
+                image_path=paths[0],
+                gt_path=paths[1],
+                pred_path=paths[2],
                 width_px=width,
                 height_px=height,
                 density_group=density,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .annotations import ImageAnnotation
+from .annotations import ImageAnnotation, _csv_field
 from .errors import MissingDensity, OutOfRange
 from .evaluation import EvalReport
 
@@ -119,7 +119,7 @@ def render_counts_csv(records: Sequence[CountRecord], volume_factor: float = DEF
     for rec in records:
         true_part = "" if rec.true_count is None else str(rec.true_count)
         total = extrapolate_pond(rec.predicted_count, volume_factor)
-        out.append(f"{rec.image_id},{rec.predicted_count},{true_part},{total:.1f}\n")
+        out.append(f"{_csv_field(rec.image_id)},{rec.predicted_count},{true_part},{total:.1f}\n")
     return "".join(out)
 
 

@@ -30,10 +30,10 @@ import numpy as np
 from .annotations import (
     Box2D,
     DatasetManifest,
-    ImageAnnotation,
     LabeledBox,
     PixelBox,
     ScoredBox,
+    _csv_field,
     load_image_annotation,
 )
 from .errors import DegenerateBox, InconsistentCounts, NoGroundTruth, OutOfRange
@@ -81,9 +81,6 @@ class ConfusionCounts:
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn) < 0 or self.tn != 0:
             raise InconsistentCounts(f"bad counts tp={self.tp} fp={self.fp} fn={self.fn} tn={self.tn}")
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
 @dataclass(frozen=True)
@@ -357,58 +354,20 @@ class DatasetEvaluation:
         return report.ap
 
 
-@dataclass(frozen=True)
-class _ImagePart:
-    annotation: ImageAnnotation
-    counts: ConfusionCounts
-    sweep_flags: tuple[tuple[float, bool], ...]
-    report: EvalReport
+def _report(sweeps, config: MatchConfig, image_aps: Sequence[float] | None = None) -> EvalReport:
+    """One report over per-image ``(num_gt, sweep flags)`` pairs.
 
-
-def _evaluate_image(annotation: ImageAnnotation, config: MatchConfig) -> _ImagePart:
-    # One match at threshold 0 gives the sweep the curve needs. The kept
-    # predictions come first in its visiting order, in the same relative
-    # order and against the same claimed boxes as in a thresholded match,
-    # so their flags are exactly that match's.
-    sweep = match_detections(
-        annotation.ground_truth,
-        annotation.predictions,
-        replace(config, confidence_threshold=0.0),
-    )
-    num_gt = len(annotation.ground_truth)
-    counts = _counts(
-        [f for c, f in sweep.scored_flags if c >= config.confidence_threshold], num_gt
-    )
-    report = EvalReport.build(
-        counts,
-        num_gt=num_gt,
-        num_images=1,
-        scored_flags=sweep.scored_flags,
-        ap_method=config.ap_method,
-    )
-    return _ImagePart(annotation, counts, sweep.scored_flags, report)
-
-
-def _pooled_report(parts: Sequence[_ImagePart], config: MatchConfig) -> EvalReport:
-    counts = ConfusionCounts(0, 0, 0)
-    flags: list[tuple[float, bool]] = []
-    num_gt = 0
-    image_aps = []
-    for part in parts:
-        counts = counts + part.counts
-        flags.extend(part.sweep_flags)
-        num_gt += len(part.annotation.ground_truth)
-        if part.report.num_gt > 0:
-            image_aps.append(part.report.ap)
-    mean_ap = sum(image_aps) / len(image_aps) if image_aps else 0.0
-    return EvalReport.build(
-        counts,
-        num_gt=num_gt,
-        num_images=len(parts),
-        scored_flags=flags,
-        ap_method=config.ap_method,
-        mean_image_ap=mean_ap,
-    )
+    Flags are pooled in the order given, which orders equal confidences
+    on the curve; the counts keep those at or above the threshold.
+    ``image_aps`` (images with ground truth only) sets ``mean_image_ap``.
+    """
+    num_gt = sum(n for n, _ in sweeps)
+    flags = [flag for _, image_flags in sweeps for flag in image_flags]
+    counts = _counts([f for c, f in flags if c >= config.confidence_threshold], num_gt)
+    mean_ap = None
+    if image_aps is not None:
+        mean_ap = sum(image_aps) / len(image_aps) if image_aps else 0.0
+    return EvalReport.build(counts, num_gt, len(sweeps), flags, config.ap_method, mean_ap)
 
 
 def evaluate_dataset(
@@ -422,30 +381,36 @@ def evaluate_dataset(
     Label paths resolve against ``root``. ``group_by`` may be
     ``"day_label"`` or ``"density_group"`` to add per-group pooled
     reports; entries missing the field fall into an ``"unlabeled"``
-    group. Results are deterministic regardless of entry order within
-    a group.
+    group. Pooled reports take their images in manifest order.
     """
     if group_by is not None and group_by not in GROUP_FIELDS:
         raise ValueError(f"group_by must be one of {GROUP_FIELDS} or None")
-    parts = []
+    # One match at threshold 0 gives the sweep the curve needs. The kept
+    # predictions come first in its visiting order, in the same relative
+    # order and against the same claimed boxes as in a thresholded match,
+    # so their flags are exactly that match's.
+    sweep_config = replace(config, confidence_threshold=0.0)
+    images = []
     for entry in manifest:
         annotation = load_image_annotation(entry, root)
-        parts.append((entry, _evaluate_image(annotation, config)))
-    overall = _pooled_report([p for _, p in parts], config)
-    per_image = {entry.image_id: part.report for entry, part in parts}
+        match = match_detections(annotation.ground_truth, annotation.predictions, sweep_config)
+        sweep = (len(annotation.ground_truth), match.scored_flags)
+        images.append((entry, sweep, _report([sweep], config)))
+
+    def pooled(members) -> EvalReport:
+        aps = [report.ap for _, _, report in members if report.num_gt > 0]
+        return _report([sweep for _, sweep, _ in members], config, aps)
+
     groups: dict[str, EvalReport] = {}
     if group_by is not None:
-        buckets: dict[object, list[_ImagePart]] = {}
-        for entry, part in parts:
-            buckets.setdefault(getattr(entry, group_by), []).append(part)
-        def group_key(value):
-            return (value is None, value if value is not None else "")
-        for value in sorted(buckets, key=group_key):
-            label = "unlabeled" if value is None else str(value)
-            groups[label] = _pooled_report(buckets[value], config)
+        buckets: dict[object, list] = {}
+        for image in images:
+            buckets.setdefault(getattr(image[0], group_by), []).append(image)
+        for value in sorted(buckets, key=lambda v: (v is None, "" if v is None else v)):
+            groups["unlabeled" if value is None else str(value)] = pooled(buckets[value])
     return DatasetEvaluation(
-        overall=overall,
-        per_image=per_image,
+        overall=pooled(images),
+        per_image={entry.image_id: report for entry, _, report in images},
         config=config,
         group_by=group_by,
         groups=groups,
@@ -463,7 +428,7 @@ def render_eval_csv(evaluation: DatasetEvaluation) -> str:
     for label, report in rows.items():
         c = report.counts
         out.append(
-            f"{label},{report.num_images},{report.num_gt},{c.tp},{c.fp},{c.fn},"
+            f"{_csv_field(label)},{report.num_images},{report.num_gt},{c.tp},{c.fp},{c.fn},"
             f"{report.precision:.4f},{report.recall:.4f},{report.f1:.4f},"
             f"{report.confusion_accuracy:.4f},{report.counting_accuracy:.4f},"
             f"{evaluation.summary_ap(report):.4f}\n"

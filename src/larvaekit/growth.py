@@ -17,9 +17,7 @@ accepted step falls below 1e-10 or after 200 attempts.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -27,11 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .annotations import _csv_rows
 from .errors import (
     InsufficientData,
     LarvaekitError,
     MalformedLine,
-    MissingColumn,
     NonFiniteResult,
     OutOfRange,
     SingularNormalEquations,
@@ -478,13 +476,8 @@ def stage_for_length(
 
 def load_observations_csv(text: str) -> list[GrowthObservation]:
     """Parse `age_days,length_mm[,stage]` CSV text into observations."""
-    reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff")))
-    have = set(reader.fieldnames or ())
-    missing = [c for c in ("age_days", "length_mm") if c not in have]
-    if missing:
-        raise MissingColumn(f"observation CSV lacks column(s): {', '.join(missing)}")
     observations = []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in _csv_rows(text, ("age_days", "length_mm"), "observation CSV"):
         try:
             age = float(row["age_days"])
             length = float(row["length_mm"])

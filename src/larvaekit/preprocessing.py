@@ -7,11 +7,12 @@ untouched, so pipelines can be composed and re-run freely.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import AnyBox, Box2D, LabeledBox, PixelBox, ScoredBox, to_absolute, to_normalized
+from .annotations import AnyBox, Box2D, PixelBox, to_absolute, to_normalized
 from .errors import EmptyDataset, OutOfRange, TargetTooLarge
 from .raster import RasterImage
 
@@ -23,12 +24,6 @@ MIN_CLIPPED_AREA_FRACTION = 1e-6
 # pixels (mask), so their float64 temporaries stay a fixed size whatever
 # the frame.
 _STRIP_SAMPLES = 1 << 16
-
-
-def _with_box(item: AnyBox, box: Box2D) -> AnyBox:
-    if isinstance(item, ScoredBox):
-        return ScoredBox(item.class_id, box, item.confidence)
-    return LabeledBox(item.class_id, box)
 
 
 def center_crop(
@@ -68,7 +63,7 @@ def center_crop(
         area = max(0.0, x2 - x1) * max(0.0, y2 - y1)
         if area < min_area:
             continue
-        kept.append(_with_box(item, to_normalized(PixelBox(x1, y1, x2, y2), target_w, target_h)))
+        kept.append(replace(item, box=to_normalized(PixelBox(x1, y1, x2, y2), target_w, target_h)))
     return cropped, kept
 
 
@@ -135,7 +130,7 @@ def enlarge_small_boxes(
         scale = factor if mode == "literal" else math.sqrt(factor)
         w = min(b.w * scale, 2 * min(b.cx, 1.0 - b.cx))
         h = min(b.h * scale, 2 * min(b.cy, 1.0 - b.cy))
-        out.append(_with_box(item, Box2D(b.cx, b.cy, w, h)))
+        out.append(replace(item, box=Box2D(b.cx, b.cy, w, h)))
     return out
 
 
@@ -187,7 +182,7 @@ def rotate90(image: RasterImage, boxes: Sequence[AnyBox]) -> tuple[RasterImage, 
     arr = np.rot90(image.to_array(), k=1)
     rotated = RasterImage.from_array(arr)
     remapped = [
-        _with_box(item, Box2D(item.box.cy, 1.0 - item.box.cx, item.box.h, item.box.w))
+        replace(item, box=Box2D(item.box.cy, 1.0 - item.box.cx, item.box.h, item.box.w))
         for item in boxes
     ]
     return rotated, remapped

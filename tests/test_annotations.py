@@ -292,6 +292,18 @@ class TestManifest:
         with pytest.raises(OutOfRange):
             load_manifest(text)
 
+    @pytest.mark.parametrize("line_no", [1, 2])
+    def test_oversized_field_is_a_malformed_line(self, line_no):
+        lines = [MANIFEST_HEADER, "a,,,,10,10,,"]
+        lines[line_no - 1] += "," + "x" * 131073
+        with pytest.raises(MalformedLine) as err:
+            load_manifest("\n".join(lines) + "\n")
+        assert str(err.value) == f"line {line_no}: field larger than field limit (131072)"
+
+    def test_nul_in_a_path_is_a_malformed_line(self):
+        with pytest.raises(MalformedLine, match="^line 2: a path holds a NUL byte$"):
+            load_manifest(MANIFEST_HEADER + "\n" + "a,,g\0.txt,,10,10,,\n")
+
     def test_load_annotation_missing_file_names_image(self, tmp_path):
         text = MANIFEST_HEADER + "\n" + "imgX,,missing.txt,,10,10,,\n"
         entry = load_manifest(text).entries[0]

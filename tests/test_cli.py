@@ -515,6 +515,20 @@ class TestInputErrors:
         line = single_error_line(run_cli(*argv, "--out-dir", tmp_path / "out"))
         assert line.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("command", ["eval", "count", "fit"])
+    def test_oversized_csv_field_names_the_file(self, tmp_path, command):
+        if command == "fit":
+            bad = tmp_path / "obs.csv"
+            bad.write_text("age_days,length_mm\n1," + "9" * 131073 + "\n")
+        else:
+            bad = small_dataset(tmp_path)
+            header = bad.read_text().splitlines()[0]
+            bad.write_text(header + "\na," + "x" * 131073 + ",,,10,10,,\n")
+        result = run_cli(command, bad, "--out-dir", tmp_path / "out")
+        assert single_error_line(result) == (
+            f"error: {bad}: line 2: field larger than field limit (131072)"
+        )
+
     def test_truncated_frame_names_the_file(self, tmp_path):
         frame = tmp_path / "x.ppm"
         frame.write_bytes(b"P5\n2 2\n255\n\x00")

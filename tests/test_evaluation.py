@@ -1,9 +1,13 @@
 """IoU matching, confusion metrics, PR curves, AP, and dataset pooling."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from larvaekit.annotations import (
+    MANIFEST_COLUMNS,
     Box2D,
     LabeledBox,
     PixelBox,
@@ -19,8 +23,10 @@ from larvaekit.errors import (
     NoGroundTruth,
     OutOfRange,
 )
+from larvaekit.counting import CountRecord, render_counts_csv
 from larvaekit.evaluation import (
     ConfusionCounts,
+    EvalReport,
     MatchConfig,
     PRPoint,
     average_precision,
@@ -486,6 +492,62 @@ class TestEvaluateDataset:
             expected = match_detections(annotation.ground_truth, annotation.predictions, config)
             assert evaluation.per_image[entry.image_id].counts == expected.counts
 
+    def test_groups_and_overall_pool_member_sweeps_in_manifest_order(self, tmp_path):
+        # Two density groups plus unlabeled images, one image without gt,
+        # and confidences tied across images, so the pooled curves depend
+        # on the order the sweeps are concatenated in.
+        rng = np.random.default_rng(50)
+        images = []
+        for i in range(30):
+            gt, preds = crowded_instance(rng)
+            item = {"image_id": f"c{i}", "gt": gt, "pred": preds}
+            if i % 3:
+                item["density"] = (100, 300)[i % 3 - 1]
+            images.append(item)
+        images.insert(7, {"image_id": "no_gt", "pred": images[0]["pred"], "density": 100})
+        manifest = load_manifest(write_dataset(tmp_path, images).read_text())
+        config = MatchConfig(confidence_threshold=0.5, ap_method="101point")
+        ev = evaluate_dataset(manifest, config, root=tmp_path, group_by="density_group")
+
+        members: dict[str, list] = {}
+        everything = []
+        for entry in manifest:
+            ann = load_image_annotation(entry, tmp_path)
+            sweep = match_detections(ann.ground_truth, ann.predictions, SWEEP).scored_flags
+            num_gt = len(ann.ground_truth)
+            ap = average_precision(pr_curve(sweep, num_gt), "101point") if num_gt else None
+            label = "unlabeled" if entry.density_group is None else str(entry.density_group)
+            members.setdefault(label, []).append((num_gt, sweep, ap))
+            everything.append((num_gt, sweep, ap))
+
+        def expected(group):
+            num_gt = sum(n for n, _, _ in group)
+            flags = [flag for _, sweep, _ in group for flag in sweep]
+            tp, fp, fn = counts_of([(c, f) for c, f in flags if c >= 0.5], num_gt)
+            aps = [ap for _, _, ap in group if ap is not None]
+            return EvalReport.build(ConfusionCounts(tp, fp, fn), num_gt, len(group), flags,
+                                    "101point", sum(aps) / len(aps))
+
+        def ties_across_images(group):
+            seen: set[float] = set()
+            for _, sweep, _ in group:
+                confidences = {c for c, _ in sweep}
+                if seen & confidences:
+                    return True
+                seen |= confidences
+            return False
+
+        assert all(map(ties_across_images, members.values()))
+        assert list(ev.groups) == ["100", "300", "unlabeled"]
+        for label, group in members.items():
+            assert ev.groups[label] == expected(group)
+        assert ev.overall == expected(everything)
+        for name in ("tp", "fp", "fn"):
+            assert sum(getattr(r.counts, name) for r in ev.groups.values()) == getattr(
+                ev.overall.counts, name
+            )
+        assert sum(r.num_images for r in ev.groups.values()) == ev.overall.num_images == 31
+
     def test_missing_label_file_names_image(self, tmp_path):
         manifest_text = (
             "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
@@ -525,6 +587,27 @@ class TestCsvRendering:
         )
         text = render_eval_csv(evaluate_dataset(manifest, root=tmp_path))
         assert ",0.9636," in text
+
+    def test_ids_and_labels_are_quoted_csv_fields(self, tmp_path):
+        (tmp_path / "gt.txt").write_text("0 0.5 0.5 0.1 0.1\n")
+        (tmp_path / "pred.txt").write_text("0 0.5 0.5 0.1 0.1 0.9\n")
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain"]
+        labels = ["d,1", 'd"2', "d\n3", "d\r4", "d5"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(MANIFEST_COLUMNS)
+        for image_id, label in zip(ids, labels):
+            writer.writerow([image_id, "", "gt.txt", "pred.txt", 10, 10, "", label])
+        manifest = load_manifest(buf.getvalue())
+        ev = evaluate_dataset(manifest, root=tmp_path, group_by="day_label")
+        counts = render_counts_csv([CountRecord(i, 1, 1) for i in ids])
+        for text, first_column in ((render_eval_csv(ev), sorted(labels)),
+                                   (counts, ids)):
+            rows = list(csv.reader(io.StringIO(text)))
+            assert {len(row) for row in rows} == {len(rows[0])}
+            assert [row[0] for row in rows[1:]] == first_column
+        assert counts.endswith("\nplain,1,1,16.6\n")
+        assert render_eval_csv(ev).endswith("\nd5,1,1,1,0,0," + ",".join(["1.0000"] * 6) + "\n")
 
     def test_pr_curve_csv_format(self):
         curve = [PRPoint(0.875, 1.0, 0.5)]

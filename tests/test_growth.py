@@ -445,6 +445,11 @@ class TestObservationCsv:
             load_observations_csv("age_days,length_mm\n0,1.65\nx,2\n")
         assert err.value.line_no == 3
 
+    def test_oversized_field_is_a_malformed_line(self):
+        with pytest.raises(MalformedLine) as err:
+            load_observations_csv("age_days,length_mm\n0,1.65\n1," + "9" * 131073 + "\n")
+        assert str(err.value) == "line 3: field larger than field limit (131072)"
+
     def test_bundled_means(self, means):
         assert len(means) == 11
         assert [o.age_days for o in means] == [0, 1, 3, 4, 5, 6, 8, 9, 12, 14, 18]
