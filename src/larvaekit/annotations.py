@@ -4,6 +4,11 @@ Label files follow the one-line-per-box convention used by the detector
 tooling: ``class cx cy w h`` for ground truth and ``class cx cy w h conf``
 for predictions, all coordinates normalized to the image size. Manifests
 are CSV files binding image ids to their files and acquisition metadata.
+
+The command line reads labels as columns (:class:`_BoxColumns`), parsed
+and checked a batch of files at a time; the per-box objects and
+:func:`parse_label_file` are the public form, and the parser that
+reports a refused line.
 """
 
 from __future__ import annotations
@@ -11,9 +16,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     AnnotationLoadError,
@@ -155,6 +164,127 @@ def to_normalized(pixel_box: PixelBox, width_px: int, height_px: int) -> Box2D:
     )
 
 
+def _corners(boxes: np.ndarray) -> np.ndarray:
+    """(n, 4) corners ``x1, y1, x2, y2`` of ``cx, cy, w, h`` rows, as
+    ``to_absolute(box, 1, 1)`` gives them."""
+    center, half = boxes[:, :2], boxes[:, 2:] / 2
+    return np.concatenate((center - half, center + half), axis=1)
+
+
+def _box_check(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`Box2D`'s checks and edge clamp over ``(n, 4)`` rows of ``cx, cy, w, h``.
+
+    Returns the rows as ``Box2D`` would store them, computed with the
+    same float64 operations, and a mask of the rows it would refuse.
+    """
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2:] <= 0).any(axis=1)
+        c = _corners(boxes)
+        lo, hi = -BOUNDS_TOLERANCE, 1.0 + BOUNDS_TOLERANCE
+        bad |= (c[:, :2] < lo).any(axis=1) | (c[:, 2:] > hi).any(axis=1)
+        clamp = (c[:, :2] < 0.0).any(axis=1) | (c[:, 2:] > 1.0).any(axis=1)
+        if clamp.any():
+            edges = np.clip(c[clamp], 0.0, 1.0)
+            boxes = boxes.copy()
+            boxes[clamp] = np.concatenate(((edges[:, :2] + edges[:, 2:]) / 2,
+                                           edges[:, 2:] - edges[:, :2]), axis=1)
+            c = _corners(boxes)
+        bad |= (c[:, 2:] <= c[:, :2]).any(axis=1) | (boxes[:, 2] * boxes[:, 3] == 0.0)
+    return boxes, bad
+
+
+def _stored_box(cx: float, cy: float, w: float, h: float) -> Box2D:
+    """A :class:`Box2D` holding fields that ``Box2D`` has already checked."""
+    box = object.__new__(Box2D)
+    box.__dict__.update(cx=cx, cy=cy, w=w, h=h)
+    return box
+
+
+def _box_array(boxes: Sequence[Box2D]) -> np.ndarray:
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _checked_boxes(boxes: np.ndarray) -> np.ndarray:
+    """``boxes`` as :class:`Box2D` stores them; a row it refuses raises its error.
+
+    The rows are built as ``Box2D`` objects in order when any is refused,
+    so the first refused row raises exactly what ``Box2D`` raises.
+    """
+    checked, bad = _box_check(boxes)
+    if bad.any():
+        checked = _box_array([Box2D(*row) for row in boxes.tolist()])
+    return checked
+
+
+class _BoxColumns(NamedTuple):
+    """The boxes of one label file as columns.
+
+    ``class_ids`` is int64 (Python ints when built from objects), ``boxes``
+    holds ``cx, cy, w, h`` rows as :class:`Box2D` stores them, and
+    ``confidence`` the predictions' scores (None for ground truth).
+    """
+
+    class_ids: np.ndarray
+    boxes: np.ndarray
+    confidence: np.ndarray | None
+
+    def rows(self, index) -> "_BoxColumns":
+        return _BoxColumns(*(None if column is None else column[index] for column in self))
+
+
+def _columns_of(items: Sequence[AnyBox], scored: bool) -> _BoxColumns:
+    """Columns of label objects; ``scored`` items are :class:`ScoredBox`."""
+    class_ids = np.array([item.class_id for item in items], dtype=object)
+    confidence = np.array([item.confidence for item in items], dtype=np.float64) if scored else None
+    return _BoxColumns(class_ids, _box_array([item.box for item in items]), confidence)
+
+
+_FIELDS = {"gt": 5, "pred": 6}
+
+
+class _Refused(ValueError):
+    """A label batch holds a line that only :func:`parse_label_file` can report."""
+
+
+def _parse_columns(texts: Sequence[tuple[str, str]]) -> list[_BoxColumns]:
+    """Columns of each ``(text, kind)`` label file, parsed and checked as one batch.
+
+    Fields go through ``int()`` and ``float()`` as in :func:`parse_label_file`,
+    and one :func:`_box_check` covers every box of a kind. Anything
+    ``parse_label_file`` refuses, and a class id beyond int64, raises
+    ``ValueError`` or ``OverflowError`` without saying where: callers then
+    parse the files one by one to report it.
+    """
+    buffers = {kind: (array("q"), array("d")) for kind in _FIELDS}
+    spans = []
+    for text, kind in texts:
+        width = _FIELDS[kind]
+        ids, values = buffers[kind]
+        # Split every line at C speed; blank lines hold no fields.
+        lines = list(map(str.split, text.splitlines()))
+        if not set(map(len, lines)).issubset((0, width)):
+            raise _Refused
+        fields = list(chain.from_iterable(lines))
+        start = len(ids)
+        ids.extend(map(int, fields[::width]))
+        del fields[::width]
+        values.extend(map(float, fields))
+        spans.append((kind, start, len(ids)))
+    columns = {}
+    for kind, (ids, values) in buffers.items():
+        class_ids = np.frombuffer(ids, dtype=np.int64)
+        rows = np.frombuffer(values, dtype=np.float64).reshape(-1, _FIELDS[kind] - 1)
+        boxes, bad = _box_check(rows[:, :4])
+        confidence = None
+        if kind == "pred":
+            confidence = rows[:, 4]
+            bad |= ~((confidence >= 0.0) & (confidence <= 1.0))
+        if bad.any() or (class_ids < 0).any():
+            raise _Refused
+        columns[kind] = _BoxColumns(class_ids, boxes, confidence)
+    return [columns[kind].rows(slice(start, stop)) for kind, start, stop in spans]
+
+
 def parse_label_file(text: str, kind: str = "gt") -> list[AnyBox]:
     """Parse a label file into boxes.
 
@@ -200,19 +330,25 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
     Raises :class:`DegenerateBox` for a box whose width or height rounds to
     ``0.000000``, since that line could not be parsed back.
     """
-    lines = []
-    for item in boxes:
-        b = item.box
-        w, h = f"{b.w:.6f}", f"{b.h:.6f}"
-        if "0.000000" in (w, h):
-            raise DegenerateBox(
-                f"box ({b.cx}, {b.cy}, {b.w}, {b.h}) has no extent at six decimals"
-            )
-        line = f"{item.class_id} {b.cx:.6f} {b.cy:.6f} {w} {h}"
-        if isinstance(item, ScoredBox):
-            line += f" {item.confidence:.6f}"
-        lines.append(line + "\n")
-    return "".join(lines)
+    return "".join(
+        _serialize_columns(_columns_of(list(run), scored))
+        for scored, run in groupby(boxes, lambda item: isinstance(item, ScoredBox))
+    )
+
+
+def _serialize_columns(columns: _BoxColumns) -> str:
+    """:func:`serialize_label_file` over columns."""
+    boxes = columns.boxes
+    for row in boxes[(boxes[:, 2:] < 1e-6).any(axis=1)].tolist():
+        if "0.000000" in (f"{row[2]:.6f}", f"{row[3]:.6f}"):
+            cx, cy, w, h = row
+            raise DegenerateBox(f"box ({cx}, {cy}, {w}, {h}) has no extent at six decimals")
+    fields = [columns.class_ids.tolist(), *boxes.T.tolist()]
+    line = "%s %.6f %.6f %.6f %.6f\n"
+    if columns.confidence is not None:
+        fields.append(columns.confidence.tolist())
+        line = line[:-1] + " %.6f\n"
+    return "".join(map(line.__mod__, zip(*fields)))
 
 
 def detect_kind(text: str) -> str | None:
@@ -344,22 +480,47 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
 
     Paths are resolved against ``root`` (normally the manifest's directory).
     An empty path yields an empty box list. I/O, decoding and parse
-    failures are re-raised as :class:`AnnotationLoadError` naming the image.
+    failures are re-raised as :class:`AnnotationLoadError` naming the image
+    and, when the failure does not already name it, the label file.
     """
     root = Path(root)
-    try:
-        gt: tuple[LabeledBox, ...] = ()
-        if entry.gt_path:
-            gt = tuple(parse_label_file((root / entry.gt_path).read_text(), kind="gt"))
-        preds: tuple[ScoredBox, ...] = ()
-        if entry.pred_path:
-            preds = tuple(parse_label_file((root / entry.pred_path).read_text(), kind="pred"))
-    except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:
-        raise AnnotationLoadError(entry.image_id, err) from err
+    sides = []
+    for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred")):
+        path = root / name
+        try:
+            sides.append(tuple(parse_label_file(path.read_text(), kind=kind)) if name else ())
+        except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:
+            raise AnnotationLoadError(entry.image_id, err, path) from err
     return ImageAnnotation(
         image_id=entry.image_id,
         width_px=entry.width_px,
         height_px=entry.height_px,
-        ground_truth=gt,
-        predictions=preds,
+        ground_truth=sides[0],
+        predictions=sides[1],
     )
+
+
+def _manifest_columns(
+    manifest: DatasetManifest, root: Path | str = "."
+) -> list[tuple[_BoxColumns, _BoxColumns]]:
+    """Ground-truth and prediction columns of each manifest entry, in order.
+
+    Every label file is read first and all are parsed as one batch. On
+    any refusal the entries are loaded again one by one with
+    :func:`load_image_annotation`, so the first failing entry raises the
+    error it raises on its own.
+    """
+    root = Path(root)
+    try:
+        columns = _parse_columns([
+            ((root / name).read_text() if name else "", kind)
+            for entry in manifest
+            for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred"))
+        ])
+    except (OSError, ValueError, OverflowError):
+        columns = []
+        for entry in manifest:
+            annotation = load_image_annotation(entry, root)
+            columns += [_columns_of(annotation.ground_truth, scored=False),
+                        _columns_of(annotation.predictions, scored=True)]
+    return list(zip(columns[::2], columns[1::2]))

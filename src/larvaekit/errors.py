@@ -45,12 +45,20 @@ class BadDensity(LarvaekitError):
 
 
 class AnnotationLoadError(LarvaekitError):
-    """An annotation or label file could not be read; carries the image id."""
+    """An annotation or label file could not be read; carries the image id.
 
-    def __init__(self, image_id: str, cause: Exception):
-        super().__init__(f"image '{image_id}': {cause}")
+    ``path``, the label file, is added after the message unless the cause
+    names a file itself, as an ``OSError`` does.
+    """
+
+    def __init__(self, image_id: str, cause: Exception, path=None):
+        message = f"image '{image_id}': {cause}"
+        if path is not None and getattr(cause, "filename", None) is None:
+            message += f" ({path})"
+        super().__init__(message)
         self.image_id = image_id
         self.cause = cause
+        self.path = path
 
 
 class InputFileError(LarvaekitError):

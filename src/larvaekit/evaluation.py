@@ -21,20 +21,21 @@ comparison with other toolkits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .annotations import (
-    Box2D,
     DatasetManifest,
     LabeledBox,
     PixelBox,
     ScoredBox,
+    _box_array,
+    _corners,
     _csv_field,
-    load_image_annotation,
+    _manifest_columns,
 )
 from .errors import DegenerateBox, InconsistentCounts, NoGroundTruth, OutOfRange
 
@@ -124,17 +125,6 @@ class MatchResult:
     scored_flags: tuple[tuple[float, bool], ...]
 
 
-def _unit_corners(boxes: Sequence[Box2D]) -> np.ndarray:
-    """(n, 4) corners in the unit square, as ``to_absolute(box, 1, 1)`` gives them.
-
-    Normalized coords are a uniform per-axis scaling, so IoU computed in
-    the unit square equals IoU in pixel space.
-    """
-    c = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float)
-    center, half = c[:, :2], c[:, 2:] / 2
-    return np.hstack((center - half, center + half))
-
-
 def _iou_block(pred: np.ndarray, gt: np.ndarray, gt_area: np.ndarray) -> np.ndarray:
     """IoU of each ``pred`` row against every ``gt`` row, bit-equal to :func:`iou`."""
     # In-place steps keep a block to a few (rows, num_gt) buffers.
@@ -151,24 +141,26 @@ def _iou_block(pred: np.ndarray, gt: np.ndarray, gt_area: np.ndarray) -> np.ndar
 
 
 def _greedy_flags(
-    ground_truth: Sequence[LabeledBox],
-    predictions: Sequence[ScoredBox],
+    gt: np.ndarray,
+    pred: np.ndarray,
+    confidence: np.ndarray,
     iou_threshold: float,
 ) -> list[bool]:
     """TP flag per prediction, in input order, under the greedy rule.
 
-    A gt box below the threshold can never be taken, so each prediction's
-    candidates are the boxes at or above it, ordered by (-IoU, index); it
-    takes the first unclaimed one, which is its best unclaimed box.
+    ``gt`` and ``pred`` are (n, 4) unit-square corners (``_corners``);
+    normalized coords are a uniform per-axis scaling, so IoU computed in
+    the unit square equals IoU in pixel space. A gt box below the
+    threshold can never be taken, so each prediction's candidates are the
+    boxes at or above it, ordered by (-IoU, index); it takes the first
+    unclaimed one, which is its best unclaimed box.
     """
-    flags = [False] * len(predictions)
-    if not ground_truth or not predictions:
+    flags = [False] * len(pred)
+    if not len(gt) or not len(pred):
         return flags
-    gt = _unit_corners([g.box for g in ground_truth])
-    pred = _unit_corners([p.box for p in predictions])
-    visit = np.argsort(-np.array([p.confidence for p in predictions], dtype=float), kind="stable")
+    visit = np.argsort(-confidence, kind="stable")
     gt_area = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
-    claimed = [False] * len(ground_truth)
+    claimed = [False] * len(gt)
     for start in range(0, len(visit), MATCH_BLOCK_ROWS):
         rows = visit[start:start + MATCH_BLOCK_ROWS]
         block = _iou_block(pred[rows], gt, gt_area)
@@ -208,7 +200,10 @@ def match_detections(
     the one the pairwise loop over :func:`iou` gives.
     """
     kept = [p for p in predictions if p.confidence >= config.confidence_threshold]
-    flags = _greedy_flags(ground_truth, kept, config.iou_threshold)
+    confidence = np.array([p.confidence for p in kept], dtype=np.float64)
+    flags = _greedy_flags(_corners(_box_array([g.box for g in ground_truth])),
+                          _corners(_box_array([p.box for p in kept])),
+                          confidence, config.iou_threshold)
     counts = _counts(flags, len(ground_truth))
     return MatchResult(counts, tuple((p.confidence, f) for p, f in zip(kept, flags)))
 
@@ -385,16 +380,15 @@ def evaluate_dataset(
     """
     if group_by is not None and group_by not in GROUP_FIELDS:
         raise ValueError(f"group_by must be one of {GROUP_FIELDS} or None")
-    # One match at threshold 0 gives the sweep the curve needs. The kept
-    # predictions come first in its visiting order, in the same relative
-    # order and against the same claimed boxes as in a thresholded match,
-    # so their flags are exactly that match's.
-    sweep_config = replace(config, confidence_threshold=0.0)
+    # One match over every prediction gives the sweep the curve needs. The
+    # kept predictions come first in its visiting order, in the same
+    # relative order and against the same claimed boxes as in a
+    # thresholded match, so their flags are exactly that match's.
     images = []
-    for entry in manifest:
-        annotation = load_image_annotation(entry, root)
-        match = match_detections(annotation.ground_truth, annotation.predictions, sweep_config)
-        sweep = (len(annotation.ground_truth), match.scored_flags)
+    for entry, (gt, pred) in zip(manifest, _manifest_columns(manifest, root)):
+        flags = _greedy_flags(_corners(gt.boxes), _corners(pred.boxes), pred.confidence,
+                              config.iou_threshold)
+        sweep = (len(gt.boxes), tuple(zip(pred.confidence.tolist(), flags)))
         images.append((entry, sweep, _report([sweep], config)))
 
     def pooled(members) -> EvalReport:

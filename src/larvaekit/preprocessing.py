@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import AnyBox, Box2D, PixelBox, to_absolute, to_normalized
+from .annotations import AnyBox, Box2D, _box_array, _checked_boxes, _corners, _stored_box
 from .errors import EmptyDataset, OutOfRange, TargetTooLarge
 from .raster import RasterImage
 
@@ -39,6 +39,21 @@ def center_crop(
     lose essentially all area are dropped, and survivors are renormalized to
     the crop size.
     """
+    rows = _box_array([b.box for b in boxes])
+    cropped, kept, moved = _center_crop(image, rows, target_w, target_h)
+    if moved is rows:
+        return cropped, list(boxes)
+    return cropped, _reboxed([boxes[i] for i in kept.tolist()], moved)
+
+
+def _center_crop(
+    image: RasterImage, boxes: np.ndarray, target_w: int, target_h: int
+) -> tuple[RasterImage, np.ndarray, np.ndarray]:
+    """:func:`center_crop` over ``cx, cy, w, h`` rows.
+
+    Returns the cropped image, the indices of the rows kept and their
+    remapped boxes.
+    """
     if target_w < 1 or target_h < 1:
         raise OutOfRange(f"crop size must be positive, got {target_w}x{target_h}")
     if target_w > image.width or target_h > image.height:
@@ -51,20 +66,25 @@ def center_crop(
     cropped = RasterImage.from_array(arr)
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
         # Full-frame crop: hand the boxes back untouched.
-        return cropped, list(boxes)
-    kept: list[AnyBox] = []
+        return cropped, np.arange(len(boxes)), boxes
+    # Pixel corners as to_absolute gives them, shifted into the window and
+    # clipped to it.
+    size = np.array([target_w, target_h] * 2, dtype=np.float64)
+    px = _corners(boxes) * np.array([image.width, image.height] * 2, dtype=np.float64)
+    px = np.clip(px - np.array([off_x, off_y] * 2, dtype=np.float64), 0.0, size)
+    extent = px[:, 2:] - px[:, :2]  # never negative: clipping keeps x1 <= x2
     min_area = MIN_CLIPPED_AREA_FRACTION * target_w * target_h
-    for item in boxes:
-        px = to_absolute(item.box, image.width, image.height)
-        x1 = min(max(px.x_min - off_x, 0.0), float(target_w))
-        x2 = min(max(px.x_max - off_x, 0.0), float(target_w))
-        y1 = min(max(px.y_min - off_y, 0.0), float(target_h))
-        y2 = min(max(px.y_max - off_y, 0.0), float(target_h))
-        area = max(0.0, x2 - x1) * max(0.0, y2 - y1)
-        if area < min_area:
-            continue
-        kept.append(replace(item, box=to_normalized(PixelBox(x1, y1, x2, y2), target_w, target_h)))
-    return cropped, kept
+    kept = np.flatnonzero(~(extent[:, 0] * extent[:, 1] < min_area))
+    px = px[kept]
+    # to_normalized over the kept corners.
+    moved = np.concatenate(((px[:, :2] + px[:, 2:]) / (2 * size[:2]),
+                            (px[:, 2:] - px[:, :2]) / size[:2]), axis=1)
+    return cropped, kept, _checked_boxes(moved)
+
+
+def _reboxed(items: Sequence[AnyBox], boxes: np.ndarray) -> list[AnyBox]:
+    """``items`` with their boxes replaced by the checked rows of ``boxes``."""
+    return [replace(item, box=_stored_box(*row)) for item, row in zip(items, boxes.tolist())]
 
 
 def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
@@ -93,9 +113,12 @@ def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> Ra
 
 def area_quantile(boxes: Iterable[Box2D], q: float) -> float:
     """Quantile of normalized box areas with linear interpolation."""
+    return _area_quantile(np.array([b.area for b in boxes], dtype=np.float64), q)
+
+
+def _area_quantile(areas: np.ndarray, q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise OutOfRange(f"quantile rank must lie in [0, 1], got {q}")
-    areas = np.array([b.area for b in boxes], dtype=np.float64)
     if areas.size == 0:
         raise EmptyDataset("no boxes to take a quantile over")
     return float(np.quantile(areas, q))
@@ -115,23 +138,34 @@ def enlarge_small_boxes(
     that would spill outside the unit square are shrunk symmetrically
     until they fit.
     """
+    grown, rows = _enlarge(_box_array([b.box for b in boxes]), area_threshold, mode)
+    out = list(boxes)
+    for i in np.flatnonzero(grown).tolist():
+        out[i] = replace(out[i], box=_stored_box(*rows[i].tolist()))
+    return out
+
+
+def _enlarge(boxes: np.ndarray, area_threshold: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`enlarge_small_boxes` over ``cx, cy, w, h`` rows.
+
+    Returns the mask of rows grown and every row after growing; rows not
+    grown keep their values.
+    """
     if not 0.0 < area_threshold <= 1.0:
         raise OutOfRange(f"area threshold must lie in (0, 1], got {area_threshold}")
     if mode not in ("literal", "normalize"):
         raise ValueError(f"mode must be 'literal' or 'normalize', got {mode!r}")
-    out: list[AnyBox] = []
-    for item in boxes:
-        b = item.box
-        area = b.area
-        if area >= area_threshold:
-            out.append(item)
-            continue
-        factor = area_threshold / area
-        scale = factor if mode == "literal" else math.sqrt(factor)
-        w = min(b.w * scale, 2 * min(b.cx, 1.0 - b.cx))
-        h = min(b.h * scale, 2 * min(b.cy, 1.0 - b.cy))
-        out.append(replace(item, box=Box2D(b.cx, b.cy, w, h)))
-    return out
+    grown = boxes[:, 2] * boxes[:, 3] < area_threshold
+    cx, cy, w, h = boxes[grown].T
+    with np.errstate(over="ignore"):
+        scale = area_threshold / (w * h)
+        if mode == "normalize":
+            scale = np.sqrt(scale)
+        w = np.minimum(w * scale, 2 * np.minimum(cx, 1.0 - cx))
+        h = np.minimum(h * scale, 2 * np.minimum(cy, 1.0 - cy))
+    rows = boxes.copy()
+    rows[grown] = _checked_boxes(np.stack((cx, cy, w, h), axis=1))
+    return grown, rows
 
 
 def gaussian_noise_stream(variance: float, seed: int, count: int) -> np.ndarray:
@@ -179,10 +213,12 @@ def rotate90(image: RasterImage, boxes: Sequence[AnyBox]) -> tuple[RasterImage, 
     maps to ``(cy, 1 - cx, h, w)``. Four applications restore the original
     scene (up to float rounding in the box centers).
     """
-    arr = np.rot90(image.to_array(), k=1)
-    rotated = RasterImage.from_array(arr)
-    remapped = [
-        replace(item, box=Box2D(item.box.cy, 1.0 - item.box.cx, item.box.h, item.box.w))
-        for item in boxes
-    ]
-    return rotated, remapped
+    rotated, turned = _rotate90(image, _box_array([b.box for b in boxes]))
+    return rotated, _reboxed(boxes, turned)
+
+
+def _rotate90(image: RasterImage, boxes: np.ndarray) -> tuple[RasterImage, np.ndarray]:
+    """:func:`rotate90` over ``cx, cy, w, h`` rows."""
+    rotated = RasterImage.from_array(np.rot90(image.to_array(), k=1))
+    cx, cy, w, h = boxes.T
+    return rotated, _checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1))
