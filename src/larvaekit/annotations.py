@@ -339,6 +339,7 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
 def _serialize_columns(columns: _BoxColumns) -> str:
     """:func:`serialize_label_file` over columns."""
     boxes = columns.boxes
+    # Only an extent below 1e-6 can print as 0.000000.
     for row in boxes[(boxes[:, 2:] < 1e-6).any(axis=1)].tolist():
         if "0.000000" in (f"{row[2]:.6f}", f"{row[3]:.6f}"):
             cx, cy, w, h = row

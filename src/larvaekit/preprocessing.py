@@ -41,7 +41,7 @@ def center_crop(
     """
     rows = _box_array([b.box for b in boxes])
     cropped, kept, moved = _center_crop(image, rows, target_w, target_h)
-    if moved is rows:
+    if moved is rows:  # a full-frame crop hands back the same objects
         return cropped, list(boxes)
     return cropped, _reboxed([boxes[i] for i in kept.tolist()], moved)
 
