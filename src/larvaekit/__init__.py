@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 
 from .annotations import (
     Box2D,
+    BoxColumns,
     DatasetManifest,
     ImageAnnotation,
     LabeledBox,

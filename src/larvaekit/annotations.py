@@ -5,10 +5,10 @@ tooling: ``class cx cy w h`` for ground truth and ``class cx cy w h conf``
 for predictions, all coordinates normalized to the image size. Manifests
 are CSV files binding image ids to their files and acquisition metadata.
 
-The command line reads labels as columns (:class:`_BoxColumns`), parsed
-and checked a batch of files at a time; the per-box objects and
-:func:`parse_label_file` are the public form, and the parser that
-reports a refused line.
+A parsed label file is held as columns (:class:`BoxColumns`): class ids,
+an ``(n, 4)`` array of boxes and the scores, which the matcher, counter
+and image operations work on directly. Read as a sequence, the columns
+give the per-box objects.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import dataclass
-from itertools import chain, groupby
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -53,6 +54,41 @@ MANIFEST_COLUMNS = (
 )
 
 
+def _box_fields(cx: float, cy: float, w: float, h: float) -> tuple[float, float, float, float]:
+    """The fields a :class:`Box2D` of these values holds, or the error it raises."""
+    x1, x2 = cx - w / 2, cx + w / 2
+    y1, y2 = cy - h / 2, cy + h / 2
+    if 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0 and w * h != 0.0:
+        # Finite, inside the unit square, nothing to clamp: every check below passes.
+        return cx, cy, w, h
+    for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} is not finite")
+    if w <= 0 or h <= 0:
+        raise DegenerateBox(f"box extents must be positive, got w={w} h={h}")
+    lo, hi = -BOUNDS_TOLERANCE, 1.0 + BOUNDS_TOLERANCE
+    if x1 < lo or y1 < lo or x2 > hi or y2 > hi:
+        raise OutOfRange(f"box ({cx}, {cy}, {w}, {h}) lies outside the unit square")
+    if x1 < 0.0 or y1 < 0.0 or x2 > 1.0 or y2 > 1.0:
+        # Clamp the offending edges only; in-bounds boxes keep their
+        # parsed coordinates bit for bit.
+        x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
+        y1, y2 = min(max(y1, 0.0), 1.0), min(max(y2, 0.0), 1.0)
+        cx, cy, w, h = (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1
+    # The corners as to_absolute(box, 1, 1) computes them from the final fields.
+    x1, x2 = cx - w / 2, cx + w / 2
+    y1, y2 = cy - h / 2, cy + h / 2
+    if x2 <= x1 or y2 <= y1 or w * h == 0.0:
+        raise DegenerateBox(f"box ({cx}, {cy}, {w}, {h}) has no extent in float64")
+    return cx, cy, w, h
+
+
+def _checked_confidence(confidence: float) -> float:
+    if not 0.0 <= confidence <= 1.0:
+        raise OutOfRange(f"confidence {confidence} outside [0, 1]")
+    return confidence
+
+
 @dataclass(frozen=True)
 class Box2D:
     """Axis-aligned box in normalized image coordinates.
@@ -72,34 +108,8 @@ class Box2D:
     h: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h"):
-            if not math.isfinite(getattr(self, name)):
-                raise OutOfRange(f"{name} is not finite")
-        if self.w <= 0 or self.h <= 0:
-            raise DegenerateBox(f"box extents must be positive, got w={self.w} h={self.h}")
-        x1, x2 = self.cx - self.w / 2, self.cx + self.w / 2
-        y1, y2 = self.cy - self.h / 2, self.cy + self.h / 2
-        lo, hi = -BOUNDS_TOLERANCE, 1.0 + BOUNDS_TOLERANCE
-        if x1 < lo or y1 < lo or x2 > hi or y2 > hi:
-            raise OutOfRange(
-                f"box ({self.cx}, {self.cy}, {self.w}, {self.h}) lies outside the unit square"
-            )
-        if x1 < 0.0 or y1 < 0.0 or x2 > 1.0 or y2 > 1.0:
-            # Clamp the offending edges only; in-bounds boxes keep their
-            # parsed coordinates bit for bit.
-            x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
-            y1, y2 = min(max(y1, 0.0), 1.0), min(max(y2, 0.0), 1.0)
-            object.__setattr__(self, "cx", (x1 + x2) / 2)
-            object.__setattr__(self, "cy", (y1 + y2) / 2)
-            object.__setattr__(self, "w", x2 - x1)
-            object.__setattr__(self, "h", y2 - y1)
-        # The corners as to_absolute(box, 1, 1) computes them from the final fields.
-        x1, x2 = self.cx - self.w / 2, self.cx + self.w / 2
-        y1, y2 = self.cy - self.h / 2, self.cy + self.h / 2
-        if x2 <= x1 or y2 <= y1 or self.w * self.h == 0.0:
-            raise DegenerateBox(
-                f"box ({self.cx}, {self.cy}, {self.w}, {self.h}) has no extent in float64"
-            )
+        cx, cy, w, h = _box_fields(self.cx, self.cy, self.w, self.h)
+        self.__dict__.update(cx=cx, cy=cy, w=w, h=h)
 
     @property
     def area(self) -> float:
@@ -123,8 +133,7 @@ class ScoredBox:
     confidence: float
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise OutOfRange(f"confidence {self.confidence} outside [0, 1]")
+        _checked_confidence(self.confidence)
 
 
 AnyBox = Union[LabeledBox, ScoredBox]
@@ -171,28 +180,6 @@ def _corners(boxes: np.ndarray) -> np.ndarray:
     return np.concatenate((center - half, center + half), axis=1)
 
 
-def _box_check(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:class:`Box2D`'s checks and edge clamp over ``(n, 4)`` rows of ``cx, cy, w, h``.
-
-    Returns the rows as ``Box2D`` would store them, computed with the
-    same float64 operations, and a mask of the rows it would refuse.
-    """
-    with np.errstate(all="ignore"):
-        bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2:] <= 0).any(axis=1)
-        c = _corners(boxes)
-        lo, hi = -BOUNDS_TOLERANCE, 1.0 + BOUNDS_TOLERANCE
-        bad |= (c[:, :2] < lo).any(axis=1) | (c[:, 2:] > hi).any(axis=1)
-        clamp = (c[:, :2] < 0.0).any(axis=1) | (c[:, 2:] > 1.0).any(axis=1)
-        if clamp.any():
-            edges = np.clip(c[clamp], 0.0, 1.0)
-            boxes = boxes.copy()
-            boxes[clamp] = np.concatenate(((edges[:, :2] + edges[:, 2:]) / 2,
-                                           edges[:, 2:] - edges[:, :2]), axis=1)
-            c = _corners(boxes)
-        bad |= (c[:, 2:] <= c[:, :2]).any(axis=1) | (boxes[:, 2] * boxes[:, 3] == 0.0)
-    return boxes, bad
-
-
 def _stored_box(cx: float, cy: float, w: float, h: float) -> Box2D:
     """A :class:`Box2D` holding fields that ``Box2D`` has already checked."""
     box = object.__new__(Box2D)
@@ -205,98 +192,116 @@ def _box_array(boxes: Sequence[Box2D]) -> np.ndarray:
 
 
 def _checked_boxes(boxes: np.ndarray) -> np.ndarray:
-    """``boxes`` as :class:`Box2D` stores them; a row it refuses raises its error.
+    """``cx, cy, w, h`` rows as :class:`Box2D` stores them; the first row
+    ``Box2D`` refuses raises its error."""
+    return np.array(list(map(_box_fields, *boxes.T.tolist())), dtype=np.float64).reshape(-1, 4)
 
-    The rows are built as ``Box2D`` objects in order when any is refused,
-    so the first refused row raises exactly what ``Box2D`` raises.
+
+class BoxColumns(Sequence):
+    """Labeled or scored boxes held as columns.
+
+    ``class_ids`` is an object array of Python ints, ``boxes`` an
+    ``(n, 4)`` float64 array of ``cx, cy, w, h`` as :class:`Box2D` stores
+    them, and ``confidence`` the float64 scores (None for ground truth).
+    As a sequence it yields :class:`LabeledBox` or :class:`ScoredBox`
+    items, built on first access and compared by value with any other
+    sequence of boxes.
+
+    Columns derived with :meth:`derive` keep the items of the rows they
+    leave unchanged, so ``derived[j] is source[index[j]]`` for those rows.
     """
-    checked, bad = _box_check(boxes)
-    if bad.any():
-        checked = _box_array([Box2D(*row) for row in boxes.tolist()])
-    return checked
+
+    __slots__ = ("class_ids", "boxes", "confidence", "_items", "_source")
+
+    def __init__(self, class_ids: np.ndarray, boxes: np.ndarray,
+                 confidence: np.ndarray | None = None, items: list[AnyBox] | None = None,
+                 source: tuple | None = None):
+        self.class_ids, self.boxes, self.confidence = class_ids, boxes, confidence
+        self._items = items
+        self._source = source
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, index):
+        return self._objects()[index]
+
+    def __iter__(self):
+        return iter(self._objects())
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"BoxColumns({self._objects()!r})"
+
+    def derive(self, index: np.ndarray, boxes: np.ndarray, changed: np.ndarray | None = None):
+        """Rows ``index`` of these columns with ``boxes`` in place of theirs.
+
+        ``changed`` marks the rows whose box is new (all by default); the
+        others keep their items.
+        """
+        if changed is None:
+            changed = np.ones(len(index), dtype=bool)
+        confidence = None if self.confidence is None else self.confidence[index]
+        return BoxColumns(self.class_ids[index], boxes, confidence,
+                          source=(self, index, changed))
+
+    def _objects(self) -> list[AnyBox]:
+        if self._items is None:
+            if self._source is None:
+                ids, boxes = self.class_ids.tolist(), map(_stored_box, *self.boxes.T.tolist())
+                if self.confidence is None:
+                    self._items = list(map(LabeledBox, ids, boxes))
+                else:
+                    self._items = list(map(ScoredBox, ids, boxes, self.confidence.tolist()))
+            else:
+                parent, index, changed = self._source
+                items = parent._objects()
+                self._items = [replace(items[i], box=_stored_box(*row)) if new else items[i]
+                               for i, row, new in zip(index.tolist(), self.boxes.tolist(),
+                                                      changed.tolist())]
+        return self._items
 
 
-class _BoxColumns(NamedTuple):
-    """The boxes of one label file as columns.
+def _columns(boxes: Sequence[AnyBox]) -> BoxColumns:
+    """``boxes`` as columns; a list of items keeps them as the columns' items.
 
-    ``class_ids`` is int64 (Python ints when built from objects), ``boxes``
-    holds ``cx, cy, w, h`` rows as :class:`Box2D` stores them, and
-    ``confidence`` the predictions' scores (None for ground truth).
+    ``confidence`` is filled when every item is a :class:`ScoredBox`.
     """
-
-    class_ids: np.ndarray
-    boxes: np.ndarray
-    confidence: np.ndarray | None
-
-    def rows(self, index) -> "_BoxColumns":
-        return _BoxColumns(*(None if column is None else column[index] for column in self))
-
-
-def _columns_of(items: Sequence[AnyBox], scored: bool) -> _BoxColumns:
-    """Columns of label objects; ``scored`` items are :class:`ScoredBox`."""
-    class_ids = np.array([item.class_id for item in items], dtype=object)
-    confidence = np.array([item.confidence for item in items], dtype=np.float64) if scored else None
-    return _BoxColumns(class_ids, _box_array([item.box for item in items]), confidence)
+    if isinstance(boxes, BoxColumns):
+        return boxes
+    items = list(boxes)
+    confidence = None
+    if all(isinstance(item, ScoredBox) for item in items):
+        confidence = np.array([item.confidence for item in items], dtype=np.float64)
+    return BoxColumns(np.array([item.class_id for item in items], dtype=object),
+                      _box_array([item.box for item in items]), confidence, items)
 
 
-_FIELDS = {"gt": 5, "pred": 6}
+def _like(boxes: Sequence[AnyBox], columns: BoxColumns) -> Sequence[AnyBox]:
+    """``columns`` in the container ``boxes`` came in: columns for columns, else a list."""
+    return columns if isinstance(boxes, BoxColumns) else list(columns)
 
 
-class _Refused(ValueError):
-    """A label batch holds a line that only :func:`parse_label_file` can report."""
-
-
-def _parse_columns(texts: Sequence[tuple[str, str]]) -> list[_BoxColumns]:
-    """Columns of each ``(text, kind)`` label file, parsed and checked as one batch.
-
-    Fields go through ``int()`` and ``float()`` as in :func:`parse_label_file`,
-    and one :func:`_box_check` covers every box of a kind. Anything
-    ``parse_label_file`` refuses, and a class id beyond int64, raises
-    ``ValueError`` or ``OverflowError`` without saying where: callers then
-    parse the files one by one to report it.
-    """
-    buffers = {kind: (array("q"), array("d")) for kind in _FIELDS}
-    spans = []
-    for text, kind in texts:
-        width = _FIELDS[kind]
-        ids, values = buffers[kind]
-        # Split every line at C speed; blank lines hold no fields.
-        lines = list(map(str.split, text.splitlines()))
-        if not set(map(len, lines)).issubset((0, width)):
-            raise _Refused
-        fields = list(chain.from_iterable(lines))
-        start = len(ids)
-        ids.extend(map(int, fields[::width]))
-        del fields[::width]
-        values.extend(map(float, fields))
-        spans.append((kind, start, len(ids)))
-    columns = {}
-    for kind, (ids, values) in buffers.items():
-        class_ids = np.frombuffer(ids, dtype=np.int64)
-        rows = np.frombuffer(values, dtype=np.float64).reshape(-1, _FIELDS[kind] - 1)
-        boxes, bad = _box_check(rows[:, :4])
-        confidence = None
-        if kind == "pred":
-            confidence = rows[:, 4]
-            bad |= ~((confidence >= 0.0) & (confidence <= 1.0))
-        if bad.any() or (class_ids < 0).any():
-            raise _Refused
-        columns[kind] = _BoxColumns(class_ids, boxes, confidence)
-    return [columns[kind].rows(slice(start, stop)) for kind, start, stop in spans]
-
-
-def parse_label_file(text: str, kind: str = "gt") -> list[AnyBox]:
+def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
     """Parse a label file into boxes.
 
     ``kind`` selects the line shape: ``"gt"`` expects 5 fields per line,
     ``"pred"`` expects 6 (trailing confidence). Blank lines are skipped;
-    every other line must parse, so the returned list has exactly one
-    entry per non-empty input line.
+    every other line must parse, so the result has exactly one entry per
+    non-empty input line. The boxes come back as :class:`BoxColumns`, a
+    sequence of :class:`LabeledBox` or :class:`ScoredBox`.
     """
     if kind not in ("gt", "pred"):
         raise ValueError(f"kind must be 'gt' or 'pred', got {kind!r}")
     want = 5 if kind == "gt" else 6
-    boxes: list[AnyBox] = []
+    class_ids: list[int] = []
+    boxes, scores = array("d"), array("d")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -310,18 +315,19 @@ def parse_label_file(text: str, kind: str = "gt") -> list[AnyBox]:
         if class_id < 0:
             raise MalformedLine(line_no, f"class id must be non-negative, got {class_id}")
         try:
-            values = [float(f) for f in fields[1:]]
+            values = list(map(float, fields[1:]))
         except ValueError:
             raise MalformedLine(line_no, f"non-numeric field in {raw!r}") from None
         try:
-            box = Box2D(*values[:4])
-            if kind == "gt":
-                boxes.append(LabeledBox(class_id, box))
-            else:
-                boxes.append(ScoredBox(class_id, box, values[4]))
+            boxes.extend(_box_fields(*values[:4]))
+            if kind == "pred":
+                scores.append(_checked_confidence(values[4]))
         except (DegenerateBox, OutOfRange) as err:
             raise OutOfRange(str(err), line_no) from None
-    return boxes
+        class_ids.append(class_id)
+    confidence = np.frombuffer(scores, dtype=np.float64) if kind == "pred" else None
+    return BoxColumns(np.array(class_ids, dtype=object),
+                      np.frombuffer(boxes, dtype=np.float64).reshape(-1, 4), confidence)
 
 
 def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
@@ -330,24 +336,20 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
     Raises :class:`DegenerateBox` for a box whose width or height rounds to
     ``0.000000``, since that line could not be parsed back.
     """
-    return "".join(
-        _serialize_columns(_columns_of(list(run), scored))
-        for scored, run in groupby(boxes, lambda item: isinstance(item, ScoredBox))
-    )
-
-
-def _serialize_columns(columns: _BoxColumns) -> str:
-    """:func:`serialize_label_file` over columns."""
-    boxes = columns.boxes
+    if not isinstance(boxes, BoxColumns):
+        # Each run of one item kind as columns.
+        return "".join(serialize_label_file(_columns(list(run)))
+                       for _, run in groupby(boxes, lambda item: isinstance(item, ScoredBox)))
+    rows = boxes.boxes
     # Only an extent below 1e-6 can print as 0.000000.
-    for row in boxes[(boxes[:, 2:] < 1e-6).any(axis=1)].tolist():
+    for row in rows[(rows[:, 2:] < 1e-6).any(axis=1)].tolist():
         if "0.000000" in (f"{row[2]:.6f}", f"{row[3]:.6f}"):
             cx, cy, w, h = row
             raise DegenerateBox(f"box ({cx}, {cy}, {w}, {h}) has no extent at six decimals")
-    fields = [columns.class_ids.tolist(), *boxes.T.tolist()]
+    fields = [boxes.class_ids.tolist(), *rows.T.tolist()]
     line = "%s %.6f %.6f %.6f %.6f\n"
-    if columns.confidence is not None:
-        fields.append(columns.confidence.tolist())
+    if boxes.confidence is not None:
+        fields.append(boxes.confidence.tolist())
         line = line[:-1] + " %.6f\n"
     return "".join(map(line.__mod__, zip(*fields)))
 
@@ -369,8 +371,8 @@ class ImageAnnotation:
     image_id: str
     width_px: int
     height_px: int
-    ground_truth: tuple[LabeledBox, ...]
-    predictions: tuple[ScoredBox, ...]
+    ground_truth: Sequence[LabeledBox]
+    predictions: Sequence[ScoredBox]
 
 
 @dataclass(frozen=True)
@@ -489,7 +491,7 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
     for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred")):
         path = root / name
         try:
-            sides.append(tuple(parse_label_file(path.read_text(), kind=kind)) if name else ())
+            sides.append(parse_label_file(path.read_text(), kind=kind) if name else ())
         except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:
             raise AnnotationLoadError(entry.image_id, err, path) from err
     return ImageAnnotation(
@@ -499,29 +501,3 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
         ground_truth=sides[0],
         predictions=sides[1],
     )
-
-
-def _manifest_columns(
-    manifest: DatasetManifest, root: Path | str = "."
-) -> list[tuple[_BoxColumns, _BoxColumns]]:
-    """Ground-truth and prediction columns of each manifest entry, in order.
-
-    Every label file is read first and all are parsed as one batch. On
-    any refusal the entries are loaded again one by one with
-    :func:`load_image_annotation`, so the first failing entry raises the
-    error it raises on its own.
-    """
-    root = Path(root)
-    try:
-        columns = _parse_columns([
-            ((root / name).read_text() if name else "", kind)
-            for entry in manifest
-            for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred"))
-        ])
-    except (OSError, ValueError, OverflowError):
-        columns = []
-        for entry in manifest:
-            annotation = load_image_annotation(entry, root)
-            columns += [_columns_of(annotation.ground_truth, scored=False),
-                        _columns_of(annotation.predictions, scored=True)]
-    return list(zip(columns[::2], columns[1::2]))

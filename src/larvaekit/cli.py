@@ -26,19 +26,16 @@ import numpy as np
 
 from . import __version__
 from .annotations import (
-    _BoxColumns,
-    _columns_of,
-    _manifest_columns,
-    _parse_columns,
-    _serialize_columns,
     detect_kind,
+    load_image_annotation,
     load_manifest,
     parse_label_file,
+    serialize_label_file,
 )
 from .chart import growth_chart_svg
 from .counting import (
     DEFAULT_VOLUME_FACTOR,
-    _count_record,
+    count_image,
     density_summary,
     extrapolate_pond,
     render_counts_csv,
@@ -63,12 +60,12 @@ from .growth import (
     rank_models,
 )
 from .preprocessing import (
-    _area_quantile,
-    _center_crop,
-    _enlarge,
-    _rotate90,
     add_gaussian_noise,
+    area_quantile,
+    center_crop,
     circular_mask,
+    enlarge_small_boxes,
+    rotate90,
 )
 from .raster import decode_raster, encode_raster
 
@@ -168,29 +165,12 @@ def cmd_eval(args, write) -> str:
     return render_eval_csv(replace(evaluation, group_by=None, groups={}))
 
 
-def _read_labels(paths: list[Path], kind: str) -> list[_BoxColumns]:
-    """Columns of each label file, parsed as one batch.
-
-    On any refusal the files are parsed again one by one, so the first
-    failing file raises the error it raises on its own, naming that file.
-    """
-    def text_and_kind(path: Path) -> tuple[str, str]:
+def _read_labels(path: Path, kind: str):
+    with _reading(path):
         text = path.read_text()
-        return text, (detect_kind(text) or "gt") if kind == "auto" else kind
-
-    try:
-        return _parse_columns([text_and_kind(path) for path in paths])
-    except (OSError, ValueError, OverflowError):
-        pass
-    columns = []
-    for path in paths:
-        with _reading(path):
-            text, shape = text_and_kind(path)
-            columns.append(_columns_of(parse_label_file(text, shape), scored=shape == "pred"))
-    return columns
-
-
-_NO_LABELS = _columns_of((), scored=False)
+        if kind == "auto":
+            kind = detect_kind(text) or "gt"
+        return parse_label_file(text, kind=kind)
 
 
 def _guard_overwrite(out_dir: Path, inputs) -> None:
@@ -226,23 +206,21 @@ def cmd_preprocess(args, write) -> str:
         image_path = Path(input_name)
         label_path = image_path.with_suffix(".txt")
         labelled = label_path.exists()
-        labels = _read_labels([label_path], args.kind)[0] if labelled else _NO_LABELS
+        boxes = _read_labels(label_path, args.kind) if labelled else []
         with _reading(image_path):
             image = decode_raster(image_path.read_bytes())
             if action == "crop":
-                image, kept, boxes = _center_crop(image, labels.boxes, args.width, args.height)
-                labels = labels.rows(kept)._replace(boxes=boxes)
+                image, boxes = center_crop(image, boxes, args.width, args.height)
             elif action == "mask":
                 image = circular_mask(image, args.cx, args.cy, args.radius)
             elif action == "noise":
                 image = add_gaussian_noise(image, args.variance, args.seed)
             elif action == "rotate":
-                image, boxes = _rotate90(image, labels.boxes)
-                labels = labels._replace(boxes=boxes)
+                image, boxes = rotate90(image, boxes)
         write(image_path.name, encode_raster(image))
         if labelled:
             with _reading(label_path):
-                write(label_path.name, _serialize_columns(labels))
+                write(label_path.name, serialize_label_file(boxes))
     return ""
 
 
@@ -255,16 +233,15 @@ def _preprocess_enlarge(args, write) -> str:
     else:
         _require(0.0 <= args.quantile <= 1.0,
                  f"--quantile must lie in [0, 1], got {args.quantile}")
-    paths = [Path(name) for name in args.inputs]
-    parsed = _read_labels(paths, args.kind)
+    parsed = [(path, _read_labels(path, args.kind)) for path in map(Path, args.inputs)]
     threshold = args.threshold
     if threshold is None:
-        boxes = np.concatenate([labels.boxes for labels in parsed])
-        threshold = _area_quantile(boxes[:, 2] * boxes[:, 3], args.quantile)
-    for path, labels in zip(paths, parsed):
-        _, boxes = _enlarge(labels.boxes, threshold, args.mode)
+        rows = np.concatenate([boxes.boxes for _, boxes in parsed])
+        threshold = area_quantile(rows, args.quantile)
+    for path, boxes in parsed:
+        enlarged = enlarge_small_boxes(boxes, threshold, mode=args.mode)
         with _reading(path):
-            write(path.name, _serialize_columns(labels._replace(boxes=boxes)))
+            write(path.name, serialize_label_file(enlarged))
     return f"area_threshold={threshold:.9g}\n"
 
 
@@ -273,11 +250,10 @@ def cmd_count(args, write) -> str:
     _require(args.volume_factor > 0, f"--volume-factor must be positive, got {args.volume_factor}")
     manifest_path = Path(args.manifest)
     manifest = _load_manifest(manifest_path)
-    records = [
-        _count_record(entry.image_id, pred.confidence,
-                      len(gt.boxes) if entry.gt_path else None, args.conf_thr)
-        for entry, (gt, pred) in zip(manifest, _manifest_columns(manifest, manifest_path.parent))
-    ]
+    records = []
+    for entry in manifest:
+        annotation = load_image_annotation(entry, manifest_path.parent)
+        records.append(count_image(annotation, args.conf_thr, truth_known=bool(entry.gt_path)))
     write("counts.csv", render_counts_csv(records, args.volume_factor))
     total = sum(r.predicted_count for r in records)
     return (f"images={len(records)} predicted={total} "

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import ImageAnnotation, _csv_field
+from .annotations import ImageAnnotation, _columns, _csv_field
 from .errors import MissingDensity, OutOfRange
 from .evaluation import EvalReport
 
@@ -60,21 +60,14 @@ def count_image(
     so the record carries ``true_count=None`` instead of a spurious 0.
     Thresholds above 1 are allowed and simply count nothing.
     """
-    confidence = np.array([p.confidence for p in annotation.predictions], dtype=np.float64)
-    true_count = len(annotation.ground_truth) if truth_known else None
-    return _count_record(annotation.image_id, confidence, true_count, confidence_threshold)
-
-
-def _count_record(
-    image_id: str, confidence: np.ndarray, true_count: int | None, confidence_threshold: float
-) -> CountRecord:
-    """:func:`count_image` over an image's prediction confidences."""
     if not confidence_threshold >= 0.0:
         raise OutOfRange(
             f"confidence_threshold must be non-negative, got {confidence_threshold}"
         )
+    confidence = _columns(annotation.predictions).confidence
     predicted = int(np.count_nonzero(confidence >= confidence_threshold))
-    return CountRecord(image_id, predicted, true_count)
+    true_count = len(annotation.ground_truth) if truth_known else None
+    return CountRecord(annotation.image_id, predicted, true_count)
 
 
 def extrapolate_pond(count: int, volume_factor: float = DEFAULT_VOLUME_FACTOR) -> float:

@@ -21,7 +21,7 @@ comparison with other toolkits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -32,10 +32,10 @@ from .annotations import (
     LabeledBox,
     PixelBox,
     ScoredBox,
-    _box_array,
+    _columns,
     _corners,
     _csv_field,
-    _manifest_columns,
+    load_image_annotation,
 )
 from .errors import DegenerateBox, InconsistentCounts, NoGroundTruth, OutOfRange
 
@@ -199,13 +199,12 @@ def match_detections(
     float64 operations as :func:`iou`, so each value and every match is
     the one the pairwise loop over :func:`iou` gives.
     """
-    kept = [p for p in predictions if p.confidence >= config.confidence_threshold]
-    confidence = np.array([p.confidence for p in kept], dtype=np.float64)
-    flags = _greedy_flags(_corners(_box_array([g.box for g in ground_truth])),
-                          _corners(_box_array([p.box for p in kept])),
-                          confidence, config.iou_threshold)
-    counts = _counts(flags, len(ground_truth))
-    return MatchResult(counts, tuple((p.confidence, f) for p, f in zip(kept, flags)))
+    gt, pred = _columns(ground_truth), _columns(predictions)
+    kept = pred.confidence >= config.confidence_threshold
+    confidence = pred.confidence[kept]
+    flags = _greedy_flags(_corners(gt.boxes), _corners(pred.boxes[kept]), confidence,
+                          config.iou_threshold)
+    return MatchResult(_counts(flags, len(gt)), tuple(zip(confidence.tolist(), flags)))
 
 
 def confusion_metrics(counts: ConfusionCounts, num_gt: int) -> MetricSet:
@@ -380,15 +379,16 @@ def evaluate_dataset(
     """
     if group_by is not None and group_by not in GROUP_FIELDS:
         raise ValueError(f"group_by must be one of {GROUP_FIELDS} or None")
-    # One match over every prediction gives the sweep the curve needs. The
-    # kept predictions come first in its visiting order, in the same
-    # relative order and against the same claimed boxes as in a
-    # thresholded match, so their flags are exactly that match's.
+    # One match at threshold 0 gives the sweep the curve needs. The kept
+    # predictions come first in its visiting order, in the same relative
+    # order and against the same claimed boxes as in a thresholded match,
+    # so their flags are exactly that match's.
+    sweep_config = replace(config, confidence_threshold=0.0)
     images = []
-    for entry, (gt, pred) in zip(manifest, _manifest_columns(manifest, root)):
-        flags = _greedy_flags(_corners(gt.boxes), _corners(pred.boxes), pred.confidence,
-                              config.iou_threshold)
-        sweep = (len(gt.boxes), tuple(zip(pred.confidence.tolist(), flags)))
+    for entry in manifest:
+        annotation = load_image_annotation(entry, root)
+        match = match_detections(annotation.ground_truth, annotation.predictions, sweep_config)
+        sweep = (len(annotation.ground_truth), match.scored_flags)
         images.append((entry, sweep, _report([sweep], config)))
 
     def pooled(members) -> EvalReport:

@@ -1,18 +1,20 @@
 """Geometric and photometric preprocessing for images plus their boxes.
 
 Every operation is pure: it returns new objects and leaves its inputs
-untouched, so pipelines can be composed and re-run freely.
+untouched, so pipelines can be composed and re-run freely. Box
+operations work on columns (:class:`~larvaekit.annotations.BoxColumns`)
+and hand back boxes in the container they were given: columns for
+columns, a list for any other sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import AnyBox, Box2D, _box_array, _checked_boxes, _corners, _stored_box
+from .annotations import AnyBox, Box2D, _box_array, _checked_boxes, _columns, _corners, _like
 from .errors import EmptyDataset, OutOfRange, TargetTooLarge
 from .raster import RasterImage
 
@@ -31,28 +33,13 @@ def center_crop(
     boxes: Sequence[AnyBox],
     target_w: int,
     target_h: int,
-) -> tuple[RasterImage, list[AnyBox]]:
+) -> tuple[RasterImage, Sequence[AnyBox]]:
     """Crop the central ``target_w x target_h`` window and remap boxes.
 
     Offsets are floored so odd margins favor the top-left, matching how the
     capture rig frames the tank. Boxes are clipped to the window, boxes that
     lose essentially all area are dropped, and survivors are renormalized to
     the crop size.
-    """
-    rows = _box_array([b.box for b in boxes])
-    cropped, kept, moved = _center_crop(image, rows, target_w, target_h)
-    if moved is rows:  # a full-frame crop hands back the same objects
-        return cropped, list(boxes)
-    return cropped, _reboxed([boxes[i] for i in kept.tolist()], moved)
-
-
-def _center_crop(
-    image: RasterImage, boxes: np.ndarray, target_w: int, target_h: int
-) -> tuple[RasterImage, np.ndarray, np.ndarray]:
-    """:func:`center_crop` over ``cx, cy, w, h`` rows.
-
-    Returns the cropped image, the indices of the rows kept and their
-    remapped boxes.
     """
     if target_w < 1 or target_h < 1:
         raise OutOfRange(f"crop size must be positive, got {target_w}x{target_h}")
@@ -64,13 +51,14 @@ def _center_crop(
     off_y = (image.height - target_h) // 2
     arr = image.to_array()[off_y : off_y + target_h, off_x : off_x + target_w]
     cropped = RasterImage.from_array(arr)
+    columns = _columns(boxes)
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
         # Full-frame crop: hand the boxes back untouched.
-        return cropped, np.arange(len(boxes)), boxes
+        return cropped, _like(boxes, columns)
     # Pixel corners as to_absolute gives them, shifted into the window and
     # clipped to it.
     size = np.array([target_w, target_h] * 2, dtype=np.float64)
-    px = _corners(boxes) * np.array([image.width, image.height] * 2, dtype=np.float64)
+    px = _corners(columns.boxes) * np.array([image.width, image.height] * 2, dtype=np.float64)
     px = np.clip(px - np.array([off_x, off_y] * 2, dtype=np.float64), 0.0, size)
     extent = px[:, 2:] - px[:, :2]  # never negative: clipping keeps x1 <= x2
     min_area = MIN_CLIPPED_AREA_FRACTION * target_w * target_h
@@ -79,12 +67,7 @@ def _center_crop(
     # to_normalized over the kept corners.
     moved = np.concatenate(((px[:, :2] + px[:, 2:]) / (2 * size[:2]),
                             (px[:, 2:] - px[:, :2]) / size[:2]), axis=1)
-    return cropped, kept, _checked_boxes(moved)
-
-
-def _reboxed(items: Sequence[AnyBox], boxes: np.ndarray) -> list[AnyBox]:
-    """``items`` with their boxes replaced by the checked rows of ``boxes``."""
-    return [replace(item, box=_stored_box(*row)) for item, row in zip(items, boxes.tolist())]
+    return cropped, _like(boxes, columns.derive(kept, _checked_boxes(moved)))
 
 
 def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
@@ -111,24 +94,25 @@ def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> Ra
     return RasterImage.from_array(arr)
 
 
-def area_quantile(boxes: Iterable[Box2D], q: float) -> float:
-    """Quantile of normalized box areas with linear interpolation."""
-    return _area_quantile(np.array([b.area for b in boxes], dtype=np.float64), q)
+def area_quantile(boxes: Iterable[Box2D] | np.ndarray, q: float) -> float:
+    """Quantile of normalized box areas with linear interpolation.
 
-
-def _area_quantile(areas: np.ndarray, q: float) -> float:
+    ``boxes`` are :class:`Box2D` objects or an ``(n, 4)`` array of
+    ``cx, cy, w, h`` rows (``BoxColumns.boxes``).
+    """
     if not 0.0 <= q <= 1.0:
         raise OutOfRange(f"quantile rank must lie in [0, 1], got {q}")
-    if areas.size == 0:
+    rows = boxes if isinstance(boxes, np.ndarray) else _box_array(list(boxes))
+    if not len(rows):
         raise EmptyDataset("no boxes to take a quantile over")
-    return float(np.quantile(areas, q))
+    return float(np.quantile(rows[:, 2] * rows[:, 3], q))
 
 
 def enlarge_small_boxes(
     boxes: Sequence[AnyBox],
     area_threshold: float,
     mode: str = "literal",
-) -> list[AnyBox]:
+) -> Sequence[AnyBox]:
     """Grow boxes whose area falls below ``area_threshold``.
 
     With ``mode="literal"`` both extents are multiplied by the full area
@@ -136,36 +120,24 @@ def enlarge_small_boxes(
     ``threshold**2 / area``. ``mode="normalize"`` scales by ``sqrt(f)``
     instead, landing exactly on the threshold. Centers never move; boxes
     that would spill outside the unit square are shrunk symmetrically
-    until they fit.
-    """
-    grown, rows = _enlarge(_box_array([b.box for b in boxes]), area_threshold, mode)
-    out = list(boxes)
-    for i in np.flatnonzero(grown).tolist():
-        out[i] = replace(out[i], box=_stored_box(*rows[i].tolist()))
-    return out
-
-
-def _enlarge(boxes: np.ndarray, area_threshold: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`enlarge_small_boxes` over ``cx, cy, w, h`` rows.
-
-    Returns the mask of rows grown and every row after growing; rows not
-    grown keep their values.
+    until they fit. Boxes not grown are handed back as they came.
     """
     if not 0.0 < area_threshold <= 1.0:
         raise OutOfRange(f"area threshold must lie in (0, 1], got {area_threshold}")
     if mode not in ("literal", "normalize"):
         raise ValueError(f"mode must be 'literal' or 'normalize', got {mode!r}")
-    grown = boxes[:, 2] * boxes[:, 3] < area_threshold
-    cx, cy, w, h = boxes[grown].T
+    columns = _columns(boxes)
+    rows = columns.boxes.copy()
+    grown = rows[:, 2] * rows[:, 3] < area_threshold
+    cx, cy, w, h = rows[grown].T
     with np.errstate(over="ignore"):
         scale = area_threshold / (w * h)
         if mode == "normalize":
             scale = np.sqrt(scale)
         w = np.minimum(w * scale, 2 * np.minimum(cx, 1.0 - cx))
         h = np.minimum(h * scale, 2 * np.minimum(cy, 1.0 - cy))
-    rows = boxes.copy()
     rows[grown] = _checked_boxes(np.stack((cx, cy, w, h), axis=1))
-    return grown, rows
+    return _like(boxes, columns.derive(np.arange(len(rows)), rows, grown))
 
 
 def gaussian_noise_stream(variance: float, seed: int, count: int) -> np.ndarray:
@@ -206,19 +178,17 @@ def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> Raster
     return RasterImage(image.width, image.height, image.channels, noisy.tobytes())
 
 
-def rotate90(image: RasterImage, boxes: Sequence[AnyBox]) -> tuple[RasterImage, list[AnyBox]]:
+def rotate90(
+    image: RasterImage, boxes: Sequence[AnyBox]
+) -> tuple[RasterImage, Sequence[AnyBox]]:
     """Rotate a quarter turn counter-clockwise, remapping boxes with it.
 
     A ``W x H`` image becomes ``H x W``; a normalized box ``(cx, cy, w, h)``
     maps to ``(cy, 1 - cx, h, w)``. Four applications restore the original
     scene (up to float rounding in the box centers).
     """
-    rotated, turned = _rotate90(image, _box_array([b.box for b in boxes]))
-    return rotated, _reboxed(boxes, turned)
-
-
-def _rotate90(image: RasterImage, boxes: np.ndarray) -> tuple[RasterImage, np.ndarray]:
-    """:func:`rotate90` over ``cx, cy, w, h`` rows."""
     rotated = RasterImage.from_array(np.rot90(image.to_array(), k=1))
-    cx, cy, w, h = boxes.T
-    return rotated, _checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1))
+    columns = _columns(boxes)
+    cx, cy, w, h = columns.boxes.T
+    turned = _checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1))
+    return rotated, _like(boxes, columns.derive(np.arange(len(turned)), turned))

@@ -1,15 +1,14 @@
-"""The columnar label path against the per-box objects it stands in for.
+"""Label columns against the per-box objects they stand in for.
 
-The command line parses a manifest's label files as one batch into
-columns and checks every box at once; the public object API parses
-line by line into ``Box2D`` objects. These tests pin the two together:
-the same values bit for bit, or the same refusal with the same message.
+Label files are parsed into columns, and the matcher, counter and box
+operations work on those columns. These tests pin them to the per-box
+code they replaced, kept here as oracles: the same values bit for bit,
+or the same refusal with the same message.
 """
 
 import contextlib
 import io
 import math
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,16 +19,14 @@ from hypothesis import example, given, settings, strategies as st
 from larvaekit import evaluation
 from larvaekit.annotations import (
     DENSITY_GROUPS,
+    BOUNDS_TOLERANCE,
     Box2D,
+    BoxColumns,
     LabeledBox,
     PixelBox,
     ScoredBox,
-    _box_array,
-    _box_check,
-    _checked_boxes,
-    _columns_of,
-    _manifest_columns,
-    _parse_columns,
+    _box_fields,
+    _columns,
     detect_kind,
     load_image_annotation,
     load_manifest,
@@ -40,8 +37,19 @@ from larvaekit.annotations import (
 )
 from larvaekit.cli import main
 from larvaekit.counting import count_image, density_summary, render_counts_csv, render_density_csv
-from larvaekit.errors import AnnotationLoadError, DegenerateBox, LarvaekitError, OutOfRange
-from larvaekit.evaluation import MatchConfig, evaluate_dataset, render_eval_csv, render_pr_curve_csv
+from larvaekit.errors import (
+    DegenerateBox,
+    LarvaekitError,
+    MalformedLine,
+    OutOfRange,
+)
+from larvaekit.evaluation import (
+    MatchConfig,
+    evaluate_dataset,
+    match_detections,
+    render_eval_csv,
+    render_pr_curve_csv,
+)
 from larvaekit.preprocessing import (
     MIN_CLIPPED_AREA_FRACTION,
     area_quantile,
@@ -51,7 +59,7 @@ from larvaekit.preprocessing import (
 )
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
-from conftest import crowded_instance, write_dataset
+from conftest import crowded_instance, reference_greedy_flags, write_dataset
 
 MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
 
@@ -135,89 +143,142 @@ def outcome(call):
         return type(err), str(err)
 
 
-class TestBoxCheck:
+# The per-box check and per-line parser the columns replaced, kept as oracles.
+
+
+def reference_fields(cx, cy, w, h):
+    """``Box2D``'s checks and edge clamp as the per-box class ran them."""
+    for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} is not finite")
+    if w <= 0 or h <= 0:
+        raise DegenerateBox(f"box extents must be positive, got w={w} h={h}")
+    x1, x2 = cx - w / 2, cx + w / 2
+    y1, y2 = cy - h / 2, cy + h / 2
+    lo, hi = -BOUNDS_TOLERANCE, 1.0 + BOUNDS_TOLERANCE
+    if x1 < lo or y1 < lo or x2 > hi or y2 > hi:
+        raise OutOfRange(f"box ({cx}, {cy}, {w}, {h}) lies outside the unit square")
+    if x1 < 0.0 or y1 < 0.0 or x2 > 1.0 or y2 > 1.0:
+        x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
+        y1, y2 = min(max(y1, 0.0), 1.0), min(max(y2, 0.0), 1.0)
+        cx, cy, w, h = (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1
+    x1, x2 = cx - w / 2, cx + w / 2
+    y1, y2 = cy - h / 2, cy + h / 2
+    if x2 <= x1 or y2 <= y1 or w * h == 0.0:
+        raise DegenerateBox(f"box ({cx}, {cy}, {w}, {h}) has no extent in float64")
+    return cx, cy, w, h
+
+
+def reference_parse(text, kind):
+    """``(class_id, fields, confidence)`` per line, as the per-line object parser read them."""
+    want = 5 if kind == "gt" else 6
+    rows = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if len(fields) != want:
+            raise MalformedLine(line_no, f"expected {want} fields, got {len(fields)}")
+        try:
+            class_id = int(fields[0])
+        except ValueError:
+            raise MalformedLine(line_no, f"class id {fields[0]!r} is not an integer") from None
+        if class_id < 0:
+            raise MalformedLine(line_no, f"class id must be non-negative, got {class_id}")
+        try:
+            values = [float(f) for f in fields[1:]]
+        except ValueError:
+            raise MalformedLine(line_no, f"non-numeric field in {raw!r}") from None
+        try:
+            box = reference_fields(*values[:4])
+            confidence = None
+            if kind == "pred":
+                confidence = values[4]
+                if not 0.0 <= confidence <= 1.0:
+                    raise OutOfRange(f"confidence {confidence} outside [0, 1]")
+        except (DegenerateBox, OutOfRange) as err:
+            raise OutOfRange(str(err), line_no) from None
+        rows.append((class_id, box, confidence))
+    return rows
+
+
+def column_rows(columns):
+    """``reference_parse``'s rows for ``columns``."""
+    scores = [None] * len(columns) if columns.confidence is None else columns.confidence.tolist()
+    return list(zip(columns.class_ids.tolist(), map(tuple, columns.boxes.tolist()), scores))
+
+
+class TestBoxFields:
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(ROWS, min_size=1, max_size=6))
-    @example([(5e-171, 5e-171, 1e-170, 1e-170)])  # area underflows
-    @example([(0.5, 0.5, 0.2, 0.2), (1.0 + 6e-7, 0.5, 4e-7, 0.1)])  # collapses once clamped
-    @example([(0.95, 0.5, 0.1 + 1e-6, 0.2), (0.5, 0.5, 1e-20, 0.1)])  # clamps; collapses
-    @example([(1.0 + 2**-52, 0.5, 3 * 2**-52, 0.1)])  # collapses once clamped and recomputed
-    def test_vectorized_check_is_box2d(self, rows):
-        checked, bad = _box_check(np.array(rows, dtype=np.float64))
-        for row, stored, refused in zip(rows, checked, bad):
-            try:
-                box = Box2D(*row)
-            except (DegenerateBox, OutOfRange):
-                assert refused, row
-                continue
-            assert not refused, row
-            assert stored.tobytes() == _box_array([box]).tobytes(), row
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(ROWS, max_size=6))
-    def test_checked_rows_raise_what_box2d_raises_first(self, rows):
-        array = np.array(rows, dtype=np.float64).reshape(-1, 4)
-        expected = outcome(lambda: _box_array([Box2D(*row) for row in rows]).tobytes())
-        assert outcome(lambda: _checked_boxes(array).tobytes()) == expected
+    @given(ROWS)
+    @example((5e-171, 5e-171, 1e-170, 1e-170))  # area underflows
+    @example((1.0 + 6e-7, 0.5, 4e-7, 0.1))  # collapses once clamped
+    @example((0.95, 0.5, 0.1 + 1e-6, 0.2))  # clamps
+    @example((1.0 + 2**-52, 0.5, 3 * 2**-52, 0.1))  # collapses once clamped and recomputed
+    @example((-0.0, 0.5, 0.0, 0.1))
+    def test_box_fields_are_the_per_box_check(self, row):
+        # repr tells -0.0 from 0.0 and round-trips every float.
+        assert repr(outcome(lambda: _box_fields(*row))) == repr(outcome(lambda: reference_fields(*row)))
 
 
-def assert_same_boxes(columns, boxes):
-    """``columns`` hold exactly the class ids, fields and scores of ``boxes``."""
-    assert columns.class_ids.tolist() == [b.class_id for b in boxes]
-    assert columns.boxes.tobytes() == _box_array([b.box for b in boxes]).tobytes()
-    if columns.confidence is not None:
-        scores = np.array([b.confidence for b in boxes], dtype=np.float64)
-        assert columns.confidence.tobytes() == scores.tobytes()
-
-
-class TestBatchParse:
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(["gt", "pred"]).flatmap(lambda kind: st.tuples(st.just(kind), texts(kind))))
+class TestParse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.sampled_from(["gt", "pred"]), texts("gt") | texts("pred")))
     @example(("gt", "0 0.5 0.5 0.2 0.2\n-1 0.5 0.5 0.2 0.2\n"))
+    @example(("gt", "0 0.5 0.5 0.2 0.2 0.9\n"))
     @example(("gt", f"+1 0.5 0.5 0.2 0.2\r01 4e-7 5E-1 1e-6 0.1\u2028{2**64} 0.5 0.5 0.1 0.1\n"))
     @example(("pred", "0 0.5 0.5 0.2 0.2 0.5\x1c0 0.5 0.5 0.2 0.2 nan\n"))
     @example(("pred", "0 0.5 0.5 0.2 0.2 -0.0\x0b\n0 0.9999996 0.5 0.000001 0.2 1\n"))
-    def test_batch_parse_is_parse_label_file(self, case):
+    @example(("gt", "0 0.5 0.5 1e-15 0.1\n0 0.5 0.5 1e-16 0.1\n"))
+    def test_parse_is_the_per_line_parser(self, case):
         kind, text = case
-        try:
-            expected = parse_label_file(text, kind)
-        except LarvaekitError:
-            expected = None
-        try:
-            (columns,) = _parse_columns([(text, kind)])
-        except (ValueError, OverflowError):
-            # Only a refused line, or a class id beyond int64, sends the
-            # batch back to the per-line parser.
-            assert expected is None or any(b.class_id >= 2**63 for b in expected)
-            return
-        assert expected is not None
-        assert_same_boxes(columns, expected)
+        expected = repr(outcome(lambda: reference_parse(text, kind)))
+        assert repr(outcome(lambda: column_rows(parse_label_file(text, kind)))) == expected
 
-    def test_batch_keeps_each_file_apart(self):
-        gt = ["0 0.5 0.5 0.2 0.2\n", "", "3 0.1 0.2 0.1 0.1\n1 0.9 0.9 0.1 0.1\n"]
-        pred = ["0 0.5 0.5 0.2 0.2 0.25\n", "7 0.4 0.6 0.3 0.1 1\n"]
-        files = [(gt[0], "gt"), (pred[0], "pred"), (gt[1], "gt"), (gt[2], "gt"), (pred[1], "pred")]
-        for (text, kind), columns in zip(files, _parse_columns(files)):
-            assert_same_boxes(columns, parse_label_file(text, kind))
+    def test_items_are_the_parsed_objects(self):
+        text = f"3 0.5 0.5 0.2 0.2 0.25\n{2**64} 0.0000004 0.5 0.000001 0.1 1\n"
+        boxes = parse_label_file(text, "pred")
+        assert boxes.class_ids.tolist() == [3, 2**64]
+        assert boxes == [ScoredBox(3, Box2D(0.5, 0.5, 0.2, 0.2), 0.25),
+                         ScoredBox(2**64, Box2D(0.0000004, 0.5, 0.000001, 0.1), 1.0)]
+        assert boxes[1] is boxes[1]
+        assert serialize_label_file(boxes) == serialize_label_file(list(boxes))
+
+
+class TestColumns:
+    def test_columns_of_items_keep_them(self):
+        items = [LabeledBox(0, Box2D(0.5, 0.5, 0.2, 0.2)), ScoredBox(1, Box2D(0.2, 0.2, 0.1, 0.1), 0.5)]
+        columns = _columns(items)
+        assert columns.confidence is None  # not every item is scored
+        assert list(columns) == items and all(a is b for a, b in zip(columns, items))
+
+    def test_derived_columns_keep_the_items_of_unchanged_rows(self):
+        boxes = parse_label_file("0 0.5 0.5 0.01 0.01\n1 0.5 0.5 0.5 0.5\n2 0.2 0.2 0.1 0.1\n")
+        grown = enlarge_small_boxes(boxes, 0.02)
+        assert isinstance(grown, BoxColumns)
+        assert [a is b for a, b in zip(boxes, grown)] == [False, True, False]
+        assert grown == scalar_enlarge(list(boxes), 0.02, "literal")
+
+    def test_operations_return_the_container_they_were_given(self):
+        boxes = parse_label_file("0 0.5 0.5 0.2 0.2\n")
+        image = RasterImage(4, 4, 1, bytes(16))
+        assert isinstance(rotate90(image, boxes)[1], BoxColumns)
+        assert isinstance(center_crop(image, boxes, 2, 2)[1], BoxColumns)
+        assert center_crop(image, boxes, 4, 4)[1] is boxes
+        assert type(rotate90(image, list(boxes))[1]) is list
+        assert type(center_crop(image, tuple(boxes), 4, 4)[1]) is list
 
     @settings(max_examples=100, deadline=None)
-    @given(gt=texts("gt"), pred=texts("pred"))
-    def test_manifest_reader_is_load_image_annotation(self, gt, pred):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            (root / "gt.txt").write_text(gt)
-            (root / "pred.txt").write_text(pred)
-            manifest = load_manifest(MANIFEST_HEADER + "a,,gt.txt,,10,10,,\n"
-                                     "b,,gt.txt,pred.txt,10,10,,\n" "c,,,pred.txt,10,10,,\n")
-            expected = outcome(lambda: [load_image_annotation(e, root) for e in manifest])
-            got = outcome(lambda: _manifest_columns(manifest, root))
-        if isinstance(expected, tuple):
-            assert expected[0] is AnnotationLoadError
-            assert got == expected
-            return
-        for annotation, (gt_columns, pred_columns) in zip(expected, got):
-            assert_same_boxes(gt_columns, annotation.ground_truth)
-            assert_same_boxes(pred_columns, annotation.predictions)
+    @given(st.data())
+    def test_match_on_columns_is_the_pairwise_loop(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gt, pred = crowded_instance(rng)
+        gt_columns = parse_label_file(serialize_label_file(gt), "gt")
+        pred_columns = parse_label_file(serialize_label_file(pred), "pred")
+        threshold = data.draw(st.sampled_from([0.0, 0.4, 0.5]))
+        result = match_detections(gt_columns, pred_columns, MatchConfig(confidence_threshold=threshold))
+        assert result.scored_flags == reference_greedy_flags(
+            list(gt_columns), list(pred_columns), 0.5, threshold)
 
 
 # The per-box loops the array operations replaced, kept as oracles.
@@ -262,14 +323,20 @@ def scalar_rotate(boxes):
 
 @st.composite
 def label_boxes(draw, max_size=8):
-    """Valid labels, many of them on or across the unit square's edges."""
+    """Valid labels of one kind, many of them on or across the unit square's edges."""
+    scored = draw(st.booleans())
     boxes = []
     for row in draw(st.lists(coordinate_rows(anywhere=False) | ROWS, max_size=max_size)):
         with contextlib.suppress(DegenerateBox, OutOfRange):
             box = Box2D(*row)
-            scored = draw(st.booleans())
             boxes.append(ScoredBox(0, box, 0.5) if scored else LabeledBox(0, box))
     return boxes
+
+
+def containers(boxes):
+    """``boxes`` as a list, and as columns with no items behind them, as a parse gives."""
+    columns = _columns(boxes)
+    return boxes, BoxColumns(columns.class_ids, columns.boxes, columns.confidence)
 
 
 class TestArrayOperations:
@@ -281,7 +348,9 @@ class TestArrayOperations:
         target_w, target_h = data.draw(st.integers(1, width)), data.draw(st.integers(1, height))
         image = RasterImage(width, height, 1, bytes(width * height))
         expected = outcome(lambda: repr(scalar_crop(boxes, width, height, target_w, target_h)))
-        assert outcome(lambda: repr(center_crop(image, boxes, target_w, target_h)[1])) == expected
+        for given_boxes in containers(boxes):
+            got = outcome(lambda: repr(list(center_crop(image, given_boxes, target_w, target_h)[1])))
+            assert got == expected
 
     def test_crop_keeps_a_box_of_exactly_the_sliver_floor(self):
         # A 1000x1000 window's floor is 1.0 px^2; these pixel corners are exact.
@@ -291,19 +360,33 @@ class TestArrayOperations:
         assert center_crop(image, boxes, 1000, 1000)[1] == scalar_crop(boxes, 1024, 1024, 1000, 1000)
         assert len(scalar_crop(boxes, 1024, 1024, 1000, 1000)) == 1
 
+    def test_crop_keeps_each_item_kind(self):
+        boxes = [LabeledBox(0, Box2D(0.5, 0.5, 0.2, 0.2)), ScoredBox(1, Box2D(0.5, 0.5, 0.4, 0.4), 0.5)]
+        image = RasterImage(10, 10, 1, bytes(100))
+        assert center_crop(image, boxes, 8, 8)[1] == scalar_crop(boxes, 10, 10, 8, 8)
+
     @settings(max_examples=150, deadline=None)
     @given(label_boxes(), st.floats(1e-12, 1.0) | st.sampled_from([1.0, 1e-300, 0.5]),
            st.sampled_from(["literal", "normalize"]))
     def test_enlarge(self, boxes, threshold, mode):
         expected = outcome(lambda: repr(scalar_enlarge(boxes, threshold, mode)))
-        assert outcome(lambda: repr(enlarge_small_boxes(boxes, threshold, mode))) == expected
+        for given_boxes in containers(boxes):
+            got = outcome(lambda: repr(list(enlarge_small_boxes(given_boxes, threshold, mode))))
+            assert got == expected
 
     @settings(max_examples=150, deadline=None)
     @given(label_boxes())
     def test_rotate(self, boxes):
         image = RasterImage(3, 2, 1, bytes(6))
         expected = outcome(lambda: repr(scalar_rotate(boxes)))
-        assert outcome(lambda: repr(rotate90(image, boxes)[1])) == expected
+        for given_boxes in containers(boxes):
+            assert outcome(lambda: repr(list(rotate90(image, given_boxes)[1]))) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_boxes(), st.floats(0.0, 1.0))
+    def test_area_quantile(self, boxes, q):
+        expected = outcome(lambda: area_quantile([b.box for b in boxes], q))
+        assert outcome(lambda: area_quantile(_columns(boxes).boxes, q)) == expected
 
 
 def run(argv) -> tuple[int, str, str]:
@@ -364,7 +447,7 @@ def parity_dataset(root: Path, huge_id: bool) -> Path:
     """Crowded and sparse images, with a clamped box on each side.
 
     With ``huge_id`` one ground-truth file also holds a class id beyond
-    int64, which the batch parse hands back to the per-line parser.
+    int64.
     """
     rng = np.random.default_rng(41)
     images = []
@@ -387,14 +470,11 @@ def parity_dataset(root: Path, huge_id: bool) -> Path:
     return manifest
 
 
-def object_columns(manifest, root):
-    """The manifest's labels through the per-box object API."""
-    out = []
-    for entry in manifest:
-        annotation = load_image_annotation(entry, root)
-        out.append((_columns_of(annotation.ground_truth, scored=False),
-                    _columns_of(annotation.predictions, scored=True)))
-    return out
+def object_annotation(entry, root):
+    """An entry's labels as tuples of per-box objects."""
+    annotation = load_image_annotation(entry, root)
+    return replace(annotation, ground_truth=tuple(annotation.ground_truth),
+                   predictions=tuple(annotation.predictions))
 
 
 def read_outputs(out: Path) -> dict:
@@ -402,7 +482,7 @@ def read_outputs(out: Path) -> dict:
 
 
 class TestParity:
-    """Every CLI output equals the public object API's on the same inputs."""
+    """Every CLI output equals a run of the public API on per-box objects."""
 
     @pytest.mark.parametrize("huge_id", [False, True])
     def test_manifest_commands(self, tmp_path, monkeypatch, huge_id):
@@ -416,7 +496,7 @@ class TestParity:
             results[command] = read_outputs(tmp_path / command)
         config = MatchConfig(confidence_threshold=0.3)
         with monkeypatch.context() as patch:
-            patch.setattr(evaluation, "_manifest_columns", object_columns)
+            patch.setattr(evaluation, "load_image_annotation", object_annotation)
             expected = evaluate_dataset(manifest, config, root=tmp_path)
         assert results["eval"] == {
             "eval.csv": render_eval_csv(expected).encode(),
@@ -425,7 +505,7 @@ class TestParity:
         summary = density_summary([(e.density_group, expected.per_image[e.image_id])
                                    for e in manifest])
         assert results["report"] == {"density_report.csv": render_density_csv(summary).encode()}
-        counts = [count_image(load_image_annotation(e, tmp_path), 0.3, truth_known=bool(e.gt_path))
+        counts = [count_image(object_annotation(e, tmp_path), 0.3, truth_known=bool(e.gt_path))
                   for e in manifest]
         assert results["count"] == {"counts.csv": render_counts_csv(counts).encode()}
 
@@ -433,7 +513,7 @@ class TestParity:
     def test_preprocess_actions(self, tmp_path, huge_id):
         parity_dataset(tmp_path, huge_id)
         labels = sorted(tmp_path.glob("*.txt"))
-        parsed = [parse_label_file(p.read_text(), detect_kind(p.read_text()) or "gt")
+        parsed = [list(parse_label_file(p.read_text(), detect_kind(p.read_text()) or "gt"))
                   for p in labels]
 
         code, stdout, stderr = run(["preprocess", "enlarge", *labels, "--quantile", 0.3,
