@@ -88,22 +88,41 @@ def _check_numeric_flags(args) -> None:
     _require(seed is None or seed >= 0, f"--seed must be non-negative, got {seed}")
 
 
+def _named_inputs(args) -> list[Path]:
+    """The input files named on the command line: no output may replace one."""
+    if args.command == "preprocess":
+        images = [Path(name) for name in args.inputs]
+        return images + [image.with_suffix(".txt") for image in images]
+    name = args.csv if args.command == "fit" else args.manifest
+    return [] if name is None else [Path(name)]
+
+
 @contextmanager
-def _staged_outputs(out_dir: Path):
+def _staged_outputs(out_dir: Path, inputs: list[Path]):
     """Yield ``write(name, data)``, which stages one output inside ``out_dir``.
 
     Each output goes to a hidden ``.<name>.partial`` beside its target and is
     renamed onto it when the block succeeds. On any exception the staging
-    files, and the directories this run created, are removed.
+    files, and the directories this run created, are removed. A target that
+    is one of ``inputs`` (the same file, through any path) is refused.
     """
     staged: dict[Path, Path] = {}
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    protected: dict[tuple[int, int], Path] = {}
+    for source in inputs:
+        with suppress(OSError):
+            status = source.stat()
+            protected[status.st_dev, status.st_ino] = source
 
     def write(name: str, data: str | bytes) -> None:
         path = Path(name)
         _require(path.parts and not path.is_absolute() and ".." not in path.parts,
                  f"output name {name!r} would escape --out-dir")
         target = out_dir / path
+        with suppress(OSError):
+            status = target.stat()
+            source = protected.get((status.st_dev, status.st_ino))
+            _require(source is None, f"refusing to overwrite input {source}; pick another --out-dir")
         _require(target not in staged, f"output {name!r} would be written twice")
         _require(not target.is_dir(), f"output {name!r} is a directory in --out-dir")
         if not staged:
@@ -173,19 +192,7 @@ def _read_labels(path: Path, kind: str):
         return parse_label_file(text, kind=kind)
 
 
-def _guard_overwrite(out_dir: Path, inputs) -> None:
-    resolved = {Path(p).resolve() for p in inputs}
-    for p in inputs:
-        sibling = Path(p).with_suffix(".txt")
-        if sibling.exists():
-            resolved.add(sibling.resolve())
-    for p in resolved:
-        target = (out_dir / p.name).resolve()
-        _require(target != p, f"refusing to overwrite input {p}; pick another --out-dir")
-
-
 def cmd_preprocess(args, write) -> str:
-    _guard_overwrite(Path(args.out_dir), args.inputs)
     action = args.action
     if action == "enlarge":
         return _preprocess_enlarge(args, write)
@@ -388,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_numeric_flags(args)
-        with _staged_outputs(Path(args.out_dir)) as write:
+        with _staged_outputs(Path(args.out_dir), _named_inputs(args)) as write:
             stdout = args.func(args, write)
     except CommandUsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

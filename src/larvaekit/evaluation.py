@@ -21,7 +21,11 @@ comparison with other toolkits.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -237,13 +241,11 @@ def pr_curve(scored_flags: Iterable[tuple[float, bool]], total_gt: int) -> list[
         raise NoGroundTruth("a PR curve needs at least one ground-truth box")
     ordered = sorted(scored_flags, key=lambda t: -t[0])
     points = []
-    tp = fp = 0
-    for confidence, is_tp in ordered:
+    tp = 0
+    for seen, (confidence, is_tp) in enumerate(ordered, 1):
         if is_tp:
             tp += 1
-        else:
-            fp += 1
-        points.append(PRPoint(confidence, tp / (tp + fp), tp / total_gt))
+        points.append(PRPoint(confidence, tp / seen, tp / total_gt))
     return points
 
 
@@ -260,25 +262,16 @@ def average_precision(curve: Sequence[PRPoint], method: str = "envelope") -> flo
     if not curve:
         return 0.0
     recalls = [p.recall for p in curve]
-    envelope = [p.precision for p in curve]
-    for i in range(len(envelope) - 2, -1, -1):
-        envelope[i] = max(envelope[i], envelope[i + 1])
+    envelope = list(accumulate((p.precision for p in reversed(curve)), max))
+    envelope.reverse()
     if method == "101point":
-        total = 0.0
-        for i in range(101):
-            r = i / 100
-            # highest enveloped precision at recall >= r
-            best = 0.0
-            for rec, pre in zip(recalls, envelope):
-                if rec >= r:
-                    best = pre
-                    break
-            total += best
-        return total / 101
-    ap = recalls[0] * envelope[0]
-    for i in range(1, len(curve)):
-        ap += (recalls[i] - recalls[i - 1]) * envelope[i]
-    return ap
+        # Recalls never decrease, so the first point at recall >= r is a bisection.
+        picks = (bisect_left(recalls, i / 100) for i in range(101))
+        samples = (envelope[k] if k < len(curve) else 0.0 for k in picks)
+        return reduce(add, samples, 0.0) / 101
+    # Added left to right: builtin sum() compensates from Python 3.12 on.
+    steps = zip(chain([0.0], recalls), recalls, envelope)
+    return reduce(add, ((r - previous) * e for previous, r, e in steps))
 
 
 @dataclass(frozen=True)

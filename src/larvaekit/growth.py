@@ -192,8 +192,6 @@ def _damped_least_squares(
     p0: Sequence[float],
     t: np.ndarray,
     lengths: np.ndarray,
-    max_iterations: int = MAX_ITERATIONS,
-    rel_tol: float = REL_SSE_TOL,
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
     """Damped Gauss-Newton refinement.
 
@@ -207,7 +205,7 @@ def _damped_least_squares(
     lam = 1e-3
     converged = best == 0.0
     iterations = 0
-    while not converged and iterations < max_iterations:
+    while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
         damped = J.T @ J + lam * np.eye(p.size)
         try:
@@ -225,7 +223,7 @@ def _damped_least_squares(
             p, best, r, J = trial, trial_sse, trial_r, trial_J
             history.append(best)
             lam = max(lam / 10.0, 1e-12)
-            if best == 0.0 or rel < rel_tol:
+            if best == 0.0 or rel < REL_SSE_TOL:
                 converged = True
         else:
             lam *= 10.0

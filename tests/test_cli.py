@@ -648,6 +648,48 @@ class TestStagedOutputs:
         assert not out.exists()
 
 
+class TestInputsAreNotOverwritten:
+    def test_symlinked_input_is_written_under_its_own_name(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        frame = encode_raster(solid_image(8, 6))
+        (tmp_path / "b" / "y.pgm").write_bytes(frame)
+        (tmp_path / "a" / "x.pgm").symlink_to(Path("..") / "b" / "y.pgm")
+        result = run_cli("preprocess", "rotate", tmp_path / "a" / "x.pgm",
+                         "--out-dir", tmp_path / "b")
+        assert result.returncode == 0, result.stderr
+        assert decode_raster((tmp_path / "b" / "x.pgm").read_bytes()).width == 6
+        assert (tmp_path / "b" / "y.pgm").read_bytes() == frame
+
+    def test_symlinked_input_in_out_dir_is_refused(self, tmp_path):
+        label = serialize_label_file([LabeledBox(0, Box2D(0.5, 0.5, 0.1, 0.2))])
+        (tmp_path / "in").mkdir()
+        (tmp_path / "out").mkdir()
+        (tmp_path / "in" / "x.txt").write_text(label)
+        link = tmp_path / "out" / "x.txt"
+        link.symlink_to(Path("..") / "in" / "x.txt")
+        result = run_cli("preprocess", "enlarge", link, "--threshold", 0.5,
+                         "--out-dir", tmp_path / "out")
+        assert result.returncode == 2
+        assert result.stderr == (f"usage error: refusing to overwrite input {link}; "
+                                 "pick another --out-dir\n")
+        assert link.is_symlink() and (tmp_path / "in" / "x.txt").read_text() == label
+
+    @pytest.mark.parametrize("command", ["eval", "fit"])
+    def test_output_named_like_the_input_is_refused(self, tmp_path, command):
+        if command == "eval":
+            source = small_dataset(tmp_path).rename(tmp_path / "eval.csv")
+        else:
+            source = tmp_path / "fits.csv"
+            source.write_text("age_days,length_mm\n1,1.6\n2,2.0\n3,2.4\n4,2.8\n5,3.2\n")
+        before = source.read_bytes()
+        result = run_cli(command, source.name, cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == (f"usage error: refusing to overwrite input {source.name}; "
+                                 "pick another --out-dir\n")
+        assert source.read_bytes() == before
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize("argv, message", [
         (("preprocess", "mask", "img.ppm", "--cx", "nan", "--cy", 4, "--radius", 3),

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from larvaekit.annotations import (
     MANIFEST_COLUMNS,
@@ -379,6 +381,72 @@ class TestAveragePrecision:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             average_precision([], "11point")
+
+
+# The index loops the running-pass PR curve and AP replaced, kept as oracles.
+def loop_pr_curve(scored_flags, total_gt):
+    ordered = sorted(scored_flags, key=lambda t: -t[0])
+    points = []
+    tp = fp = 0
+    for confidence, is_tp in ordered:
+        if is_tp:
+            tp += 1
+        else:
+            fp += 1
+        points.append(PRPoint(confidence, tp / (tp + fp), tp / total_gt))
+    return points
+
+
+def loop_average_precision(curve, method):
+    if not curve:
+        return 0.0
+    recalls = [p.recall for p in curve]
+    envelope = [p.precision for p in curve]
+    for i in range(len(envelope) - 2, -1, -1):
+        envelope[i] = max(envelope[i], envelope[i + 1])
+    if method == "101point":
+        total = 0.0
+        for i in range(101):
+            r = i / 100
+            best = 0.0
+            for rec, pre in zip(recalls, envelope):
+                if rec >= r:
+                    best = pre
+                    break
+            total += best
+        return total / 101
+    ap = recalls[0] * envelope[0]
+    for i in range(1, len(curve)):
+        ap += (recalls[i] - recalls[i - 1]) * envelope[i]
+    return ap
+
+
+def bits(value):
+    """A float's type and repr: equal only for the same bits (0.0 and -0.0 differ)."""
+    return type(value), repr(value)
+
+
+# Few distinct confidences make ties and repeats common.
+TIED = [0.0, 0.25, 0.5, 0.5000000000000001, 0.75, 1.0]
+
+
+class TestRunningPassMatchesLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 400), st.floats(0, 1), st.floats(0, 1), st.integers(0, 800),
+           st.sampled_from([bool, np.bool_]), st.sampled_from(["envelope", "101point"]),
+           st.integers(0, 2**32))
+    def test_bit_identical_to_loops(self, n, tied, tp_rate, extra_gt, flag, method, seed):
+        rng = random.Random(seed)
+        sweep = [(rng.choice(TIED) if rng.random() < tied else rng.random(),
+                  flag(rng.random() < tp_rate)) for _ in range(n)]
+        total_gt = max(1, sum(1 for _, is_tp in sweep if is_tp)) + extra_gt
+        curve = pr_curve(sweep, total_gt)
+        expected = loop_pr_curve(sweep, total_gt)
+        assert curve == expected
+        assert [tuple(map(bits, (p.confidence, p.precision, p.recall))) for p in curve] == [
+            tuple(map(bits, (p.confidence, p.precision, p.recall))) for p in expected]
+        assert bits(average_precision(curve, method)) == bits(
+            loop_average_precision(expected, method))
 
 
 def cap_tp(flags, total_gt):
