@@ -50,11 +50,9 @@ from .counting import (
     CountRecord,
     DensityReport,
     DensityRow,
-    PondEstimate,
     count_image,
     density_summary,
     extrapolate_pond,
-    pond_estimate,
 )
 from .growth import (
     FitResult,

@@ -42,6 +42,8 @@ BOUNDS_TOLERANCE = 1e-6
 # Stocking densities (larvae per tank) used across the rearing experiments.
 DENSITY_GROUPS = (50, 100, 150, 200, 300, 400, 500)
 
+LABEL_KINDS = ("gt", "pred")
+
 MANIFEST_COLUMNS = (
     "image_id",
     "image_path",
@@ -297,8 +299,8 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
     non-empty input line. The boxes come back as :class:`BoxColumns`, a
     sequence of :class:`LabeledBox` or :class:`ScoredBox`.
     """
-    if kind not in ("gt", "pred"):
-        raise ValueError(f"kind must be 'gt' or 'pred', got {kind!r}")
+    if kind not in LABEL_KINDS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, LABEL_KINDS))}, got {kind!r}")
     want = 5 if kind == "gt" else 6
     class_ids: list[int] = []
     boxes, scores = array("d"), array("d")

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .annotations import (
+    LABEL_KINDS,
     detect_kind,
     load_image_annotation,
     load_manifest,
@@ -45,6 +46,7 @@ from .errors import InputFileError, LarvaekitError, MissingDensity
 from .evaluation import (
     AGGREGATIONS,
     AP_METHODS,
+    GROUP_FIELDS,
     MatchConfig,
     evaluate_dataset,
     render_eval_csv,
@@ -60,6 +62,7 @@ from .growth import (
     rank_models,
 )
 from .preprocessing import (
+    ENLARGE_MODES,
     add_gaussian_noise,
     area_quantile,
     center_crop,
@@ -334,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--conf-thr", type=float, default=0.4)
     p_eval.add_argument("--aggregation", choices=AGGREGATIONS, default="global")
     p_eval.add_argument("--ap-method", choices=AP_METHODS, default="envelope")
-    p_eval.add_argument("--group-by", choices=("none", "day_label", "density_group"),
-                        default="none")
+    p_eval.add_argument("--group-by", choices=("none", *GROUP_FIELDS), default="none")
     p_eval.add_argument("--out-dir", default=".")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -354,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--threshold", type=float, help="explicit area threshold for enlarge")
     p_pre.add_argument("--quantile", type=float,
                        help="derive the enlarge threshold from this area quantile")
-    p_pre.add_argument("--mode", choices=("literal", "normalize"), default="literal")
-    p_pre.add_argument("--kind", choices=("auto", "gt", "pred"), default="auto",
+    p_pre.add_argument("--mode", choices=ENLARGE_MODES, default="literal")
+    p_pre.add_argument("--kind", choices=("auto", *LABEL_KINDS), default="auto",
                        help="label-file shape; auto sniffs the field count")
     p_pre.add_argument("--out-dir", required=True)
     p_pre.set_defaults(func=cmd_preprocess)

@@ -27,13 +27,6 @@ class CountRecord:
 
 
 @dataclass(frozen=True)
-class PondEstimate:
-    sampled_count: int
-    volume_factor: float
-    estimated_total: float
-
-
-@dataclass(frozen=True)
 class DensityRow:
     density: int
     num_images: int
@@ -77,10 +70,6 @@ def extrapolate_pond(count: int, volume_factor: float = DEFAULT_VOLUME_FACTOR) -
     if volume_factor <= 0:
         raise OutOfRange(f"volume_factor must be positive, got {volume_factor}")
     return count * volume_factor
-
-
-def pond_estimate(count: int, volume_factor: float = DEFAULT_VOLUME_FACTOR) -> PondEstimate:
-    return PondEstimate(count, volume_factor, extrapolate_pond(count, volume_factor))
 
 
 def density_summary(

@@ -183,8 +183,7 @@ def _sse(kind: GrowthModelKind, p: np.ndarray, t: np.ndarray, lengths: np.ndarra
     """(SSE, residuals, Jacobian) at ``p``."""
     values, J = _model(kind, p, t)
     r = lengths - values
-    with np.errstate(over="ignore"):
-        return float(r @ r), r, J
+    return float(r @ r), r, J
 
 
 def _damped_least_squares(
@@ -200,36 +199,38 @@ def _damped_least_squares(
     and Jacobian are kept only when the step is accepted.
     """
     p = np.asarray(p0, dtype=float)
-    best, r, J = _sse(kind, p, t, lengths)
-    history = [best]
-    lam = 1e-3
-    converged = best == 0.0
-    iterations = 0
-    while not converged and iterations < MAX_ITERATIONS:
-        iterations += 1
-        damped = J.T @ J + lam * np.eye(p.size)
-        try:
-            step = np.linalg.solve(damped, J.T @ r)
-        except np.linalg.LinAlgError:
-            raise SingularNormalEquations(
-                f"damped normal equations are singular (lambda={lam:g})"
-            ) from None
-        if not np.all(np.isfinite(step)):
-            raise SingularNormalEquations("normal-equation solve produced non-finite step")
-        trial = p + step
-        trial_sse, trial_r, trial_J = _sse(kind, trial, t, lengths)
-        if trial_sse < best:
-            rel = (best - trial_sse) / best if best > 0 else 1.0
-            p, best, r, J = trial, trial_sse, trial_r, trial_J
-            history.append(best)
-            lam = max(lam / 10.0, 1e-12)
-            if best == 0.0 or rel < REL_SSE_TOL:
-                converged = True
-        else:
-            lam *= 10.0
-            if lam > 1e12:
-                # Not even a vanishing step improves; we are stalled.
-                break
+    # Overflow is expected here: non-finite trial steps are caught and rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, r, J = _sse(kind, p, t, lengths)
+        history = [best]
+        lam = 1e-3
+        converged = best == 0.0
+        iterations = 0
+        while not converged and iterations < MAX_ITERATIONS:
+            iterations += 1
+            damped = J.T @ J + lam * np.eye(p.size)
+            try:
+                step = np.linalg.solve(damped, J.T @ r)
+            except np.linalg.LinAlgError:
+                raise SingularNormalEquations(
+                    f"damped normal equations are singular (lambda={lam:g})"
+                ) from None
+            if not np.all(np.isfinite(step)):
+                raise SingularNormalEquations("normal-equation solve produced non-finite step")
+            trial = p + step
+            trial_sse, trial_r, trial_J = _sse(kind, trial, t, lengths)
+            if trial_sse < best:
+                rel = (best - trial_sse) / best if best > 0 else 1.0
+                p, best, r, J = trial, trial_sse, trial_r, trial_J
+                history.append(best)
+                lam = max(lam / 10.0, 1e-12)
+                if best == 0.0 or rel < REL_SSE_TOL:
+                    converged = True
+            else:
+                lam *= 10.0
+                if lam > 1e12:
+                    # Not even a vanishing step improves; we are stalled.
+                    break
     return p, best, iterations, converged, history
 
 
@@ -264,24 +265,28 @@ def _initial_params(kind: GrowthModelKind, t: np.ndarray, lengths: np.ndarray) -
 
 def _log_linear_start(x: np.ndarray, lengths: np.ndarray) -> list[float]:
     """[a, b] from the regression log L = log a + b x."""
-    b0, log_a0 = np.polyfit(x, np.log(lengths), 1)
+    (b0, log_a0), _ = _fit_linear(x, np.log(lengths))
     try:
-        return [math.exp(log_a0), float(b0)]
+        return [math.exp(log_a0), b0]
     except OverflowError:
         raise NonFiniteResult(f"initial scale exp({log_a0:.6g}) overflows") from None
 
 
 def _fit_linear(t: np.ndarray, lengths: np.ndarray) -> tuple[tuple[float, float], float]:
     n = t.size
-    sx, sy = float(t.sum()), float(lengths.sum())
-    sxx, sxy = float((t * t).sum()), float((t * lengths).sum())
-    denom = n * sxx - sx * sx
-    if denom == 0.0:
-        raise SingularNormalEquations("all ages identical")
-    slope = (n * sxy - sx * sy) / denom
-    intercept = (sy - slope * sx) / n
-    residuals = lengths - (slope * t + intercept)
-    return (slope, intercept), float(residuals @ residuals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = float(t.sum()), float(lengths.sum())
+        sxx, sxy = float((t * t).sum()), float((t * lengths).sum())
+        denom = n * sxx - sx * sx
+        if denom == 0.0:
+            raise SingularNormalEquations("all ages identical")
+        slope = (n * sxy - sx * sy) / denom
+        intercept = (sy - slope * sx) / n
+        residuals = lengths - (slope * t + intercept)
+        sse = float(residuals @ residuals)
+    if not all(map(math.isfinite, (denom, slope, intercept, sse))):
+        raise NonFiniteResult("least-squares line overflows")
+    return (slope, intercept), sse
 
 
 def _total_sum_of_squares(lengths: np.ndarray) -> float:

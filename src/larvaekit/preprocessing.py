@@ -22,6 +22,8 @@ from .raster import RasterImage
 # discarded rather than kept as slivers.
 MIN_CLIPPED_AREA_FRACTION = 1e-6
 
+ENLARGE_MODES = ("literal", "normalize")
+
 # Noise and masking work on strips of at most this many samples (noise) or
 # pixels (mask), so their float64 temporaries stay a fixed size whatever
 # the frame.
@@ -124,8 +126,8 @@ def enlarge_small_boxes(
     """
     if not 0.0 < area_threshold <= 1.0:
         raise OutOfRange(f"area threshold must lie in (0, 1], got {area_threshold}")
-    if mode not in ("literal", "normalize"):
-        raise ValueError(f"mode must be 'literal' or 'normalize', got {mode!r}")
+    if mode not in ENLARGE_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, ENLARGE_MODES))}, got {mode!r}")
     columns = _columns(boxes)
     rows = columns.boxes.copy()
     grown = rows[:, 2] * rows[:, 3] < area_threshold

@@ -234,6 +234,18 @@ def rect_sum_ap(curve) -> float:
 # --- dataset-on-disk builders --------------------------------------------
 
 
+def overflowing_observations(last_age: str) -> str:
+    """The bundled stage means as CSV text, with the last age raised to ``last_age``.
+
+    At 1e200 the closed-form least-squares sums overflow, so neither the
+    linear fit nor the log-space start of the exponential fit can be
+    taken. At 2e153 the sums stay finite, but ``J.T @ J`` of the
+    exponential fit's first damped step overflows.
+    """
+    return ("age_days,length_mm\n0,1.65\n1,1.81\n3,1.93\n4,2.78\n5,3.37\n6,3.46\n"
+            f"8,4.55\n9,4.95\n12,5.75\n14,6.95\n{last_age},7.23\n")
+
+
 def solid_image(width: int, height: int, channels: int = 1, value: int = 128) -> RasterImage:
     return RasterImage(width, height, channels, bytes([value]) * (width * height * channels))
 

@@ -2,19 +2,18 @@
 
 These are measured results, not things this package can recompute: the
 detector tuning sweep and the per-density test summary require the
-trained network and the original imagery. They are bundled so regression
-tests can check our metric definitions against the recorded numbers and
-so reports have a known-good shape to compare against.
+trained network and the original imagery. They live with the tests, which
+check the metric definitions against the recorded numbers; the sweep
+table is read from ``data/`` beside this module.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
-from .evaluation import ConfusionCounts
+from larvaekit.evaluation import ConfusionCounts
 
 # Ground-truth larvae in the held-out test split every sweep row was
 # scored against (the percentage columns are consistent with this total).
@@ -62,13 +61,10 @@ DENSITY_REFERENCE = (
 )
 
 
-def _read_data(name: str) -> str:
-    return resources.files("larvaekit.data").joinpath(name).read_text()
-
-
 def load_tuning_sweep() -> tuple[SweepRow, ...]:
-    """The packaged tuning-sweep table (image size x epochs x batch)."""
-    reader = csv.DictReader(io.StringIO(_read_data("detector_tuning_sweep.csv")))
+    """The recorded tuning-sweep table (image size x epochs x batch)."""
+    text = (Path(__file__).parent / "data" / "detector_tuning_sweep.csv").read_text()
+    reader = csv.DictReader(text.splitlines())
     rows = []
     for row in reader:
         rows.append(

@@ -38,7 +38,7 @@ from larvaekit.preprocessing import (
     rotate90,
 )
 from larvaekit.raster import RasterImage
-from larvaekit.refdata import (
+from refdata import (
     DENSITY_REFERENCE,
     FINAL_RUN_COUNTS,
     TEST_SET_NUM_GT,

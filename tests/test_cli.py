@@ -24,7 +24,13 @@ from larvaekit.annotations import (
 )
 from larvaekit.raster import decode_raster, encode_raster
 
-from conftest import cell_box, grid_boxes, solid_image, write_dataset
+from conftest import (
+    cell_box,
+    grid_boxes,
+    overflowing_observations,
+    solid_image,
+    write_dataset,
+)
 
 
 # The directory holding the larvaekit this test process imported, so every
@@ -441,6 +447,16 @@ class TestFit:
         assert "would escape --out-dir" in result.stderr
         assert not (tmp_path / "evil.svg").exists()
         # refused before fits.csv, or even --out-dir, is written
+        assert not out.exists()
+
+    @pytest.mark.parametrize("last_age, models",
+                             [("1e200", "linear"), ("1e200", "all"), ("2e153", "all")])
+    def test_overflow_gives_one_error_line(self, tmp_path, last_age, models):
+        csv = tmp_path / "obs.csv"
+        csv.write_text(overflowing_observations(last_age))
+        out = tmp_path / "out"
+        # no numpy warning may reach stderr ahead of the error line
+        single_error_line(run_cli("fit", csv, "--models", models, "--out-dir", out))
         assert not out.exists()
 
 

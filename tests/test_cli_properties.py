@@ -4,6 +4,7 @@ Each example writes one fuzzed input (arbitrary bytes, or a valid file
 with a few bytes replaced, inserted or deleted) beside valid companions
 in a fresh directory and runs ``cli.main`` in-process. The exit code must
 be 0 or 1; on 1, stderr must be one ``error:`` line that names the input.
+Fixed observation CSVs whose fits overflow are run the same way.
 """
 
 import contextlib
@@ -11,13 +12,14 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from larvaekit.cli import main
 from larvaekit.growth import load_observations_csv
 from larvaekit.raster import encode_raster
 
-from conftest import solid_image
+from conftest import overflowing_observations, solid_image
 
 GT = b"0 0.5 0.5 0.2 0.2\n0 0.25 0.3 0.1 0.05\n"
 PRED = b"0 0.5 0.5 0.2 0.2 0.9\n0 0.7 0.7 0.1 0.1 0.4\n"
@@ -142,3 +144,15 @@ def test_observations_csv(data, models):
             load_observations_csv(data.decode())
             family = line.removeprefix("error: ").split(":")[0]
             assert family in ("vbgm", "gompertz", "linear", "power", "exponential"), line
+
+
+@pytest.mark.parametrize("last_age, models",
+                         [("1e200", "linear"), ("1e200", "all"), ("2e153", "all")])
+def test_overflowing_observations_in_process(tmp_path, last_age, models):
+    # In-process, a numpy RuntimeWarning is an error under the suite's filter.
+    obs = tmp_path / "obs.csv"
+    obs.write_text(overflowing_observations(last_age))
+    code, stderr = run(["fit", obs, "--models", models, "--out-dir", tmp_path / "out"])
+    assert code == 1
+    assert_clean_exit(code, stderr, "error: ")
+    assert not (tmp_path / "out").exists()

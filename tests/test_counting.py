@@ -5,12 +5,10 @@ import pytest
 
 from larvaekit.annotations import Box2D, ImageAnnotation, LabeledBox, ScoredBox
 from larvaekit.counting import (
-    DEFAULT_VOLUME_FACTOR,
     CountRecord,
     count_image,
     density_summary,
     extrapolate_pond,
-    pond_estimate,
     render_counts_csv,
     render_density_csv,
 )
@@ -99,12 +97,6 @@ class TestExtrapolatePond:
     def test_non_positive_factor_rejected(self):
         with pytest.raises(OutOfRange):
             extrapolate_pond(10, volume_factor=0.0)
-
-    def test_pond_estimate_invariant(self):
-        est = pond_estimate(37)
-        assert est.sampled_count == 37
-        assert est.volume_factor == DEFAULT_VOLUME_FACTOR
-        assert est.estimated_total == pytest.approx(37 * 16.6)
 
 
 class TestDensitySummary:
