@@ -315,8 +315,7 @@ def cmd_report(args, write) -> str:
                 raise MissingDensity(f"image '{entry.image_id}' has no density_group, "
                                      "which a density summary needs")
     evaluation = evaluate_dataset(manifest, config, root=manifest_path.parent)
-    items = [(entry.density_group, evaluation.per_image[entry.image_id]) for entry in manifest]
-    report = density_summary(items)
+    report = density_summary([(e.density_group, evaluation.per_image[e.image_id]) for e in manifest])
     csv_text = render_density_csv(report)
     write("density_report.csv", csv_text)
     decreasing = str(report.accuracy_decreases_with_density).lower()

@@ -14,7 +14,7 @@ import numpy as np
 
 from .annotations import ImageAnnotation, _columns, _csv_field
 from .errors import MissingDensity, OutOfRange
-from .evaluation import EvalReport
+from .evaluation import EvalReport, _image_mean
 
 DEFAULT_VOLUME_FACTOR = 16.6
 
@@ -69,7 +69,10 @@ def extrapolate_pond(count: int, volume_factor: float = DEFAULT_VOLUME_FACTOR) -
         raise OutOfRange(f"count must be non-negative, got {count}")
     if volume_factor <= 0:
         raise OutOfRange(f"volume_factor must be positive, got {volume_factor}")
-    return count * volume_factor
+    total = count * volume_factor
+    if not np.isfinite(total):
+        raise OutOfRange(f"pond estimate {count} * {volume_factor:g} overflows")
+    return total
 
 
 def density_summary(
@@ -78,26 +81,21 @@ def density_summary(
     """Mean counting accuracy and AP per density group.
 
     ``items`` pairs each image's density group with its evaluation
-    report. Every image must carry a group. Rows come out in ascending
-    density; the trend flag is set when mean counting accuracy strictly
-    decreases from each density to the next.
+    report. Every image must carry a group. Both means leave out images
+    without ground truth, as ``eval`` does; ``num_images`` counts them.
+    Rows come out in ascending density; the trend flag is set when mean
+    counting accuracy strictly decreases from each density to the next.
     """
     buckets: dict[int, list[EvalReport]] = {}
     for density, report in items:
         if density is None:
             raise MissingDensity("every image needs a density_group for a density summary")
         buckets.setdefault(density, []).append(report)
-    rows = []
-    for density in sorted(buckets):
-        reports = buckets[density]
-        rows.append(
-            DensityRow(
-                density=density,
-                num_images=len(reports),
-                mean_counting_accuracy=sum(r.counting_accuracy for r in reports) / len(reports),
-                mean_ap=sum(r.ap for r in reports) / len(reports),
-            )
-        )
+    rows = [
+        DensityRow(density, len(reports), _image_mean(reports, "counting_accuracy"),
+                   _image_mean(reports, "ap"))
+        for density, reports in sorted(buckets.items())
+    ]
     decreasing = len(rows) >= 2 and all(
         rows[i + 1].mean_counting_accuracy < rows[i].mean_counting_accuracy
         for i in range(len(rows) - 1)

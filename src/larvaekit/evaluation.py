@@ -279,8 +279,8 @@ class EvalReport:
     """Metrics bundle for one image, one group, or a whole dataset.
 
     ``ap`` always integrates the stored ``curve``; ``mean_image_ap`` is the
-    average of per-image APs (over images that have ground truth) and is
-    only populated on reports built from several images.
+    mean of per-image APs over the images that have ground truth (0.0 when
+    none has) and is only populated on reports built from several images.
     """
 
     num_images: int
@@ -341,20 +341,23 @@ class DatasetEvaluation:
         return report.ap
 
 
-def _report(sweeps, config: MatchConfig, image_aps: Sequence[float] | None = None) -> EvalReport:
+def _image_mean(reports: Iterable[EvalReport], name: str) -> float:
+    """Mean of ``name`` over the per-image reports with ground truth, 0.0 if none has any."""
+    values = [getattr(report, name) for report in reports if report.num_gt > 0]
+    # Added left to right: builtin sum() compensates from Python 3.12 on.
+    return reduce(add, values, 0.0) / len(values) if values else 0.0
+
+
+def _report(sweeps, config: MatchConfig, mean_image_ap: float | None = None) -> EvalReport:
     """One report over per-image ``(num_gt, sweep flags)`` pairs.
 
     Flags are pooled in the order given, which orders equal confidences
     on the curve; the counts keep those at or above the threshold.
-    ``image_aps`` (images with ground truth only) sets ``mean_image_ap``.
     """
     num_gt = sum(n for n, _ in sweeps)
     flags = [flag for _, image_flags in sweeps for flag in image_flags]
     counts = _counts([f for c, f in flags if c >= config.confidence_threshold], num_gt)
-    mean_ap = None
-    if image_aps is not None:
-        mean_ap = sum(image_aps) / len(image_aps) if image_aps else 0.0
-    return EvalReport.build(counts, num_gt, len(sweeps), flags, config.ap_method, mean_ap)
+    return EvalReport.build(counts, num_gt, len(sweeps), flags, config.ap_method, mean_image_ap)
 
 
 def evaluate_dataset(
@@ -385,8 +388,8 @@ def evaluate_dataset(
         images.append((entry, sweep, _report([sweep], config)))
 
     def pooled(members) -> EvalReport:
-        aps = [report.ap for _, _, report in members if report.num_gt > 0]
-        return _report([sweep for _, sweep, _ in members], config, aps)
+        mean_ap = _image_mean([report for _, _, report in members], "ap")
+        return _report([sweep for _, sweep, _ in members], config, mean_ap)
 
     groups: dict[str, EvalReport] = {}
     if group_by is not None:

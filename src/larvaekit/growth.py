@@ -273,18 +273,18 @@ def _log_linear_start(x: np.ndarray, lengths: np.ndarray) -> list[float]:
 
 
 def _fit_linear(t: np.ndarray, lengths: np.ndarray) -> tuple[tuple[float, float], float]:
-    n = t.size
+    # Centered sums: uncentered ones cancel for ages far from 0 with a small spread.
     with np.errstate(over="ignore", invalid="ignore"):
-        sx, sy = float(t.sum()), float(lengths.sum())
-        sxx, sxy = float((t * t).sum()), float((t * lengths).sum())
-        denom = n * sxx - sx * sx
-        if denom == 0.0:
+        t_mean, y_mean = float(t.mean()), float(lengths.mean())
+        dt = t - t_mean
+        sxx = float(dt @ dt)
+        if sxx == 0.0:
             raise SingularNormalEquations("all ages identical")
-        slope = (n * sxy - sx * sy) / denom
-        intercept = (sy - slope * sx) / n
+        slope = float(dt @ (lengths - y_mean)) / sxx
+        intercept = y_mean - slope * t_mean
         residuals = lengths - (slope * t + intercept)
         sse = float(residuals @ residuals)
-    if not all(map(math.isfinite, (denom, slope, intercept, sse))):
+    if not all(map(math.isfinite, (sxx, slope, intercept, sse))):
         raise NonFiniteResult("least-squares line overflows")
     return (slope, intercept), sse
 

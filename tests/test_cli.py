@@ -5,6 +5,7 @@ argument parsing, exit codes and the exact bytes written to --out-dir,
 not just the library calls underneath.
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import larvaekit
@@ -26,6 +28,7 @@ from larvaekit.raster import decode_raster, encode_raster
 
 from conftest import (
     cell_box,
+    crowded_instance,
     grid_boxes,
     overflowing_observations,
     solid_image,
@@ -339,6 +342,15 @@ class TestCount:
                          "--out-dir", tmp_path / "out")
         assert "predicted=5" in result.stdout
 
+    def test_overflowing_estimate_gives_one_error_line(self, tmp_path):
+        # the flag is finite, but predicted=4 times it is not
+        manifest = self.dataset(tmp_path)
+        out = tmp_path / "out"
+        line = single_error_line(run_cli("count", manifest, "--volume-factor", 1e308,
+                                         "--out-dir", out))
+        assert "overflows" in line
+        assert not out.exists()
+
     def test_nonpositive_volume_factor_is_usage_error(self, tmp_path):
         manifest = self.dataset(tmp_path)
         result = run_cli("count", manifest, "--volume-factor", 0,
@@ -486,6 +498,51 @@ class TestReport:
         )
         assert result.stdout.endswith("accuracy_strictly_decreasing=true\n")
         assert text in result.stdout
+
+    def test_image_without_gt_is_left_out_as_eval_does(self, tmp_path):
+        gt = [LabeledBox(0, cell_box(0))]
+        manifest = write_dataset(tmp_path, [
+            {"image_id": "a", "gt": gt, "pred": [ScoredBox(0, cell_box(0), 0.9)],
+             "density": 100},
+            {"image_id": "b", "pred": [ScoredBox(0, cell_box(1), 0.9)], "density": 100},
+        ])
+        report = run_cli("report", manifest, "--out-dir", tmp_path / "report")
+        assert report.returncode == 0, report.stderr
+        assert (tmp_path / "report" / "density_report.csv").read_text() == (
+            "density,num_images,mean_counting_accuracy,mean_ap\n"
+            "100,2,1.0000,1.0000\n"
+        )
+        evaluated = run_cli("eval", manifest, "--group-by", "density_group",
+                            "--aggregation", "per_image_mean", "--out-dir", tmp_path / "eval")
+        assert evaluated.returncode == 0, evaluated.stderr
+        rows = list(csv.DictReader((tmp_path / "eval" / "eval.csv").read_text().splitlines()))
+        assert [(r["group"], r["num_images"], r["ap"]) for r in rows] == [("100", "2", "1.0000")]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mean_ap_equals_eval_per_image_mean(self, tmp_path, seed):
+        """Over manifests mixing images with and without GT, every group agrees."""
+        rng = np.random.default_rng(seed)
+        images = []
+        for i in range(int(rng.integers(6, 16))):
+            gt, pred = crowded_instance(rng)
+            item = {"image_id": f"i{i}", "pred": pred[:int(rng.integers(0, len(pred) + 1))],
+                    "density": int(rng.choice([50, 100, 150, 200, 300, 400]))}
+            if rng.random() < 0.6:
+                item["gt"] = gt
+            images.append(item)
+        # 500 holds only images without GT, so its means read 0
+        images.append({"image_id": "bare", "pred": images[0]["pred"], "density": 500})
+        manifest = write_dataset(tmp_path, images)
+        report = run_cli("report", manifest, "--out-dir", tmp_path / "report")
+        assert report.returncode == 0, report.stderr
+        evaluated = run_cli("eval", manifest, "--group-by", "density_group",
+                            "--aggregation", "per_image_mean", "--out-dir", tmp_path / "eval")
+        assert evaluated.returncode == 0, evaluated.stderr
+        with open(tmp_path / "report" / "density_report.csv") as f:
+            mean_aps = {r["density"]: r["mean_ap"] for r in csv.DictReader(f)}
+        with open(tmp_path / "eval" / "eval.csv") as f:
+            assert mean_aps == {r["group"]: r["ap"] for r in csv.DictReader(f)}
+        assert mean_aps["500"] == "0.0000"
 
     def test_missing_density_group_fails(self, tmp_path):
         manifest = self.dataset(tmp_path, with_density=False)

@@ -1,5 +1,10 @@
 """Detection counting, pond extrapolation, and density summaries."""
 
+import math
+from dataclasses import replace
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
@@ -98,6 +103,12 @@ class TestExtrapolatePond:
         with pytest.raises(OutOfRange):
             extrapolate_pond(10, volume_factor=0.0)
 
+    @pytest.mark.parametrize("volume_factor", [1e308, math.nan])
+    def test_non_finite_estimate_rejected(self, volume_factor):
+        assert extrapolate_pond(1, 1e308) == 1e308
+        with pytest.raises(OutOfRange):
+            extrapolate_pond(2, volume_factor)
+
 
 class TestDensitySummary:
     def test_mean_within_group(self):
@@ -128,6 +139,25 @@ class TestDensitySummary:
 
     def test_trend_flag_needs_at_least_two_rows(self):
         assert not density_summary([(50, report(9, 1))]).accuracy_decreases_with_density
+
+    def test_images_without_gt_are_left_out_of_the_means(self):
+        # one matched box beside an image with no GT and one false positive
+        row = density_summary([(100, report(1, 0)), (100, report(0, 0, fp=1))]).rows[0]
+        assert (row.num_images, row.mean_counting_accuracy, row.mean_ap) == (2, 1.0, 1.0)
+
+    def test_group_without_gt_reads_zero(self):
+        rep = density_summary([(50, report(0, 0, fp=1)), (100, report(1, 0)),
+                               (50, report(0, 0))])
+        assert [(r.density, r.num_images, r.mean_counting_accuracy, r.mean_ap)
+                for r in rep.rows] == [(50, 2, 0.0, 0.0), (100, 1, 1.0, 1.0)]
+
+    def test_means_add_left_to_right(self):
+        # a compensated sum (builtin sum() from Python 3.12 on) rounds these differently
+        values = [1.0, 1e-16, 1e-16]
+        assert reduce(add, values, 0.0) / 3 != math.fsum(values) / 3
+        items = [(100, replace(report(1, 0), counting_accuracy=v, ap=v)) for v in values]
+        row = density_summary(items).rows[0]
+        assert row.mean_counting_accuracy == row.mean_ap == ((1.0 + 1e-16) + 1e-16) / 3
 
     def test_means_bounded_by_inputs(self):
         rng = np.random.default_rng(53)

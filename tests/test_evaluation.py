@@ -3,6 +3,8 @@
 import csv
 import io
 import random
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -544,6 +546,24 @@ class TestEvaluateDataset:
             average_precision(ev.overall.curve), abs=1e-12
         )
 
+    def test_per_image_mean_leaves_out_images_without_gt(self, tmp_path):
+        gt = [LabeledBox(0, Box2D(0.3, 0.3, 0.1, 0.1))]
+        stray = [ScoredBox(0, Box2D(0.8, 0.8, 0.05, 0.05), 0.9)]
+        images = [
+            {"image_id": "a", "gt": gt, "pred": [ScoredBox(0, gt[0].box, 0.9)], "density": 100},
+            {"image_id": "b", "pred": stray, "density": 100},
+            {"image_id": "c", "pred": stray, "density": 300},
+        ]
+        ev = evaluate_dataset(
+            load_manifest(write_dataset(tmp_path, images).read_text()),
+            MatchConfig(aggregation="per_image_mean"),
+            root=tmp_path,
+            group_by="density_group",
+        )
+        assert ev.groups["100"].mean_image_ap == ev.overall.mean_image_ap == 1.0
+        assert ev.groups["300"].mean_image_ap == 0.0
+        assert [r.num_images for r in ev.groups.values()] == [2, 1]
+
     def test_one_match_per_image_gives_thresholded_counts(self, tmp_path):
         # 0.5 is one of the generator's tied confidences, so predictions sit
         # exactly at the threshold too
@@ -594,7 +614,7 @@ class TestEvaluateDataset:
             tp, fp, fn = counts_of([(c, f) for c, f in flags if c >= 0.5], num_gt)
             aps = [ap for _, _, ap in group if ap is not None]
             return EvalReport.build(ConfusionCounts(tp, fp, fn), num_gt, len(group), flags,
-                                    "101point", sum(aps) / len(aps))
+                                    "101point", reduce(add, aps, 0.0) / len(aps))
 
         def ties_across_images(group):
             seen: set[float] = set()

@@ -188,6 +188,14 @@ class TestFitSynthetic:
         with pytest.raises(ZeroVariance):
             fit(K.LINEAR, data)
 
+    def test_linear_slope_ignores_an_age_offset(self):
+        # uncentered sums cancel to "all ages identical" for ages this far from 0
+        ages = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        lengths = [1.0, 1.3, 1.5, 1.8, 2.05]
+        far = fit(K.LINEAR, obs(ages + 1e8, lengths))
+        near = fit(K.LINEAR, obs(ages, lengths))
+        assert far.params[0] == pytest.approx(near.params[0], rel=1e-9)
+
     def test_multi_start_deterministic_and_no_worse(self, means):
         base = fit(K.GOMPERTZ, means)
         once = fit(K.GOMPERTZ, means, multi_start=True, seed=3)
