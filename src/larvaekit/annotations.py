@@ -19,7 +19,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterator, NamedTuple, Union
 
@@ -43,6 +43,10 @@ BOUNDS_TOLERANCE = 1e-6
 DENSITY_GROUPS = (50, 100, 150, 200, 300, 400, 500)
 
 LABEL_KINDS = ("gt", "pred")
+
+# A label file of at least this many lines is converted a column at a time
+# (see _parse_columns); below it the per-line loop is faster.
+_COLUMNAR_MIN_LINES = 16
 
 MANIFEST_COLUMNS = (
     "image_id",
@@ -302,10 +306,17 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
     if kind not in LABEL_KINDS:
         raise ValueError(f"kind must be {' or '.join(map(repr, LABEL_KINDS))}, got {kind!r}")
     want = 5 if kind == "gt" else 6
+    lines = text.splitlines()
+    rows = list(map(str.split, lines))
+    # A long file goes a column at a time unless a line needs the checks of
+    # the loop below, which then reads the whole file: same values, same errors.
+    if len(rows) >= _COLUMNAR_MIN_LINES:
+        columns = _parse_columns(rows, want)
+        if columns is not None:
+            return columns
     class_ids: list[int] = []
     boxes, scores = array("d"), array("d")
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
+    for line_no, (raw, fields) in enumerate(zip(lines, rows), start=1):
         if not fields:
             continue
         if len(fields) != want:
@@ -330,6 +341,38 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
     confidence = np.frombuffer(scores, dtype=np.float64) if kind == "pred" else None
     return BoxColumns(np.array(class_ids, dtype=object),
                       np.frombuffer(boxes, dtype=np.float64).reshape(-1, 4), confidence)
+
+
+def _parse_columns(rows: list[list[str]], want: int) -> BoxColumns | None:
+    """The boxes of a label file's split lines, converted a column at a time,
+    or None when any line needs ``parse_label_file``'s per-line checks: a
+    wrong field count, a field that does not convert, a negative class, a
+    box ``_box_fields`` would clamp or refuse, or a confidence outside [0, 1]."""
+    if not set(map(len, rows)) <= {0, want}:
+        return None
+    tokens = list(chain.from_iterable(rows))
+    classes = tokens[::want]
+    del tokens[::want]
+    try:
+        class_ids = list(map(int, classes))
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens)).reshape(-1, want - 1)
+    except ValueError:
+        return None
+    boxes = np.ascontiguousarray(values[:, :4])
+    half = boxes[:, 2:] / 2
+    low, high = boxes[:, :2] - half, boxes[:, :2] + half
+    # The test of _box_fields's first branch, which keeps the fields as parsed.
+    # A NaN fails it: min and max pass a NaN on, and it fails every comparison.
+    plain = (min(class_ids, default=0) >= 0 and low.min(initial=0.0) >= 0.0
+             and high.max(initial=1.0) <= 1.0 and (low < high).all()
+             and (boxes[:, 2] * boxes[:, 3] != 0.0).all())
+    confidence = None
+    if want == 6:
+        confidence = np.ascontiguousarray(values[:, 4])
+        plain = plain and confidence.min(initial=0.0) >= 0.0 and confidence.max(initial=1.0) <= 1.0
+    if not plain:
+        return None
+    return BoxColumns(np.array(class_ids, dtype=object), boxes, confidence)
 
 
 def serialize_label_file(boxes: Sequence[AnyBox]) -> str:

@@ -42,7 +42,7 @@ from .counting import (
     render_counts_csv,
     render_density_csv,
 )
-from .errors import InputFileError, LarvaekitError, MissingDensity
+from .errors import EmptyDataset, InputFileError, LarvaekitError, MissingDensity
 from .evaluation import (
     AGGREGATIONS,
     AP_METHODS,
@@ -247,6 +247,9 @@ def _preprocess_enlarge(args, write) -> str:
     threshold = args.threshold
     if threshold is None:
         rows = np.concatenate([boxes.boxes for _, boxes in parsed])
+        if not len(rows):
+            files = "label file" if len(parsed) == 1 else "label files"
+            raise EmptyDataset(f"--quantile: none of the {len(parsed)} {files} holds a box")
         threshold = area_quantile(rows, args.quantile)
     for path, boxes in parsed:
         enlarged = enlarge_small_boxes(boxes, threshold, mode=args.mode)

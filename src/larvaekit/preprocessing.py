@@ -24,9 +24,8 @@ MIN_CLIPPED_AREA_FRACTION = 1e-6
 
 ENLARGE_MODES = ("literal", "normalize")
 
-# Noise and masking work on strips of at most this many samples (noise) or
-# pixels (mask), so their float64 temporaries stay a fixed size whatever
-# the frame.
+# Noise works on strips of at most this many samples, so its float64
+# buffer stays a fixed size whatever the frame.
 _STRIP_SAMPLES = 1 << 16
 
 
@@ -78,22 +77,45 @@ def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> Ra
     Distances are measured at integer pixel coordinates (column ``x``,
     row ``y``). Applying the same mask twice is a no-op.
     """
+    if not all(map(math.isfinite, (cx, cy, radius))):
+        raise OutOfRange(f"circle ({cx}, {cy}, {radius}) is not finite")
     if radius < 0:
         raise OutOfRange(f"radius must be non-negative, got {radius}")
     arr = image.to_array().copy()
     r2 = radius * radius
-    # Tiles of at most _STRIP_SAMPLES pixels: whole rows unless a single
-    # row is wider than that.
-    cols = min(image.width, _STRIP_SAMPLES)
-    rows = max(1, _STRIP_SAMPLES // cols)
-    for x0 in range(0, image.width, cols):
-        x1 = min(x0 + cols, image.width)
-        dx2 = (np.arange(x0, x1, dtype=np.float64) - cx) ** 2
-        for y0 in range(0, image.height, rows):
-            y1 = min(y0 + rows, image.height)
-            dy2 = (np.arange(y0, y1, dtype=np.float64) - cy) ** 2
-            arr[y0:y1, x0:x1][dx2 + dy2[:, np.newaxis] > r2] = 0
+    # A square that overflows to inf still compares correctly.
+    with np.errstate(over="ignore"):
+        dx2 = (np.arange(image.width, dtype=np.float64) - cx) ** 2
+        dy2 = (np.arange(image.height, dtype=np.float64) - cy) ** 2
+        # Rounded subtraction, squaring and addition are monotone, so along a
+        # row dx2 + dy2 falls to column mid and rises after it: the pixels the
+        # test keeps form one run of columns lo..hi-1 around mid (lo > hi if none).
+        mid = int(np.argmin(dx2))
+        lo = mid + 1 - _kept_run(dx2[mid::-1], dy2, r2)
+        hi = mid + _kept_run(dx2[mid:], dy2, r2)
+    # In row-major order, zero from the end of each row's run to the start of
+    # the next row's run (these gaps overlap across a row that keeps nothing).
+    row_start = np.arange(image.height) * image.width
+    pixels = arr.reshape(-1, image.channels)
+    for gap_start, gap_stop in zip([0, *(row_start + hi).tolist()],
+                                   [*(row_start + lo).tolist(), len(pixels)]):
+        pixels[gap_start:gap_stop] = 0
     return RasterImage.from_array(arr)
+
+
+def _kept_run(dx2: np.ndarray, dy2: np.ndarray, r2: float) -> np.ndarray:
+    """For each row ``y``, how many leading columns of the non-decreasing
+    ``dx2`` pass ``circular_mask``'s test, found by bisection with that test."""
+    kept = np.zeros(len(dy2), dtype=np.intp)
+    step = 1 << (len(dx2).bit_length() - 1)
+    while step:
+        # Columns below kept pass; extend the run by step where the last of
+        # them exists and passes too.
+        probe = kept + step
+        passes = ~(dx2[np.minimum(probe, len(dx2)) - 1] + dy2 > r2)
+        kept = np.where((probe <= len(dx2)) & passes, probe, kept)
+        step >>= 1
+    return kept
 
 
 def area_quantile(boxes: Iterable[Box2D] | np.ndarray, q: float) -> float:
@@ -142,6 +164,12 @@ def enlarge_small_boxes(
     return _like(boxes, columns.derive(np.arange(len(rows)), rows, grown))
 
 
+def _noise_sd(variance: float) -> float:
+    if not 0 <= variance < math.inf:
+        raise OutOfRange(f"variance must be finite and non-negative, got {variance}")
+    return math.sqrt(variance)
+
+
 def gaussian_noise_stream(variance: float, seed: int, count: int) -> np.ndarray:
     """The exact zero-mean noise samples ``add_gaussian_noise`` draws.
 
@@ -150,10 +178,9 @@ def gaussian_noise_stream(variance: float, seed: int, count: int) -> np.ndarray:
     ``count``. ``add_gaussian_noise`` draws this same stream in strips:
     consecutive draws from one generator continue the sequence.
     """
-    if variance < 0:
-        raise OutOfRange(f"variance must be non-negative, got {variance}")
+    sd = _noise_sd(variance)
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, math.sqrt(variance), size=count)
+    return rng.normal(0.0, sd, size=count)
 
 
 def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> RasterImage:
@@ -162,17 +189,21 @@ def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> Raster
     The same ``(variance, seed)`` pair always produces the same bytes for
     the same input. ``variance=0`` returns the image unchanged.
     """
-    if variance < 0:
-        raise OutOfRange(f"variance must be non-negative, got {variance}")
+    sd = _noise_sd(variance)
     if variance == 0:
         return image
     samples = np.frombuffer(image.pixels, dtype=np.uint8)
     noisy = np.empty_like(samples)
     rng = np.random.default_rng(seed)
-    sd = math.sqrt(variance)
+    buffer = np.empty(min(_STRIP_SAMPLES, samples.size))
     for start in range(0, samples.size, _STRIP_SAMPLES):
         stop = min(start + _STRIP_SAMPLES, samples.size)
-        strip = rng.normal(0.0, sd, size=stop - start)
+        strip = buffer[: stop - start]
+        # normal(0.0, sd) draws these standard normals and returns 0.0 + sd * z,
+        # which differs from sd * z only in the sign of a zero; adding the
+        # sample erases it.
+        rng.standard_normal(out=strip)
+        strip *= sd
         strip += samples[start:stop]
         np.rint(strip, out=strip)
         np.clip(strip, 0, 255, out=strip)
@@ -189,7 +220,10 @@ def rotate90(
     maps to ``(cy, 1 - cx, h, w)``. Four applications restore the original
     scene (up to float rounding in the box centers).
     """
-    rotated = RasterImage.from_array(np.rot90(image.to_array(), k=1))
+    # Each pixel as one opaque item, so the turn moves whole pixels.
+    pixels = np.frombuffer(image.pixels, dtype=f"V{image.channels}")
+    pixels = np.rot90(pixels.reshape(image.height, image.width), k=1)
+    rotated = RasterImage(image.height, image.width, image.channels, pixels.tobytes())
     columns = _columns(boxes)
     cx, cy, w, h = columns.boxes.T
     turned = _checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1))

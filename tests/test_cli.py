@@ -293,6 +293,16 @@ class TestPreprocessEnlarge:
         assert result.returncode == 2
         assert "exactly one of --threshold or --quantile" in result.stderr
 
+    def test_quantile_over_no_boxes_names_the_flag_and_the_files(self, tmp_path):
+        (tmp_path / "a.txt").write_text("\n")
+        (tmp_path / "b.txt").write_text("")
+        out = tmp_path / "out"
+        result = run_cli("preprocess", "enlarge", tmp_path / "a.txt", tmp_path / "b.txt",
+                         "--quantile", 0.5, "--out-dir", out)
+        assert result.returncode == 1
+        assert result.stderr == "error: --quantile: none of the 2 label files holds a box\n"
+        assert not out.exists()
+
     def test_refuses_to_overwrite_inputs(self, tmp_path):
         (tmp_path / "boxes.txt").write_text(serialize_label_file(self.boxes()))
         result = run_cli("preprocess", "enlarge", tmp_path / "boxes.txt",

@@ -100,7 +100,7 @@ def test_label_file_through_enlarge(data, quantile):
         code, stderr = run(["preprocess", "enlarge", label, *flag, "--out-dir", root / "out"])
         # A quantile is taken over the boxes of every input, not one file.
         assert_clean_exit(code, stderr, f"error: {label}: ",
-                          "error: no boxes to take a quantile over\n")
+                          "error: --quantile: none of the 1 label file holds a box\n")
 
 
 @FUZZ

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from larvaekit import evaluation
+from larvaekit import annotations, evaluation
 from larvaekit.annotations import (
     DENSITY_GROUPS,
     BOUNDS_TOLERANCE,
@@ -243,6 +243,81 @@ class TestParse:
                          ScoredBox(2**64, Box2D(0.0000004, 0.5, 0.000001, 0.1), 1.0)]
         assert boxes[1] is boxes[1]
         assert serialize_label_file(boxes) == serialize_label_file(list(boxes))
+
+
+def long_label_text(rng, kind, lines, odd_share):
+    """``lines`` label lines, mostly plain in-bounds boxes; ``odd_share`` of
+    them blank, clamped, out of range, or with a bad count, field or class."""
+    width = 5 if kind == "gt" else 6
+    out = []
+    for _ in range(lines):
+        w, h = rng.uniform(1e-3, 0.2, 2).tolist()
+        cx, cy = float(rng.uniform(w / 2, 1 - w / 2)), float(rng.uniform(h / 2, 1 - h / 2))
+        fields = [str(rng.integers(0, 4)), *map(FORMATS[rng.integers(0, 3)], (cx, cy, w, h))]
+        if kind == "pred":
+            fields.append(repr(float(rng.uniform(0.0, 1.0))))
+        if rng.uniform() < odd_share:
+            odd = rng.integers(0, 9)
+            if odd == 0:
+                fields = rng.choice(["", " ", "\t"], size=1).tolist()
+            elif odd == 1:  # an edge up to BOUNDS_TOLERANCE outside: clamped
+                fields[1] = repr(w / 2 - float(rng.uniform(0, 1e-6)))
+            elif odd == 2:
+                fields[2] = repr(float(rng.choice([1.2, -0.3, 1 - h / 2 + 2e-6])))
+            elif odd == 3:
+                fields[3] = rng.choice(["0", "-0.1", "1e-300", "nan", "inf"])
+                if rng.uniform() < 0.3:  # corners apart, area underflowing to 0
+                    fields[1:5] = ["5e-171", "5e-171", "1e-170", "1e-170"]
+            elif odd == 4:
+                fields = fields[: rng.integers(1, width)] if rng.uniform() < 0.5 else fields + ["0.5"]
+            elif odd == 5:
+                fields[rng.integers(1, width)] = rng.choice(["x", "0x1", "1,5", ""])
+            elif odd == 6:
+                fields[0] = rng.choice(["-1", "1.0", "a", "+2", str(2**70)])
+            elif odd == 7 and kind == "pred":
+                fields[5] = rng.choice(["1.5", "-1e-9", "nan", "-0.0"])
+            else:
+                fields[0] = "-0"
+        out.append(rng.choice([" ", "\t", "  "]).join(fields))
+    return "".join(line + rng.choice(["\n", "\r\n", "\n", "\r"]) for line in out)
+
+
+class TestColumnarParse:
+    """Label files long enough to be converted a column at a time give what
+    the per-line parser gives: every value, or the same error on the same line."""
+
+    @pytest.mark.parametrize("kind", ["gt", "pred"])
+    def test_long_files_are_the_per_line_parser(self, kind):
+        rng = np.random.default_rng(5 if kind == "gt" else 6)
+        size_rule = annotations._COLUMNAR_MIN_LINES
+        seen = {"columnar": 0, "clamped or refused": 0, "below the rule": 0}
+        for _ in range(500):
+            lines = int(rng.integers(0, 3 * size_rule))
+            odd_share = float(rng.choice([0.0, 0.0, 0.01, 0.05, 0.3]))
+            text = long_label_text(rng, kind, lines, odd_share)
+            expected = outcome(lambda: reference_parse(text, kind))
+            parsed = outcome(lambda: parse_label_file(text, kind))
+            if not isinstance(parsed, tuple):
+                assert parsed.boxes.dtype == np.float64 and parsed.boxes.shape == (len(parsed), 4)
+                parsed = column_rows(parsed)
+            assert repr(parsed) == repr(expected), text
+            rows = list(map(str.split, text.splitlines()))
+            if len(rows) < size_rule:
+                seen["below the rule"] += 1
+            elif annotations._parse_columns(rows, 5 if kind == "gt" else 6) is None:
+                seen["clamped or refused"] += 1
+            else:
+                seen["columnar"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.sampled_from(["gt", "pred"]), texts("gt") | texts("pred")))
+    def test_every_file_through_the_columnar_pass(self, case):
+        kind, text = case
+        expected = repr(outcome(lambda: reference_parse(text, kind)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(annotations, "_COLUMNAR_MIN_LINES", 0)
+            assert repr(outcome(lambda: column_rows(parse_label_file(text, kind)))) == expected
 
 
 class TestColumns:

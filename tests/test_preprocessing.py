@@ -122,6 +122,14 @@ class TestCircularMask:
         with pytest.raises(OutOfRange):
             circular_mask(solid_image(4, 4), 2, 2, -1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("which", range(3))
+    def test_non_finite_geometry(self, which, bad):
+        circle = [1.0, 1.0, 1.0]
+        circle[which] = bad
+        with pytest.raises(OutOfRange, match="not finite"):
+            circular_mask(solid_image(4, 4), *circle)
+
 
 def box_of_area(area: float) -> Box2D:
     return Box2D(0.5, 0.5, area, 1.0)
@@ -249,6 +257,13 @@ class TestGaussianNoise:
         with pytest.raises(OutOfRange):
             add_gaussian_noise(solid_image(4, 4), -1.0, seed=0)
 
+    @pytest.mark.parametrize("variance", [float("nan"), float("inf")])
+    def test_non_finite_variance(self, variance):
+        with pytest.raises(OutOfRange, match="finite"):
+            add_gaussian_noise(solid_image(4, 4), variance, seed=1)
+        with pytest.raises(OutOfRange, match="finite"):
+            gaussian_noise_stream(variance, seed=1, count=5)
+
 
 class TestRotate90:
     def test_fixed_point_box_swaps_extents(self):
@@ -282,6 +297,15 @@ class TestRotate90:
             assert after.box.cy == pytest.approx(before.box.cy, abs=1e-9)
             assert after.box.w == pytest.approx(before.box.w, abs=1e-9)
             assert after.box.h == pytest.approx(before.box.h, abs=1e-9)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 7), (64, 3)])
+    def test_pixels_as_numpy_turns_them(self, shape, channels):
+        image = random_image((*shape, channels), seed=sum(shape) + channels)
+        rotated, _ = rotate90(image, [])
+        expected = np.rot90(image.to_array())
+        assert (rotated.height, rotated.width, rotated.channels) == expected.shape
+        assert rotated.pixels == expected.tobytes()
 
     def test_left_edge_box_lands_on_bottom_edge(self):
         box = LabeledBox(0, Box2D(0.05, 0.4, 0.1, 0.2))  # touches x = 0
@@ -368,6 +392,48 @@ class TestStripsChangeNoBytes:
             for variance in (0.01, 400.0, 1e5):
                 out = add_gaussian_noise(image, variance, seed=budget)
                 assert out.pixels == whole_frame_noise(image, variance, budget)
+
+    @pytest.mark.parametrize("shape", [(37, 41, 3), (3, preprocessing._STRIP_SAMPLES + 9, 1),
+                                       (preprocessing._STRIP_SAMPLES + 9, 1, 1), (1, 1, 3)])
+    def test_mask_seeded_circles(self, shape):
+        # Centres in and out of the frame, on and off the pixel grid, radii
+        # from 0 past the frame's diagonal; squares overflowing to inf.
+        h, w = shape[0], shape[1]
+        image = random_image(shape, seed=h + w)
+        rng = np.random.default_rng(h * w)
+        circles = [(1e200, 0.0, 1e200), (-3.0, 2.0, 1e160), (0.5, 0.5, 0.5)]
+        for _ in range(20):
+            cx = float(rng.choice([rng.uniform(-w, 2 * w), rng.integers(-2, w + 2),
+                                   rng.integers(0, w) + 0.5]))
+            cy = float(rng.choice([rng.uniform(-h, 2 * h), rng.integers(-2, h + 2),
+                                   rng.integers(0, h) + 0.5]))
+            radius = float(rng.choice([0.0, rng.uniform(0, 1.5 * np.hypot(w, h)),
+                                       rng.integers(0, max(w, h) + 1)]))
+            circles.append((cx, cy, radius))
+        for cx, cy, radius in circles:
+            out = circular_mask(image, cx, cy, radius)
+            with np.errstate(over="ignore"):
+                expected = whole_frame_mask(image, cx, cy, radius)
+            assert out.pixels == expected, (cx, cy, radius)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 999, preprocessing._STRIP_SAMPLES + 1])
+    @pytest.mark.parametrize("sd", [1e-3, 5.0, 316.2])
+    def test_scaled_standard_normals_are_the_normal_draws(self, chunk, sd):
+        # add_gaussian_noise scales standard normals in place of calling
+        # normal(0.0, sd): equal values, and equal bits once a sample is added.
+        count = 200_003
+        samples = np.random.default_rng(1).integers(0, 256, count).astype(np.float64)
+        drawn, scaled = np.random.default_rng(77), np.random.default_rng(77)
+        buffer = np.empty(chunk)
+        for start in range(0, count, chunk):
+            stop = min(start + chunk, count)
+            expected = drawn.normal(0.0, sd, size=stop - start)
+            strip = buffer[: stop - start]
+            scaled.standard_normal(out=strip)
+            strip *= sd
+            assert np.array_equal(strip, expected)
+            strip += samples[start:stop]
+            assert strip.tobytes() == (expected + samples[start:stop]).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 999, 262_144])
     def test_chunked_draws_continue_one_stream(self, chunk):
