@@ -422,6 +422,8 @@ class ImageAnnotation:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One manifest row: an image, its label files and its grouping fields."""
+
     image_id: str
     image_path: str
     gt_path: str

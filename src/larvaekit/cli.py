@@ -24,53 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .annotations import (
-    LABEL_KINDS,
-    detect_kind,
-    load_image_annotation,
-    load_manifest,
-    parse_label_file,
-    serialize_label_file,
-)
-from .chart import growth_chart_svg
-from .counting import (
-    DEFAULT_VOLUME_FACTOR,
-    count_image,
-    density_summary,
-    extrapolate_pond,
-    render_counts_csv,
-    render_density_csv,
-)
+from . import __version__, annotations, chart, counting, evaluation, growth, preprocessing, raster
 from .errors import EmptyDataset, InputFileError, LarvaekitError, MissingDensity
-from .evaluation import (
-    AGGREGATIONS,
-    AP_METHODS,
-    GROUP_FIELDS,
-    MatchConfig,
-    evaluate_dataset,
-    render_eval_csv,
-    render_pr_curve_csv,
-)
-from .growth import (
-    DISPLAY_NAMES,
-    PARAM_NAMES,
-    GrowthModelKind,
-    bundled_stage_means,
-    load_observations_csv,
-    parse_model_kind,
-    rank_models,
-)
-from .preprocessing import (
-    ENLARGE_MODES,
-    add_gaussian_noise,
-    area_quantile,
-    center_crop,
-    circular_mask,
-    enlarge_small_boxes,
-    rotate90,
-)
-from .raster import decode_raster, encode_raster
 
 
 class CommandUsageError(Exception):
@@ -161,13 +116,13 @@ def _reading(path: Path):
 
 def _load_manifest(path: Path):
     with _reading(path):
-        return load_manifest(path.read_text())
+        return annotations.load_manifest(path.read_text())
 
 
-def _match_config(args) -> MatchConfig:
+def _match_config(args) -> evaluation.MatchConfig:
     _require(0.0 < args.iou_thr < 1.0, f"--iou-thr must lie in (0, 1), got {args.iou_thr}")
     _require(0.0 <= args.conf_thr <= 1.0, f"--conf-thr must lie in [0, 1], got {args.conf_thr}")
-    return MatchConfig(
+    return evaluation.MatchConfig(
         iou_threshold=args.iou_thr,
         confidence_threshold=args.conf_thr,
         aggregation=getattr(args, "aggregation", "global"),
@@ -180,19 +135,20 @@ def cmd_eval(args, write) -> str:
     manifest_path = Path(args.manifest)
     manifest = _load_manifest(manifest_path)
     group_by = None if args.group_by == "none" else args.group_by
-    evaluation = evaluate_dataset(manifest, config, root=manifest_path.parent, group_by=group_by)
-    write("eval.csv", render_eval_csv(evaluation))
-    write("pr_curve.csv", render_pr_curve_csv(evaluation.overall.curve))
+    scored = evaluation.evaluate_dataset(manifest, config, root=manifest_path.parent,
+                                         group_by=group_by)
+    write("eval.csv", evaluation.render_eval_csv(scored))
+    write("pr_curve.csv", evaluation.render_pr_curve_csv(scored.overall.curve))
     # Summary row (always the pooled 'all' row) to stdout.
-    return render_eval_csv(replace(evaluation, group_by=None, groups={}))
+    return evaluation.render_eval_csv(replace(scored, group_by=None, groups={}))
 
 
 def _read_labels(path: Path, kind: str):
     with _reading(path):
         text = path.read_text()
         if kind == "auto":
-            kind = detect_kind(text) or "gt"
-        return parse_label_file(text, kind=kind)
+            kind = annotations.detect_kind(text) or "gt"
+        return annotations.parse_label_file(text, kind=kind)
 
 
 def cmd_preprocess(args, write) -> str:
@@ -218,19 +174,19 @@ def cmd_preprocess(args, write) -> str:
         labelled = label_path.exists()
         boxes = _read_labels(label_path, args.kind) if labelled else []
         with _reading(image_path):
-            image = decode_raster(image_path.read_bytes())
+            image = raster.decode_raster(image_path.read_bytes())
             if action == "crop":
-                image, boxes = center_crop(image, boxes, args.width, args.height)
+                image, boxes = preprocessing.center_crop(image, boxes, args.width, args.height)
             elif action == "mask":
-                image = circular_mask(image, args.cx, args.cy, args.radius)
+                image = preprocessing.circular_mask(image, args.cx, args.cy, args.radius)
             elif action == "noise":
-                image = add_gaussian_noise(image, args.variance, args.seed)
+                image = preprocessing.add_gaussian_noise(image, args.variance, args.seed)
             elif action == "rotate":
-                image, boxes = rotate90(image, boxes)
-        write(image_path.name, encode_raster(image))
+                image, boxes = preprocessing.rotate90(image, boxes)
+        write(image_path.name, raster.encode_raster(image))
         if labelled:
             with _reading(label_path):
-                write(label_path.name, serialize_label_file(boxes))
+                write(label_path.name, annotations.serialize_label_file(boxes))
     return ""
 
 
@@ -250,11 +206,11 @@ def _preprocess_enlarge(args, write) -> str:
         if not len(rows):
             files = "label file" if len(parsed) == 1 else "label files"
             raise EmptyDataset(f"--quantile: none of the {len(parsed)} {files} holds a box")
-        threshold = area_quantile(rows, args.quantile)
+        threshold = preprocessing.area_quantile(rows, args.quantile)
     for path, boxes in parsed:
-        enlarged = enlarge_small_boxes(boxes, threshold, mode=args.mode)
+        enlarged = preprocessing.enlarge_small_boxes(boxes, threshold, mode=args.mode)
         with _reading(path):
-            write(path.name, serialize_label_file(enlarged))
+            write(path.name, annotations.serialize_label_file(enlarged))
     return f"area_threshold={threshold:.9g}\n"
 
 
@@ -265,29 +221,30 @@ def cmd_count(args, write) -> str:
     manifest = _load_manifest(manifest_path)
     records = []
     for entry in manifest:
-        annotation = load_image_annotation(entry, manifest_path.parent)
-        records.append(count_image(annotation, args.conf_thr, truth_known=bool(entry.gt_path)))
-    write("counts.csv", render_counts_csv(records, args.volume_factor))
+        annotation = annotations.load_image_annotation(entry, manifest_path.parent)
+        records.append(counting.count_image(annotation, args.conf_thr,
+                                            truth_known=bool(entry.gt_path)))
+    write("counts.csv", counting.render_counts_csv(records, args.volume_factor))
     total = sum(r.predicted_count for r in records)
     return (f"images={len(records)} predicted={total} "
-            f"estimated_total={extrapolate_pond(total, args.volume_factor):.1f}\n")
+            f"estimated_total={counting.extrapolate_pond(total, args.volume_factor):.1f}\n")
 
 
 def cmd_fit(args, write) -> str:
     if args.csv is None:
-        observations = bundled_stage_means()
+        observations = growth.bundled_stage_means()
     else:
         csv_path = Path(args.csv)
         with _reading(csv_path):
-            observations = load_observations_csv(csv_path.read_text())
+            observations = growth.load_observations_csv(csv_path.read_text())
     if args.models == "all":
-        kinds = tuple(GrowthModelKind)
+        kinds = tuple(growth.GrowthModelKind)
     else:
         try:
-            kinds = tuple(parse_model_kind(name) for name in args.models.split(","))
+            kinds = tuple(growth.parse_model_kind(name) for name in args.models.split(","))
         except ValueError as err:
             raise CommandUsageError(f"--models: {err}") from None
-    ranked = rank_models(observations, kinds, multi_start=args.multi_start, seed=args.seed)
+    ranked = growth.rank_models(observations, kinds, multi_start=args.multi_start, seed=args.seed)
     for rm in ranked:
         if rm.error is not None:
             # The family name is added here only; fit errors do not carry it.
@@ -295,16 +252,16 @@ def cmd_fit(args, write) -> str:
     lines = ["model,param_names,param_values,sse,r_squared,converged\n"]
     for rm in ranked:
         result = rm.result
-        names = ";".join(PARAM_NAMES[result.kind])
+        names = ";".join(growth.PARAM_NAMES[result.kind])
         values = ";".join(f"{v:.9g}" for v in result.params)
         lines.append(
-            f"{DISPLAY_NAMES[result.kind]},{names},{values},"
+            f"{growth.DISPLAY_NAMES[result.kind]},{names},{values},"
             f"{result.sse:.9g},{result.r_squared:.9g},{str(result.converged).lower()}\n"
         )
     write("fits.csv", "".join(lines))
     if args.svg is not None:
-        write(args.svg, growth_chart_svg(observations, [rm.result for rm in ranked]))
-    return "".join(f"{place}. {DISPLAY_NAMES[rm.kind]} r_squared={rm.result.r_squared:.4f}\n"
+        write(args.svg, chart.growth_chart_svg(observations, [rm.result for rm in ranked]))
+    return "".join(f"{place}. {growth.DISPLAY_NAMES[rm.kind]} r_squared={rm.result.r_squared:.4f}\n"
                    for place, rm in enumerate(ranked, start=1))
 
 
@@ -317,9 +274,10 @@ def cmd_report(args, write) -> str:
             if entry.density_group is None:
                 raise MissingDensity(f"image '{entry.image_id}' has no density_group, "
                                      "which a density summary needs")
-    evaluation = evaluate_dataset(manifest, config, root=manifest_path.parent)
-    report = density_summary([(e.density_group, evaluation.per_image[e.image_id]) for e in manifest])
-    csv_text = render_density_csv(report)
+    scored = evaluation.evaluate_dataset(manifest, config, root=manifest_path.parent)
+    report = counting.density_summary([(e.density_group, scored.per_image[e.image_id])
+                                       for e in manifest])
+    csv_text = counting.render_density_csv(report)
     write("density_report.csv", csv_text)
     decreasing = str(report.accuracy_decreases_with_density).lower()
     return f"{csv_text}accuracy_strictly_decreasing={decreasing}\n"
@@ -337,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("manifest", help="dataset manifest CSV")
     p_eval.add_argument("--iou-thr", type=float, default=0.5)
     p_eval.add_argument("--conf-thr", type=float, default=0.4)
-    p_eval.add_argument("--aggregation", choices=AGGREGATIONS, default="global")
-    p_eval.add_argument("--ap-method", choices=AP_METHODS, default="envelope")
-    p_eval.add_argument("--group-by", choices=("none", *GROUP_FIELDS), default="none")
+    p_eval.add_argument("--aggregation", choices=evaluation.AGGREGATIONS, default="global")
+    p_eval.add_argument("--ap-method", choices=evaluation.AP_METHODS, default="envelope")
+    p_eval.add_argument("--group-by", choices=("none", *evaluation.GROUP_FIELDS), default="none")
     p_eval.add_argument("--out-dir", default=".")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -358,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--threshold", type=float, help="explicit area threshold for enlarge")
     p_pre.add_argument("--quantile", type=float,
                        help="derive the enlarge threshold from this area quantile")
-    p_pre.add_argument("--mode", choices=ENLARGE_MODES, default="literal")
-    p_pre.add_argument("--kind", choices=("auto", *LABEL_KINDS), default="auto",
+    p_pre.add_argument("--mode", choices=preprocessing.ENLARGE_MODES, default="literal")
+    p_pre.add_argument("--kind", choices=("auto", *annotations.LABEL_KINDS), default="auto",
                        help="label-file shape; auto sniffs the field count")
     p_pre.add_argument("--out-dir", required=True)
     p_pre.set_defaults(func=cmd_preprocess)
@@ -367,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count detections and extrapolate to the pond")
     p_count.add_argument("manifest")
     p_count.add_argument("--conf-thr", type=float, default=0.4)
-    p_count.add_argument("--volume-factor", type=float, default=DEFAULT_VOLUME_FACTOR)
+    p_count.add_argument("--volume-factor", type=float, default=counting.DEFAULT_VOLUME_FACTOR)
     p_count.add_argument("--out-dir", default=".")
     p_count.set_defaults(func=cmd_count)
 

@@ -21,6 +21,8 @@ DEFAULT_VOLUME_FACTOR = 16.6
 
 @dataclass(frozen=True)
 class CountRecord:
+    """Predicted count for one image, and its true count when GT is known."""
+
     image_id: str
     predicted_count: int
     true_count: int | None = None
@@ -28,6 +30,8 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class DensityRow:
+    """Per-image means over the images of one density group."""
+
     density: int
     num_images: int
     mean_counting_accuracy: float

@@ -90,6 +90,8 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class MetricSet:
+    """Scalar detection and counting metrics derived from confusion counts."""
+
     precision: float
     recall: float
     f1: float
@@ -99,6 +101,8 @@ class MetricSet:
 
 @dataclass(frozen=True)
 class PRPoint:
+    """Precision and recall at one confidence cut-off of the PR curve."""
+
     confidence: float
     precision: float
     recall: float
@@ -124,6 +128,8 @@ def iou(a: PixelBox, b: PixelBox) -> float:
 
 @dataclass(frozen=True)
 class MatchResult:
+    """Confusion counts and scored predictions from matching one image."""
+
     counts: ConfusionCounts
     # (confidence, is_tp) per retained prediction, in input order.
     scored_flags: tuple[tuple[float, bool], ...]
@@ -327,6 +333,8 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class DatasetEvaluation:
+    """Pooled, per-image and per-group reports of one evaluation run."""
+
     overall: EvalReport
     per_image: Mapping[str, EvalReport]
     config: MatchConfig

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -402,6 +402,8 @@ def rank_models(
 
 @dataclass(frozen=True)
 class StageInterval:
+    """Length range measured for one stage, with the stage's age in days."""
+
     stage: int
     age_days: float
     min_mm: float
@@ -492,5 +494,5 @@ def load_observations_csv(text: str) -> list[GrowthObservation]:
 
 def bundled_stage_means() -> list[GrowthObservation]:
     """The packaged per-stage mean lengths (11 stages, ages 0-18 days)."""
-    text = resources.files("larvaekit.data").joinpath("stage_mean_lengths.csv").read_text()
+    text = (Path(__file__).parent / "data" / "stage_mean_lengths.csv").read_text()
     return load_observations_csv(text)

@@ -100,7 +100,8 @@ def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> Ra
     for gap_start, gap_stop in zip([0, *(row_start + hi).tolist()],
                                    [*(row_start + lo).tolist(), len(pixels)]):
         pixels[gap_start:gap_stop] = 0
-    return RasterImage.from_array(arr)
+    arr.flags.writeable = False
+    return RasterImage(image.width, image.height, image.channels, arr)
 
 
 def _kept_run(dx2: np.ndarray, dy2: np.ndarray, r2: float) -> np.ndarray:
@@ -208,7 +209,8 @@ def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> Raster
         np.rint(strip, out=strip)
         np.clip(strip, 0, 255, out=strip)
         noisy[start:stop] = strip
-    return RasterImage(image.width, image.height, image.channels, noisy.tobytes())
+    noisy.flags.writeable = False
+    return RasterImage(image.width, image.height, image.channels, noisy)
 
 
 def rotate90(

@@ -21,14 +21,23 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 @dataclass(frozen=True)
 class RasterImage:
-    """Immutable 8-bit image, row-major, 1 (gray) or 3 (RGB) channels."""
+    """Immutable 8-bit image, row-major, 1 (gray) or 3 (RGB) channels.
+
+    ``pixels`` stays as given when it is ``bytes``. Any other read-only
+    C-contiguous buffer is held, uncopied, as a read-only byte ``memoryview``;
+    a writable or scattered one is copied to ``bytes``.
+    """
 
     width: int
     height: int
     channels: int
-    pixels: bytes
+    pixels: bytes | memoryview
 
     def __post_init__(self):
+        if not isinstance(self.pixels, bytes):
+            view = memoryview(self.pixels)
+            view = view.cast("B") if view.readonly and view.c_contiguous else view.tobytes()
+            object.__setattr__(self, "pixels", view)
         if self.width < 1 or self.height < 1:
             raise UnsupportedFormat(f"bad dimensions {self.width}x{self.height}")
         if self.channels not in (1, 3):
@@ -98,7 +107,7 @@ def decode_raster(data: bytes) -> RasterImage:
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise UnsupportedFormat("missing separator between header and payload")
     # RasterImage refuses a payload of any other length than the header's.
-    return RasterImage(width, height, 1 if magic == b"P5" else 3, bytes(data[pos + 1 :]))
+    return RasterImage(width, height, 1 if magic == b"P5" else 3, memoryview(data)[pos + 1 :])
 
 
 def encode_raster(image: RasterImage) -> bytes:

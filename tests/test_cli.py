@@ -41,18 +41,22 @@ from conftest import (
 PACKAGE_ROOT = str(Path(larvaekit.__file__).resolve().parent.parent)
 
 
-def run_cli(*argv, cwd=None):
+def run_python(*argv, cwd=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "larvaekit", *[str(a) for a in argv]],
+        [sys.executable, *[str(a) for a in argv]],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(*argv, cwd=None):
+    return run_python("-m", "larvaekit", *argv, cwd=cwd)
 
 
 def small_dataset(root: Path) -> Path:
@@ -809,3 +813,14 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2
+
+
+class TestImportGraph:
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        result = run_python("-c", "import sys, larvaekit\n"
+                            "print(sorted(name for name in sys.modules\n"
+                            "             if name.split('.')[0] in ('larvaekit', 'numpy')))\n"
+                            "from larvaekit import annotations, evaluation, growth\n"
+                            "print(larvaekit.__version__, evaluation.evaluate_dataset.__name__)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['larvaekit']\n0.1.0 evaluate_dataset\n"

@@ -17,7 +17,7 @@ from larvaekit.preprocessing import (
     gaussian_noise_stream,
     rotate90,
 )
-from larvaekit.raster import RasterImage
+from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 from conftest import solid_image
 
@@ -457,15 +457,20 @@ def traced_peak(fn, *args):
 
 
 class TestWorkingMemory:
-    """Noise and mask hold no whole-frame float64 arrays."""
+    """Noise and mask hold their input and one output frame, and decoding
+    holds no copy of the payload."""
 
     def frame(self):
         return random_image((1000, 1200, 3), seed=8)
 
     def test_noise_peak(self):
         image = self.frame()
-        assert traced_peak(add_gaussian_noise, image, 25.0, 7) <= 3 * len(image.pixels)
+        assert traced_peak(add_gaussian_noise, image, 25.0, 7) <= 1.5 * len(image.pixels)
 
     def test_mask_peak(self):
         image = self.frame()
-        assert traced_peak(circular_mask, image, 600.0, 500.0, 450.0) <= 3 * len(image.pixels)
+        assert traced_peak(circular_mask, image, 600.0, 500.0, 450.0) <= 1.5 * len(image.pixels)
+
+    def test_decode_peak(self):
+        data = encode_raster(self.frame())
+        assert traced_peak(decode_raster, data) <= 0.01 * len(data)
