@@ -434,19 +434,6 @@ class ManifestEntry:
     day_label: str | None
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Ordered collection of manifest entries with unique image ids."""
-
-    entries: tuple[ManifestEntry, ...]
-
-    def __iter__(self) -> Iterator[ManifestEntry]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _csv_rows(text: str, required: Sequence[str], what: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(row number, row)`` for CSV ``text``, the header being row 1.
 
@@ -472,8 +459,8 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def load_manifest(text: str) -> DatasetManifest:
-    """Parse a manifest CSV.
+def load_manifest(text: str) -> tuple[ManifestEntry, ...]:
+    """Parse a manifest CSV into its entries, in row order, with unique image ids.
 
     The header must contain all of :data:`MANIFEST_COLUMNS`; extra columns
     are ignored. ``density_group`` and ``day_label`` may be empty. A
@@ -522,7 +509,7 @@ def load_manifest(text: str) -> DatasetManifest:
                 day_label=day,
             )
         )
-    return DatasetManifest(tuple(entries))
+    return tuple(entries)
 
 
 def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> ImageAnnotation:

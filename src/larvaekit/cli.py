@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -231,12 +231,6 @@ def cmd_count(args, write) -> str:
 
 
 def cmd_fit(args, write) -> str:
-    if args.csv is None:
-        observations = growth.bundled_stage_means()
-    else:
-        csv_path = Path(args.csv)
-        with _reading(csv_path):
-            observations = growth.load_observations_csv(csv_path.read_text())
     if args.models == "all":
         kinds = tuple(growth.GrowthModelKind)
     else:
@@ -244,11 +238,19 @@ def cmd_fit(args, write) -> str:
             kinds = tuple(growth.parse_model_kind(name) for name in args.models.split(","))
         except ValueError as err:
             raise CommandUsageError(f"--models: {err}") from None
-    ranked = growth.rank_models(observations, kinds, multi_start=args.multi_start, seed=args.seed)
-    for rm in ranked:
-        if rm.error is not None:
-            # The family name is added here only; fit errors do not carry it.
-            raise LarvaekitError(f"{rm.kind.value}: {rm.error}")
+    csv_path = None if args.csv is None else Path(args.csv)
+    # Every data error, a failed family's included, names the CSV it came from.
+    with nullcontext() if csv_path is None else _reading(csv_path):
+        if csv_path is None:
+            observations = growth.bundled_stage_means()
+        else:
+            observations = growth.load_observations_csv(csv_path.read_text())
+        ranked = growth.rank_models(observations, kinds, multi_start=args.multi_start,
+                                    seed=args.seed)
+        for rm in ranked:
+            if rm.error is not None:
+                # The family name is added here only; fit errors do not carry it.
+                raise LarvaekitError(f"{rm.kind.value}: {rm.error}")
     lines = ["model,param_names,param_values,sse,r_squared,converged\n"]
     for rm in ranked:
         result = rm.result

@@ -32,8 +32,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .annotations import (
-    DatasetManifest,
     LabeledBox,
+    ManifestEntry,
     PixelBox,
     ScoredBox,
     _columns,
@@ -369,7 +369,7 @@ def _report(sweeps, config: MatchConfig, mean_image_ap: float | None = None) -> 
 
 
 def evaluate_dataset(
-    manifest: DatasetManifest,
+    manifest: Sequence[ManifestEntry],
     config: MatchConfig = MatchConfig(),
     root: Path | str = ".",
     group_by: str | None = None,

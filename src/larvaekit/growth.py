@@ -1,4 +1,4 @@
-"""Length-at-age growth models: fitting, ranking and stage lookup.
+"""Length-at-age growth models: fitting and ranking.
 
 Five families are supported (von Bertalanffy, Gompertz, linear, power,
 exponential). The nonlinear ones are fitted by a damped Gauss-Newton
@@ -395,85 +395,6 @@ def rank_models(
     )
     failed.sort(key=lambda rm: family_order[rm.kind])
     return fitted + failed
-
-
-# --- growth-stage lookup ---
-
-
-@dataclass(frozen=True)
-class StageInterval:
-    """Length range measured for one stage, with the stage's age in days."""
-
-    stage: int
-    age_days: float
-    min_mm: float
-    max_mm: float
-
-
-# Carapace-to-telson length ranges measured per stage in our rearing runs
-# (11 zoea stages, hatching to metamorphosis).
-MEASURED_STAGE_INTERVALS = (
-    StageInterval(1, 0, 1.53, 1.85),
-    StageInterval(2, 1, 1.60, 1.90),
-    StageInterval(3, 3, 1.93, 1.935),
-    StageInterval(4, 4, 2.64, 2.92),
-    StageInterval(5, 5, 3.01, 3.76),
-    StageInterval(6, 6, 3.15, 3.88),
-    StageInterval(7, 8, 4.44, 4.65),
-    StageInterval(8, 9, 4.75, 5.22),
-    StageInterval(9, 12, 5.23, 6.39),
-    StageInterval(10, 14, 6.59, 7.48),
-    StageInterval(11, 18, 6.22, 8.14),
-)
-
-# Alternate reference set: mean length ± one s.d. per stage from the
-# Uno & Kwon (1969) laboratory rearing study; ages as printed there.
-UNO_STAGE_INTERVALS = (
-    StageInterval(1, 0, 1.90, 1.94),
-    StageInterval(2, 2, 1.93, 2.05),
-    StageInterval(3, 4, 2.09, 2.19),
-    StageInterval(4, 7, 2.42, 2.58),
-    StageInterval(5, 10, 2.77, 2.91),
-    StageInterval(6, 14, 3.38, 4.12),
-    StageInterval(7, 17, 3.91, 4.21),
-    StageInterval(8, 10, 4.48, 4.88),
-    StageInterval(9, 24, 5.78, 6.36),
-    StageInterval(10, 28, 6.53, 7.57),
-    StageInterval(11, 31, 6.92, 8.54),
-)
-
-
-@dataclass(frozen=True)
-class StageLookup:
-    """Stages whose interval contains a length; nearest hint when none does."""
-
-    stages: tuple[int, ...]
-    nearest_stage: int | None = None
-
-
-def stage_for_length(
-    length_mm: float,
-    intervals: Sequence[StageInterval] = MEASURED_STAGE_INTERVALS,
-) -> StageLookup:
-    """All stages whose measured length interval contains ``length_mm``.
-
-    Intervals are treated as lower-exclusive, upper-inclusive
-    (min < L <= max): the measured ranges of consecutive stages share
-    boundary values, and a larva exactly at the shared value is still in
-    the earlier stage. When no interval contains the length, the result
-    is empty and ``nearest_stage`` points at the closest interval
-    (ties toward the earlier stage).
-    """
-    if not (math.isfinite(length_mm) and length_mm > 0):
-        raise OutOfRange(f"length_mm must be finite and positive, got {length_mm}")
-    stages = tuple(iv.stage for iv in intervals if iv.min_mm < length_mm <= iv.max_mm)
-    if stages:
-        return StageLookup(stages)
-    nearest = min(
-        intervals,
-        key=lambda iv: (max(iv.min_mm - length_mm, length_mm - iv.max_mm, 0.0), iv.stage),
-    )
-    return StageLookup((), nearest.stage)
 
 
 # --- observation CSV I/O ---

@@ -266,7 +266,7 @@ class TestManifest:
 
     def test_extra_columns_ignored(self):
         text = MANIFEST_HEADER + ",note\n" + "a,,,,10,10,,,hello\n"
-        assert load_manifest(text).entries[0].image_id == "a"
+        assert load_manifest(text)[0].image_id == "a"
 
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
@@ -306,7 +306,7 @@ class TestManifest:
 
     def test_load_annotation_missing_file_names_image(self, tmp_path):
         text = MANIFEST_HEADER + "\n" + "imgX,,missing.txt,,10,10,,\n"
-        entry = load_manifest(text).entries[0]
+        entry = load_manifest(text)[0]
         with pytest.raises(AnnotationLoadError) as err:
             load_image_annotation(entry, tmp_path)
         assert err.value.image_id == "imgX"
@@ -316,6 +316,6 @@ class TestManifest:
         (tmp_path / "g.txt").write_text("0 0.5 0.5 0.1 0.2\n")
         (tmp_path / "p.txt").write_text("0 0.5 0.5 0.1 0.2 0.9\n")
         text = MANIFEST_HEADER + "\n" + "img1,,g.txt,p.txt,100,100,,\n"
-        ann = load_image_annotation(load_manifest(text).entries[0], tmp_path)
+        ann = load_image_annotation(load_manifest(text)[0], tmp_path)
         assert len(ann.ground_truth) == 1 and len(ann.predictions) == 1
         assert ann.predictions[0].confidence == 0.9

@@ -419,20 +419,21 @@ class TestFit:
         csv.write_text("age_days,length_mm\n1,1.5\n2,2.1\n3,2.6\n")
         result = run_cli("fit", csv, "--models", "gompertz", "--out-dir", tmp_path / "out")
         assert result.returncode == 1
-        assert result.stderr.startswith("error: gompertz:")
+        assert result.stderr.startswith(f"error: {csv}: gompertz:")
 
     def test_failed_family_is_named_once(self, tmp_path):
         csv = tmp_path / "obs.csv"
         csv.write_text("age_days,length_mm\n")
         result = run_cli("fit", csv, "--models", "vbgm", "--out-dir", tmp_path / "out")
         assert result.returncode == 1
-        assert result.stderr == "error: vbgm: needs at least 4 observations, got 0\n"
+        assert result.stderr == f"error: {csv}: vbgm: needs at least 4 observations, got 0\n"
 
     def test_constant_lengths_cannot_be_ranked(self, tmp_path):
         csv = tmp_path / "obs.csv"
         csv.write_text("age_days,length_mm\n3,2.5\n")
         result = run_cli("fit", csv, "--models", "linear", "--out-dir", tmp_path / "out")
         assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {csv}: ")
         assert "cannot be ranked" in result.stderr
 
     def test_exact_linear_csv_ranks_linear_first(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Growth-model prediction, fitting, ranking, and stage lookup."""
+"""Growth-model prediction, fitting and ranking."""
 
 import math
 
@@ -15,9 +15,7 @@ from larvaekit.errors import (
     ZeroVariance,
 )
 from larvaekit.growth import (
-    MEASURED_STAGE_INTERVALS,
     PARAM_NAMES,
-    UNO_STAGE_INTERVALS,
     GrowthModelKind,
     GrowthObservation,
     _damped_least_squares,
@@ -29,7 +27,6 @@ from larvaekit.growth import (
     predict,
     r_squared,
     rank_models,
-    stage_for_length,
 )
 
 K = GrowthModelKind
@@ -390,49 +387,6 @@ class TestSolverProperties:
             result = fit(kind, means)
             values = predict(kind, result.params, grid)
             assert np.all(np.diff(values) >= -1e-9)
-
-
-class TestStageLookup:
-    def test_single_stage(self):
-        assert stage_for_length(1.60).stages == (1,)
-
-    def test_overlapping_stages(self):
-        assert stage_for_length(7.0).stages == (10, 11)
-
-    def test_below_all_stages(self):
-        lookup = stage_for_length(0.5)
-        assert lookup.stages == ()
-        assert lookup.nearest_stage == 1
-
-    def test_above_all_stages(self):
-        lookup = stage_for_length(10.0)
-        assert lookup.stages == ()
-        assert lookup.nearest_stage == 11
-
-    def test_shared_boundary_stays_in_earlier_stage(self):
-        # 1.90 is both stage-2 max and inside stage-1..2 overlap territory;
-        # the upper-inclusive rule keeps it out of any stage whose min is 1.90
-        assert 3 not in stage_for_length(1.90).stages
-        assert 2 in stage_for_length(1.90).stages
-
-    def test_exact_minimum_excluded(self):
-        # lower-exclusive: a larva exactly at a stage's minimum is not yet in it
-        lookup = stage_for_length(1.53)
-        assert lookup.stages == ()
-        assert lookup.nearest_stage == 1
-
-    def test_interval_table_shape(self):
-        assert len(MEASURED_STAGE_INTERVALS) == 11
-        assert [iv.stage for iv in MEASURED_STAGE_INTERVALS] == list(range(1, 12))
-        assert all(iv.min_mm < iv.max_mm for iv in MEASURED_STAGE_INTERVALS)
-
-    def test_alternate_reference_table(self):
-        assert len(UNO_STAGE_INTERVALS) == 11
-        assert stage_for_length(1.92, UNO_STAGE_INTERVALS).stages == (1,)
-
-    def test_non_positive_length(self):
-        with pytest.raises(OutOfRange):
-            stage_for_length(0.0)
 
 
 class TestObservationCsv:
