@@ -264,6 +264,15 @@ class TestManifest:
         assert second.density_group is None and second.day_label is None
         assert second.pred_path == ""
 
+    def test_entries_are_a_tuple_in_row_order(self):
+        text = MANIFEST_HEADER + "\n" + "b,,,,10,10,,\n" + "a,,,,10,10,,\n" + "c,,,,10,10,,\n"
+        manifest = load_manifest(text)
+        assert isinstance(manifest, tuple)
+        assert [entry.image_id for entry in manifest] == ["b", "a", "c"]
+
+    def test_header_only_is_an_empty_tuple(self):
+        assert load_manifest(MANIFEST_HEADER + "\n") == ()
+
     def test_extra_columns_ignored(self):
         text = MANIFEST_HEADER + ",note\n" + "a,,,,10,10,,,hello\n"
         assert load_manifest(text)[0].image_id == "a"

@@ -414,6 +414,45 @@ class TestFit:
         assert result.returncode == 2
         assert result.stderr.startswith("usage error: --models:")
 
+    def test_unknown_model_is_refused_before_the_csv_is_read(self, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli("fit", tmp_path / "absent.csv", "--models", "spiral", "--out-dir", out)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error: --models: unknown model 'spiral'")
+        assert not out.exists()
+
+    def test_missing_csv_names_the_file(self, tmp_path):
+        csv = tmp_path / "absent.csv"
+        line = single_error_line(run_cli("fit", csv, "--out-dir", tmp_path / "out"))
+        assert str(csv) in line
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_column_names_the_file(self, tmp_path):
+        csv = tmp_path / "obs.csv"
+        csv.write_text("age_days,length\n1,1.5\n")
+        result = run_cli("fit", csv, "--out-dir", tmp_path / "out")
+        assert single_error_line(result) == (
+            f"error: {csv}: observation CSV lacks column(s): length_mm"
+        )
+
+    def test_non_numeric_row_names_the_file_and_line(self, tmp_path):
+        csv = tmp_path / "obs.csv"
+        csv.write_text("age_days,length_mm\n1,1.5\nx,2.1\n")
+        result = run_cli("fit", csv, "--out-dir", tmp_path / "out")
+        assert single_error_line(result) == (
+            f"error: {csv}: line 3: age_days and length_mm must be numeric"
+        )
+
+    def test_one_failed_family_fails_the_run_and_writes_nothing(self, tmp_path):
+        csv = tmp_path / "obs.csv"
+        csv.write_text("age_days,length_mm\n1,1.5\n2,2.1\n3,2.6\n4,3.0\n")
+        out = tmp_path / "out"
+        result = run_cli("fit", csv, "--models", "linear,gompertz", "--svg", "chart.svg",
+                         "--out-dir", out)
+        assert single_error_line(result).startswith(f"error: {csv}: gompertz: ")
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_too_few_observations_fails_with_family_name(self, tmp_path):
         csv = tmp_path / "obs.csv"
         csv.write_text("age_days,length_mm\n1,1.5\n2,2.1\n3,2.6\n")

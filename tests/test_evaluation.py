@@ -474,6 +474,35 @@ class TestEvaluateDataset:
         assert ev.overall.counting_accuracy == 1.0
         assert (ev.overall.counts.tp, ev.overall.counts.fp, ev.overall.counts.fn) == (4, 0, 0)
 
+    def test_any_sequence_of_entries_is_accepted(self, tmp_path, confusion_fixture):
+        gt, preds = confusion_fixture
+        manifest_path = write_dataset(
+            tmp_path,
+            [
+                {"image_id": "full", "gt": gt, "pred": preds},
+                {"image_id": "empty", "gt": [], "pred": []},
+            ],
+        )
+        manifest = load_manifest(manifest_path.read_text())
+        from_tuple = evaluate_dataset(manifest, root=tmp_path)
+        from_list = evaluate_dataset(list(manifest), root=tmp_path)
+        assert from_list.overall == from_tuple.overall
+        assert from_list.per_image == from_tuple.per_image
+
+    def test_only_the_given_entries_are_evaluated(self, tmp_path, confusion_fixture):
+        gt, preds = confusion_fixture
+        manifest_path = write_dataset(
+            tmp_path,
+            [
+                {"image_id": "empty", "gt": [], "pred": []},
+                {"image_id": "full", "gt": gt, "pred": preds},
+            ],
+        )
+        ev = evaluate_dataset(load_manifest(manifest_path.read_text())[1:], root=tmp_path)
+        assert list(ev.per_image) == ["full"]
+        assert ev.overall.num_images == 1
+        assert (ev.overall.counts.tp, ev.overall.counts.fp, ev.overall.counts.fn) == (1851, 70, 72)
+
     def test_empty_second_image_changes_nothing(self, tmp_path, confusion_fixture):
         gt, preds = confusion_fixture
         manifest_path = write_dataset(

@@ -398,6 +398,11 @@ class TestObservationCsv:
     def test_stage_column_optional(self):
         assert len(load_observations_csv("age_days,length_mm\n3,1.93\n")) == 1
 
+    def test_stage_column_is_ignored(self):
+        with_stage = load_observations_csv("age_days,length_mm,stage\n0,1.65,x\n1,1.81,\n")
+        without = load_observations_csv("age_days,length_mm\n0,1.65\n1,1.81\n")
+        assert with_stage == without
+
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             load_observations_csv("age,length\n0,1.65\n")
