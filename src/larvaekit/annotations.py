@@ -25,6 +25,7 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
+from . import LABEL_KINDS
 from .errors import (
     AnnotationLoadError,
     BadDensity,
@@ -41,8 +42,6 @@ BOUNDS_TOLERANCE = 1e-6
 
 # Stocking densities (larvae per tank) used across the rearing experiments.
 DENSITY_GROUPS = (50, 100, 150, 200, 300, 400, 500)
-
-LABEL_KINDS = ("gt", "pred")
 
 # A label file of at least this many lines is converted a column at a time
 # (see _parse_columns); below it the per-line loop is faster.

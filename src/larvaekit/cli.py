@@ -15,6 +15,7 @@ flags).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import sys
@@ -22,10 +23,41 @@ from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, annotations, chart, counting, evaluation, growth, preprocessing, raster
+from . import (
+    AGGREGATIONS,
+    AP_METHODS,
+    DEFAULT_VOLUME_FACTOR,
+    ENLARGE_MODES,
+    GROUP_FIELDS,
+    LABEL_KINDS,
+    __version__,
+)
 from .errors import EmptyDataset, InputFileError, LarvaekitError, MissingDensity
+
+
+def _lazy(name: str):
+    """The library module ``name``, whose code runs on its first attribute access.
+
+    A module already imported is returned as it is, so its classes stay the
+    ones other modules hold. A new one goes into ``sys.modules`` and onto the
+    package at once, as an import would put it.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Each subcommand runs only the modules it calls; `--version`, `--help` and
+# usage errors run none of them, and no numpy.
+annotations, chart, counting, evaluation, growth, preprocessing, raster = map(
+    _lazy, ("annotations", "chart", "counting", "evaluation", "growth", "preprocessing", "raster")
+)
 
 
 class CommandUsageError(Exception):
@@ -202,6 +234,8 @@ def _preprocess_enlarge(args, write) -> str:
     parsed = [(path, _read_labels(path, args.kind)) for path in map(Path, args.inputs)]
     threshold = args.threshold
     if threshold is None:
+        import numpy as np
+
         rows = np.concatenate([boxes.boxes for _, boxes in parsed])
         if not len(rows):
             files = "label file" if len(parsed) == 1 else "label files"
@@ -297,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("manifest", help="dataset manifest CSV")
     p_eval.add_argument("--iou-thr", type=float, default=0.5)
     p_eval.add_argument("--conf-thr", type=float, default=0.4)
-    p_eval.add_argument("--aggregation", choices=evaluation.AGGREGATIONS, default="global")
-    p_eval.add_argument("--ap-method", choices=evaluation.AP_METHODS, default="envelope")
-    p_eval.add_argument("--group-by", choices=("none", *evaluation.GROUP_FIELDS), default="none")
+    p_eval.add_argument("--aggregation", choices=AGGREGATIONS, default="global")
+    p_eval.add_argument("--ap-method", choices=AP_METHODS, default="envelope")
+    p_eval.add_argument("--group-by", choices=("none", *GROUP_FIELDS), default="none")
     p_eval.add_argument("--out-dir", default=".")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -318,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--threshold", type=float, help="explicit area threshold for enlarge")
     p_pre.add_argument("--quantile", type=float,
                        help="derive the enlarge threshold from this area quantile")
-    p_pre.add_argument("--mode", choices=preprocessing.ENLARGE_MODES, default="literal")
-    p_pre.add_argument("--kind", choices=("auto", *annotations.LABEL_KINDS), default="auto",
+    p_pre.add_argument("--mode", choices=ENLARGE_MODES, default="literal")
+    p_pre.add_argument("--kind", choices=("auto", *LABEL_KINDS), default="auto",
                        help="label-file shape; auto sniffs the field count")
     p_pre.add_argument("--out-dir", required=True)
     p_pre.set_defaults(func=cmd_preprocess)
@@ -327,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count detections and extrapolate to the pond")
     p_count.add_argument("manifest")
     p_count.add_argument("--conf-thr", type=float, default=0.4)
-    p_count.add_argument("--volume-factor", type=float, default=counting.DEFAULT_VOLUME_FACTOR)
+    p_count.add_argument("--volume-factor", type=float, default=DEFAULT_VOLUME_FACTOR)
     p_count.add_argument("--out-dir", default=".")
     p_count.set_defaults(func=cmd_count)
 

@@ -8,15 +8,16 @@ rounded value rather than 100/6, and overridable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import DEFAULT_VOLUME_FACTOR
 from .annotations import ImageAnnotation, _columns, _csv_field
 from .errors import MissingDensity, OutOfRange
-from .evaluation import EvalReport, _image_mean
 
-DEFAULT_VOLUME_FACTOR = 16.6
+if TYPE_CHECKING:
+    from .evaluation import EvalReport
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,8 @@ def density_summary(
     Rows come out in ascending density; the trend flag is set when mean
     counting accuracy strictly decreases from each density to the next.
     """
+    from .evaluation import _image_mean  # only here, so `count` never loads evaluation
+
     buckets: dict[int, list[EvalReport]] = {}
     for density, report in items:
         if density is None:

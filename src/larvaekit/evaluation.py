@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import AGGREGATIONS, AP_METHODS, GROUP_FIELDS
 from .annotations import (
     LabeledBox,
     ManifestEntry,
@@ -42,10 +43,6 @@ from .annotations import (
     load_image_annotation,
 )
 from .errors import DegenerateBox, InconsistentCounts, NoGroundTruth, OutOfRange
-
-AGGREGATIONS = ("global", "per_image_mean")
-AP_METHODS = ("envelope", "101point")
-GROUP_FIELDS = ("day_label", "density_group")
 
 # Predictions per IoU block; a block holds this many rows against every
 # ground-truth box, which bounds the matcher's memory on crowded images.

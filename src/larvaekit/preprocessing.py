@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import ENLARGE_MODES
 from .annotations import AnyBox, Box2D, _box_array, _checked_boxes, _columns, _corners, _like
 from .errors import EmptyDataset, OutOfRange, TargetTooLarge
 from .raster import RasterImage
@@ -21,8 +22,6 @@ from .raster import RasterImage
 # Boxes whose clipped area falls below this fraction of the crop window are
 # discarded rather than kept as slivers.
 MIN_CLIPPED_AREA_FRACTION = 1e-6
-
-ENLARGE_MODES = ("literal", "normalize")
 
 # Noise works on strips of at most this many samples, so its float64
 # buffer stays a fixed size whatever the frame.

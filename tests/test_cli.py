@@ -6,9 +6,11 @@ not just the library calls underneath.
 """
 
 import csv
+import json
 import os
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
@@ -855,7 +857,86 @@ class TestTopLevel:
         assert result.returncode == 2
 
 
+# Runs ``python -m larvaekit`` with the arguments after ``-c``, then prints
+# one last stdout line: the larvaekit modules whose code ran, and whether
+# numpy was imported. A module that LazyLoader has registered but not yet
+# run is not a plain ModuleType, so it is left out.
+RUN_AND_LIST_MODULES = """\
+import json, runpy, sys, types
+try:
+    runpy.run_module("larvaekit", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+ran = sorted(name for name, module in sys.modules.items()
+             if name.split(".")[0] == "larvaekit" and type(module) is types.ModuleType)
+print(json.dumps({"code": code, "ran": ran, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _forget_submodules():
+    for name in [name for name in sys.modules if name.startswith("larvaekit.")]:
+        del sys.modules[name]
+    for name, value in list(vars(larvaekit).items()):
+        if isinstance(value, types.ModuleType):
+            delattr(larvaekit, name)
+
+
+@pytest.fixture
+def unloaded_submodules():
+    """No larvaekit submodule is loaded during the test; all come back after it."""
+    modules = {name: module for name, module in sys.modules.items()
+               if name.startswith("larvaekit.")}
+    bound = {name: value for name, value in vars(larvaekit).items()
+             if isinstance(value, types.ModuleType)}
+    _forget_submodules()
+    yield
+    _forget_submodules()
+    sys.modules.update(modules)
+    for name, module in bound.items():
+        setattr(larvaekit, name, module)
+
+
 class TestImportGraph:
+    @pytest.mark.parametrize("argv, library, exit_code", [
+        (["--version"], [], 0),
+        (["eval", "--help"], [], 0),
+        (["count"], [], 2),
+        (["eval", "{manifest}", "--out-dir", "out"], ["annotations", "evaluation"], 0),
+        (["report", "{manifest}", "--out-dir", "out"],
+         ["annotations", "counting", "evaluation"], 0),
+        (["count", "{manifest}", "--out-dir", "out"], ["annotations", "counting"], 0),
+        (["fit", "--svg", "chart.svg", "--out-dir", "out"], ["annotations", "chart", "growth"], 0),
+        (["preprocess", "rotate", "img.ppm", "--out-dir", "out"],
+         ["annotations", "preprocessing", "raster"], 0),
+    ], ids=["version", "help", "usage-error", "eval", "report", "count", "fit", "rotate"])
+    def test_each_command_runs_only_its_modules(self, tmp_path, argv, library, exit_code):
+        manifest = TestReport().dataset(tmp_path)
+        (tmp_path / "img.ppm").write_bytes(encode_raster(solid_image(30, 20)))
+        (tmp_path / "img.txt").write_text(
+            serialize_label_file([LabeledBox(0, Box2D(0.5, 0.5, 0.1, 0.2))])
+        )
+        argv = [arg.format(manifest=manifest) for arg in argv]
+        result = run_python("-c", RUN_AND_LIST_MODULES, *argv, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        record = json.loads(result.stdout.splitlines()[-1])
+        assert record["code"] == exit_code, result.stderr
+        assert record["ran"] == sorted(["larvaekit", "larvaekit.cli", "larvaekit.errors",
+                                        *(f"larvaekit.{name}" for name in library)])
+        assert record["numpy"] == bool(library)
+
+    def test_cli_reuses_a_module_already_loaded(self, unloaded_submodules):
+        from larvaekit.annotations import ScoredBox
+        from larvaekit import cli, evaluation
+
+        assert cli.annotations.ScoredBox is ScoredBox
+        assert evaluation.ScoredBox is ScoredBox
+
+    def test_modules_the_cli_registers_are_bound_on_the_package(self, unloaded_submodules):
+        import larvaekit.cli
+        import larvaekit.evaluation
+
+        assert larvaekit.evaluation.AGGREGATIONS is larvaekit.AGGREGATIONS
+
     def test_package_import_loads_no_submodule_and_no_numpy(self):
         result = run_python("-c", "import sys, larvaekit\n"
                             "print(sorted(name for name in sys.modules\n"
