@@ -6,6 +6,7 @@ not just the library calls underneath.
 """
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -858,18 +859,22 @@ class TestTopLevel:
 
 
 # Runs ``python -m larvaekit`` with the arguments after ``-c``, then prints
-# one last stdout line: the larvaekit modules whose code ran, and whether
-# numpy was imported. A module that LazyLoader has registered but not yet
-# run is not a plain ModuleType, so it is left out.
+# one last stdout line: the larvaekit modules whose code ran, whether numpy
+# was imported, which of ``dataclasses`` and ``inspect`` were, and how many
+# objects the exit path froze out of the collector's reach. A module that
+# LazyLoader has registered but not yet run is not a plain ModuleType, so it
+# is left out.
 RUN_AND_LIST_MODULES = """\
-import json, runpy, sys, types
+import gc, json, runpy, sys, types
 try:
     runpy.run_module("larvaekit", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
     code = exit.code
 ran = sorted(name for name, module in sys.modules.items()
              if name.split(".")[0] == "larvaekit" and type(module) is types.ModuleType)
-print(json.dumps({"code": code, "ran": ran, "numpy": "numpy" in sys.modules}))
+stdlib = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+print(json.dumps({"code": code, "ran": ran, "numpy": "numpy" in sys.modules,
+                  "stdlib": stdlib, "frozen": gc.get_freeze_count()}))
 """
 
 
@@ -923,6 +928,11 @@ class TestImportGraph:
         assert record["ran"] == sorted(["larvaekit", "larvaekit.cli", "larvaekit.errors",
                                         *(f"larvaekit.{name}" for name in library)])
         assert record["numpy"] == bool(library)
+        if not library:
+            assert record["stdlib"] == []
+        # Only a command that returns from main reaches the freeze; --version,
+        # --help and usage errors leave main by SystemExit, as before.
+        assert (record["frozen"] > 0) == bool(library)
 
     def test_cli_reuses_a_module_already_loaded(self, unloaded_submodules):
         from larvaekit.annotations import ScoredBox
@@ -945,3 +955,26 @@ class TestImportGraph:
                             "print(larvaekit.__version__, evaluation.evaluate_dataset.__name__)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "['larvaekit']\n0.1.0 evaluate_dataset\n"
+
+
+class TestExitPath:
+    def test_main_leaves_the_callers_heap_unfrozen(self, tmp_path):
+        from larvaekit import cli
+
+        frozen = gc.get_freeze_count()
+        assert cli.main(["fit", "--models", "linear", "--out-dir", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == frozen
+        assert (tmp_path / "fits.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit"],
+        ["fit", "missing.csv"],
+        ["fit", "--seed", "-1"],
+    ], ids=["ok", "error", "usage-error"])
+    def test_the_cli_module_ends_as_the_package_does(self, tmp_path, argv):
+        module = run_python("-m", "larvaekit.cli", *argv, "--out-dir", "a", cwd=tmp_path)
+        package = run_cli(*argv, "--out-dir", "b", cwd=tmp_path)
+        assert (module.returncode, module.stdout, module.stderr) == (
+            package.returncode, package.stdout, package.stderr)
+        outputs = [{p.name: p.read_bytes() for p in (tmp_path / d).glob("*")} for d in "ab"]
+        assert outputs[0] == outputs[1]
