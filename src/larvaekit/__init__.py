@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 # The choices and defaults the command line offers. They live here, in a
 # module that loads nothing, so building the parser runs no library
 # module; each library module imports the ones it checks against.
-LABEL_KINDS = ("gt", "pred")
 ENLARGE_MODES = ("literal", "normalize")
 AGGREGATIONS = ("global", "per_image_mean")
 AP_METHODS = ("envelope", "101point")

@@ -25,7 +25,6 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from . import LABEL_KINDS
 from .errors import (
     AnnotationLoadError,
     BadDensity,
@@ -39,6 +38,9 @@ from .errors import (
 # Edge coordinates may stray this far outside [0, 1] before we refuse them;
 # anything closer is treated as serialization jitter and clamped.
 BOUNDS_TOLERANCE = 1e-6
+
+# The shapes a label file can take: 5 fields a line, or 6 with a confidence.
+LABEL_KINDS = ("gt", "pred")
 
 # Stocking densities (larvae per tank) used across the rearing experiments.
 DENSITY_GROUPS = (50, 100, 150, 200, 300, 400, 500)
@@ -413,8 +415,6 @@ class ImageAnnotation:
     """Ground truth and predictions for one image."""
 
     image_id: str
-    width_px: int
-    height_px: int
     ground_truth: Sequence[LabeledBox]
     predictions: Sequence[ScoredBox]
 
@@ -524,13 +524,8 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
     for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred")):
         path = root / name
         try:
-            sides.append(parse_label_file(path.read_text(), kind=kind) if name else ())
+            sides.append(parse_label_file(path.read_text(encoding="utf-8-sig"), kind=kind)
+                         if name else ())
         except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:
             raise AnnotationLoadError(entry.image_id, err, path) from err
-    return ImageAnnotation(
-        image_id=entry.image_id,
-        width_px=entry.width_px,
-        height_px=entry.height_px,
-        ground_truth=sides[0],
-        predictions=sides[1],
-    )
+    return ImageAnnotation(entry.image_id, *sides)

@@ -29,7 +29,6 @@ from . import (
     DEFAULT_VOLUME_FACTOR,
     ENLARGE_MODES,
     GROUP_FIELDS,
-    LABEL_KINDS,
     __version__,
 )
 from .errors import EmptyDataset, InputFileError, LarvaekitError, MissingDensity
@@ -119,8 +118,7 @@ def _staged_outputs(out_dir: Path, inputs: list[Path]):
             out_dir.mkdir(parents=True, exist_ok=True)
         staged[target] = staging = target.with_name(f".{target.name}.partial")
         try:
-            with open(staging, "wb" if isinstance(data, bytes) else "w") as file:
-                file.write(data)
+            staging.write_bytes(data.encode() if isinstance(data, str) else data)
         except OSError as err:
             raise OSError(err.errno, err.strerror, str(target)) from None
 
@@ -148,22 +146,17 @@ def _reading(path: Path):
 
 def _load_manifest(path: Path):
     with _reading(path):
-        return annotations.load_manifest(path.read_text())
+        return annotations.load_manifest(path.read_text(encoding="utf-8-sig"))
 
 
-def _match_config(args) -> evaluation.MatchConfig:
+def _match_config(args, **choices) -> evaluation.MatchConfig:
     _require(0.0 < args.iou_thr < 1.0, f"--iou-thr must lie in (0, 1), got {args.iou_thr}")
     _require(0.0 <= args.conf_thr <= 1.0, f"--conf-thr must lie in [0, 1], got {args.conf_thr}")
-    return evaluation.MatchConfig(
-        iou_threshold=args.iou_thr,
-        confidence_threshold=args.conf_thr,
-        aggregation=getattr(args, "aggregation", "global"),
-        ap_method=getattr(args, "ap_method", "envelope"),
-    )
+    return evaluation.MatchConfig(args.iou_thr, args.conf_thr, **choices)
 
 
 def cmd_eval(args, write) -> str:
-    config = _match_config(args)
+    config = _match_config(args, aggregation=args.aggregation, ap_method=args.ap_method)
     manifest_path = Path(args.manifest)
     manifest = _load_manifest(manifest_path)
     group_by = None if args.group_by == "none" else args.group_by
@@ -177,12 +170,11 @@ def cmd_eval(args, write) -> str:
     return evaluation.render_eval_csv(replace(scored, group_by=None, groups={}))
 
 
-def _read_labels(path: Path, kind: str):
+def _read_labels(path: Path):
+    """The boxes of a label file, of the kind its first non-empty line shows."""
     with _reading(path):
-        text = path.read_text()
-        if kind == "auto":
-            kind = annotations.detect_kind(text) or "gt"
-        return annotations.parse_label_file(text, kind=kind)
+        text = path.read_text(encoding="utf-8-sig")
+        return annotations.parse_label_file(text, kind=annotations.detect_kind(text) or "gt")
 
 
 def cmd_preprocess(args, write) -> str:
@@ -206,7 +198,7 @@ def cmd_preprocess(args, write) -> str:
         image_path = Path(input_name)
         label_path = image_path.with_suffix(".txt")
         labelled = label_path.exists()
-        boxes = _read_labels(label_path, args.kind) if labelled else []
+        boxes = _read_labels(label_path) if labelled else []
         with _reading(image_path):
             image = raster.decode_raster(image_path.read_bytes())
             if action == "crop":
@@ -233,7 +225,7 @@ def _preprocess_enlarge(args, write) -> str:
     else:
         _require(0.0 <= args.quantile <= 1.0,
                  f"--quantile must lie in [0, 1], got {args.quantile}")
-    parsed = [(path, _read_labels(path, args.kind)) for path in map(Path, args.inputs)]
+    parsed = [(path, _read_labels(path)) for path in map(Path, args.inputs)]
     threshold = args.threshold
     if threshold is None:
         import numpy as np
@@ -280,7 +272,8 @@ def cmd_fit(args, write) -> str:
         if csv_path is None:
             observations = growth.bundled_stage_means()
         else:
-            observations = growth.load_observations_csv(csv_path.read_text())
+            observations = growth.load_observations_csv(
+                csv_path.read_text(encoding="utf-8-sig"))
         ranked = growth.rank_models(observations, kinds, multi_start=args.multi_start,
                                     seed=args.seed)
         for rm in ranked:
@@ -355,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--quantile", type=float,
                        help="derive the enlarge threshold from this area quantile")
     p_pre.add_argument("--mode", choices=ENLARGE_MODES, default="literal")
-    p_pre.add_argument("--kind", choices=("auto", *LABEL_KINDS), default="auto",
-                       help="label-file shape; auto sniffs the field count")
     p_pre.add_argument("--out-dir", required=True)
     p_pre.set_defaults(func=cmd_preprocess)
 

@@ -375,8 +375,9 @@ def evaluate_dataset(
 
     Label paths resolve against ``root``. ``group_by`` may be
     ``"day_label"`` or ``"density_group"`` to add per-group pooled
-    reports; entries missing the field fall into an ``"unlabeled"``
-    group. Pooled reports take their images in manifest order.
+    reports; entries missing the field, or whose field reads
+    ``"unlabeled"``, fall into one ``"unlabeled"`` group. Pooled reports
+    take their images in manifest order.
     """
     if group_by is not None and group_by not in GROUP_FIELDS:
         raise ValueError(f"group_by must be one of {GROUP_FIELDS} or None")
@@ -400,7 +401,9 @@ def evaluate_dataset(
     if group_by is not None:
         buckets: dict[object, list] = {}
         for image in images:
-            buckets.setdefault(getattr(image[0], group_by), []).append(image)
+            value = getattr(image[0], group_by)
+            # A day label that reads "unlabeled" joins the images without one.
+            buckets.setdefault(None if value == "unlabeled" else value, []).append(image)
         for value in sorted(buckets, key=lambda v: (v is None, "" if v is None else v)):
             groups["unlabeled" if value is None else str(value)] = pooled(buckets[value])
     return DatasetEvaluation(

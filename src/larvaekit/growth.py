@@ -415,5 +415,5 @@ def load_observations_csv(text: str) -> list[GrowthObservation]:
 
 def bundled_stage_means() -> list[GrowthObservation]:
     """The packaged per-stage mean lengths (11 stages, ages 0-18 days)."""
-    text = (Path(__file__).parent / "data" / "stage_mean_lengths.csv").read_text()
+    text = (Path(__file__).parent / "data" / "stage_mean_lengths.csv").read_text(encoding="utf-8")
     return load_observations_csv(text)

@@ -309,6 +309,10 @@ class TestManifest:
             load_manifest("\n".join(lines) + "\n")
         assert str(err.value) == f"line {line_no}: field larger than field limit (131072)"
 
+    def test_empty_image_id_is_a_malformed_line(self):
+        with pytest.raises(MalformedLine, match="^line 2: empty image_id$"):
+            load_manifest(MANIFEST_HEADER + "\n" + " ,,,,10,10,,\n")
+
     def test_nul_in_a_path_is_a_malformed_line(self):
         with pytest.raises(MalformedLine, match="^line 2: a path holds a NUL byte$"):
             load_manifest(MANIFEST_HEADER + "\n" + "a,,g\0.txt,,10,10,,\n")

@@ -44,8 +44,8 @@ from conftest import (
 PACKAGE_ROOT = str(Path(larvaekit.__file__).resolve().parent.parent)
 
 
-def run_python(*argv, cwd=None):
-    env = os.environ.copy()
+def run_python(*argv, cwd=None, env=None):
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
@@ -58,8 +58,8 @@ def run_python(*argv, cwd=None):
     )
 
 
-def run_cli(*argv, cwd=None):
-    return run_python("-m", "larvaekit", *argv, cwd=cwd)
+def run_cli(*argv, cwd=None, env=None):
+    return run_python("-m", "larvaekit", *argv, cwd=cwd, env=env)
 
 
 def small_dataset(root: Path) -> Path:
@@ -169,6 +169,23 @@ class TestEval:
         assert {line.split(",")[0] for line in lines[1:]} == {"d02", "d03"}
         # stdout keeps the pooled row even when the file is grouped
         assert result.stdout.splitlines()[1].startswith("all,2,2,")
+
+    def test_group_by_day_counts_every_image(self, tmp_path):
+        # A day that reads "unlabeled" and a missing day share one row.
+        gt = [LabeledBox(0, cell_box(0))]
+        pred = [ScoredBox(0, cell_box(0), 0.9)]
+        manifest = write_dataset(tmp_path, [
+            {"image_id": "a", "gt": gt, "pred": pred, "day": "unlabeled"},
+            {"image_id": "b", "gt": gt, "pred": []},
+            {"image_id": "c", "gt": gt, "pred": pred, "day": "d1"},
+        ])
+        out = tmp_path / "out"
+        result = run_cli("eval", manifest, "--group-by", "day_label", "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        rows = list(csv.DictReader((out / "eval.csv").read_text().splitlines()))
+        assert [row["group"] for row in rows] == ["d1", "unlabeled"]
+        assert sum(int(row["num_images"]) for row in rows) == 3
+        assert rows[1]["num_images"] == "2" and rows[1]["tp"] == "1"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         manifest = small_dataset(tmp_path)
@@ -688,6 +705,82 @@ class TestInputErrors:
         line = single_error_line(run_cli("preprocess", *argv, "--out-dir", out))
         assert line.startswith(f"error: {label}: box ")
         assert not out.exists()
+
+
+# A child whose locale encoding is ASCII: no coercion to C.UTF-8, no UTF-8 mode.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def preprocess_argv(root: Path, action: str) -> list:
+    """A ``preprocess`` run over one frame and its sibling label file in ``root``."""
+    (root / "img.ppm").write_bytes(encode_raster(solid_image(30, 20)))
+    (root / "img.txt").write_text(serialize_label_file([LabeledBox(0, cell_box(0))]))
+    flags = {
+        "crop": ["--width", 20, "--height", 10],
+        "mask": ["--cx", 5, "--cy", 5, "--radius", 3],
+        "noise": ["--variance", 4, "--seed", 1],
+        "rotate": [],
+        "enlarge": ["--threshold", 0.5],
+    }[action]
+    source = root / ("img.txt" if action == "enlarge" else "img.ppm")
+    return ["preprocess", action, source, *flags]
+
+
+class TestTextEncoding:
+    """Every text file is read and written as UTF-8, whatever the locale."""
+
+    @pytest.mark.parametrize("argv", [["count"], ["eval", "--group-by", "day_label"]],
+                             ids=["count", "eval"])
+    def test_ascii_locale_gives_the_utf8_bytes(self, tmp_path, argv):
+        (tmp_path / "gt.txt").write_text(serialize_label_file([LabeledBox(0, cell_box(0))]))
+        (tmp_path / "pred.txt").write_text(serialize_label_file([ScoredBox(0, cell_box(0), 0.9)]))
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(
+            "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
+            "larva_\u00e9,,gt.txt,pred.txt,10,10,,d\u00eda_1\n"
+            "larva_\u4e00,,gt.txt,,10,10,,\u00e9t\u00e9\n".encode())
+        runs = []
+        for out, env in ((tmp_path / "utf8", None), (tmp_path / "ascii", ASCII_LOCALE)):
+            result = run_cli(*argv[:1], manifest, *argv[1:], "--out-dir", out, env=env)
+            assert result.returncode == 0, result.stderr
+            runs.append((result.stdout, tree(out)))
+        assert runs[0] == runs[1]
+        assert "\u00e9".encode() in b"".join(runs[1][1].values())
+
+    @pytest.mark.parametrize("command", ["eval", "rotate"])
+    def test_label_file_with_byte_order_mark_gives_the_same_bytes(self, tmp_path, command):
+        runs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            root = tmp_path / name
+            root.mkdir()
+            if command == "eval":
+                argv = ["eval", small_dataset(root)]
+                label = root / "a_gt.txt"
+            else:
+                argv = preprocess_argv(root, "rotate")
+                label = root / "img.txt"
+            label.write_bytes(prefix + label.read_bytes())
+            result = run_cli(*argv, "--out-dir", root / "out")
+            assert result.returncode == 0, result.stderr
+            runs.append((result.stdout, tree(root / "out")))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command", ["eval", "report", "count", "fit", "fit-csv",
+                                         "crop", "mask", "noise", "rotate", "enlarge"])
+    def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path, command):
+        # PEP 597: an open() without an encoding warns, and the warning fails the run.
+        if command in ("eval", "report", "count"):
+            argv = [command, TestReport().dataset(tmp_path)]
+        elif command == "fit":
+            argv = ["fit", "--svg", "chart.svg"]
+        elif command == "fit-csv":
+            (tmp_path / "obs.csv").write_text("age_days,length_mm\n0,1.5\n1,1.8\n2,2.2\n3,2.4\n")
+            argv = ["fit", tmp_path / "obs.csv", "--models", "linear"]
+        else:
+            argv = preprocess_argv(tmp_path, command)
+        result = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                            "-m", "larvaekit", *argv, "--out-dir", tmp_path / "out")
+        assert result.returncode == 0, result.stderr
 
 
 def tree(root: Path) -> dict:

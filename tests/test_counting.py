@@ -25,8 +25,6 @@ def annotation(confidences, gt_n: int = 0) -> ImageAnnotation:
     box = Box2D(0.5, 0.5, 0.1, 0.1)
     return ImageAnnotation(
         image_id="img",
-        width_px=100,
-        height_px=100,
         ground_truth=tuple(LabeledBox(0, box) for _ in range(gt_n)),
         predictions=tuple(ScoredBox(0, box, c) for c in confidences),
     )

@@ -111,6 +111,10 @@ class TestMatchConfig:
         with pytest.raises(ValueError):
             MatchConfig(aggregation="median")
 
+    def test_bad_ap_method(self):
+        with pytest.raises(ValueError, match="^ap_method must be one of"):
+            MatchConfig(ap_method="11point")
+
 
 class TestMatchDetections:
     def test_duplicate_predictions_split_tp_fp(self):

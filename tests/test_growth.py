@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from larvaekit import growth
+from larvaekit.chart import growth_chart_svg
 from larvaekit.errors import (
+    EmptyDataset,
     InsufficientData,
     MalformedLine,
     MissingColumn,
@@ -179,6 +181,15 @@ class TestFitSynthetic:
         data = obs([3, 3, 3], [1.5, 1.8, 2.0])
         with pytest.raises(InsufficientData):
             fit(K.LINEAR, data)
+
+    def test_power_needs_two_distinct_positive_ages(self):
+        data = obs([0, 0, 5], [1.5, 1.8, 2.0])
+        with pytest.raises(InsufficientData, match="two distinct positive ages"):
+            fit(K.POWER, data)
+
+    def test_chart_needs_observations(self):
+        with pytest.raises(EmptyDataset, match="^nothing to plot$"):
+            growth_chart_svg([], [])
 
     def test_constant_lengths(self):
         data = obs([0, 1, 2, 3], [2.0, 2.0, 2.0, 2.0])

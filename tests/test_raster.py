@@ -21,6 +21,15 @@ class TestRasterImage:
         with pytest.raises(UnsupportedFormat):
             RasterImage(0, 2, 1, b"")
 
+    @pytest.mark.parametrize("arr, message", [
+        (np.zeros((2, 2), dtype=np.uint16), "expected uint8 samples, got uint16"),
+        (np.zeros((2, 2, 2), dtype=np.uint8), r"bad array shape \(2, 2, 2\)"),
+        (np.zeros(4, dtype=np.uint8), r"bad array shape \(4,\)"),
+    ], ids=["uint16", "two-channels", "flat"])
+    def test_from_array_refuses_other_samples_and_shapes(self, arr, message):
+        with pytest.raises(UnsupportedFormat, match=f"^{message}$"):
+            RasterImage.from_array(arr)
+
     def test_array_round_trip_gray(self):
         img = RasterImage(3, 2, 1, bytes(range(6)))
         arr = img.to_array()
@@ -53,6 +62,15 @@ class TestDecode:
     def test_wrong_magic(self):
         with pytest.raises(UnsupportedFormat):
             decode_raster(b"P3\n2 2\n255\n" + bytes(12))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n0 2\n255\n", "bad dimensions 0x2"),
+        (b"P5\n2 0\n255\n", "bad dimensions 2x0"),
+        (b"P5\n1 1\n255", "missing separator between header and payload"),
+    ], ids=["zero-width", "zero-height", "no-separator"])
+    def test_bad_header_is_refused(self, data, message):
+        with pytest.raises(UnsupportedFormat, match=f"^{message}$"):
+            decode_raster(data)
 
     def test_maxval_must_be_255(self):
         with pytest.raises(MaxvalNot255):
