@@ -1,0 +1,187 @@
+"""Golden output digests: the bytes every subcommand writes, on small seeded inputs.
+
+``build_inputs`` writes a manifest with label files, frames, label files
+for ``enlarge`` and an observations CSV, all from fixed seeds and literal
+text (nothing is downloaded). Each entry of ``CASES`` is one command line;
+``run_case`` runs it in process through ``cli.main`` and returns the
+sha256 of its stdout and of every file it wrote to its ``--out-dir``.
+``tests/test_golden.py`` re-runs every case and requires the digests
+recorded in ``data/golden_digests.json``.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/golden.py          # print the digests as JSON
+    PYTHONPATH=src python tests/golden.py --write  # record them
+
+Update rule: the recorded file changes only together with an argued
+behaviour change, which regenerates it with ``--write`` and says so in
+CHANGES.md. A refactor or a speed-up leaves it as it is; a digest that
+moves under one is a bug in the change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+from larvaekit import AGGREGATIONS, AP_METHODS, GROUP_FIELDS, cli
+from larvaekit.annotations import serialize_label_file
+from larvaekit.raster import RasterImage, encode_raster
+
+from conftest import crowded_instance
+
+DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
+
+MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
+
+# (image id, has gt, has predictions, density group, day label). The ids and
+# day labels are not all ASCII; a day label of "unlabeled" shares the row of
+# the images without one.
+IMAGES = (
+    ("larva_é", True, True, 50, "día_1"),
+    ("幼虫_2", True, True, 50, "día_1"),
+    ("c3", True, True, 100, "unlabeled"),
+    ("c4", True, True, 100, ""),
+    ("no_gt", False, True, 200, "día_2"),
+    ("no_pred", True, False, 200, "día_2"),
+)
+
+# Ground truth for the frames. The first box pokes 5e-7 past the left edge,
+# so parsing clamps it; it also lies outside the crop window.
+FRAME_GT = (
+    "0 0.050000 0.500000 0.100001 0.200000\n"
+    "0 0.500000 0.500000 0.300000 0.250000\n"
+    "1 0.700000 0.300000 0.120000 0.400000\n"
+)
+FRAME_PRED = (
+    "0 0.480000 0.520000 0.280000 0.260000 0.910000\n"
+    "0 0.200000 0.800000 0.050000 0.050000 0.350000\n"
+)
+
+ENLARGE_GT = (
+    "0 0.100000 0.100000 0.010000 0.020000\n"
+    "0 0.500000 0.500000 0.200000 0.100000\n"
+    "0 0.995000 0.500000 0.008000 0.004000\n"
+)
+ENLARGE_PRED = (
+    "0 0.300000 0.700000 0.030000 0.010000 0.800000\n"
+    "0 0.600000 0.200000 0.002000 0.003000 0.100000\n"
+)
+
+
+def build_inputs(root: Path) -> None:
+    """Write every input the cases read into ``root``."""
+    rng = np.random.default_rng(2024)
+    rows = [MANIFEST_HEADER]
+    for n, (image_id, has_gt, has_pred, density, day) in enumerate(IMAGES):
+        gt, pred = crowded_instance(rng)
+        gt_path = f"img{n}_gt.txt" if has_gt else ""
+        pred_path = f"img{n}_pred.txt" if has_pred else ""
+        if has_gt:
+            (root / gt_path).write_bytes(serialize_label_file(gt).encode())
+        if has_pred:
+            (root / pred_path).write_bytes(serialize_label_file(pred).encode())
+        rows.append(f"{image_id},,{gt_path},{pred_path},640,480,{density},{day}\n")
+    (root / "manifest.csv").write_bytes("".join(rows).encode())
+
+    rgb = rng.integers(0, 256, size=(36, 48, 3), dtype=np.uint8)
+    gray = rng.integers(0, 256, size=(30, 40), dtype=np.uint8)
+    (root / "frame.ppm").write_bytes(encode_raster(RasterImage.from_array(rgb)))
+    (root / "frame.txt").write_bytes(FRAME_GT.encode())
+    (root / "gray.pgm").write_bytes(encode_raster(RasterImage.from_array(gray)))
+    (root / "gray.txt").write_bytes(FRAME_PRED.encode())
+    (root / "small_gt.txt").write_bytes(ENLARGE_GT.encode())
+    (root / "small_pred.txt").write_bytes(ENLARGE_PRED.encode())
+
+    ages = np.arange(0.0, 19.0, 1.5)
+    lengths = 20.0 * (1.0 - np.exp(-0.1 * (ages + 1.0))) + rng.normal(0.0, 0.15, ages.size)
+    (root / "obs.csv").write_bytes(("age_days,length_mm\n" + "".join(
+        f"{a:g},{v:.3f}\n" for a, v in zip(ages, lengths))).encode())
+
+
+def _cases() -> dict[str, list[str]]:
+    # "{root}" stands for the directory build_inputs wrote.
+    manifest = "{root}/manifest.csv"
+    cases = {
+        f"eval-{aggregation}-{ap}-{group}": [
+            "eval", manifest, "--aggregation", aggregation, "--ap-method", ap,
+            "--group-by", group]
+        for aggregation in AGGREGATIONS
+        for ap in AP_METHODS
+        for group in ("none", *GROUP_FIELDS)
+    }
+    frames = ["{root}/frame.ppm", "{root}/gray.pgm"]
+    labels = ["{root}/small_gt.txt", "{root}/small_pred.txt", "{root}/frame.txt"]
+    cases.update({
+        "report": ["report", manifest],
+        "count": ["count", manifest],
+        "count-flags": ["count", manifest, "--conf-thr", "0.6", "--volume-factor", "20"],
+        "fit": ["fit"],
+        "fit-multi-start-svg": ["fit", "--multi-start", "--svg", "growth.svg"],
+        "fit-csv": ["fit", "{root}/obs.csv"],
+        "fit-csv-multi-start-svg": ["fit", "{root}/obs.csv", "--multi-start", "--seed", "3",
+                                    "--svg", "growth.svg"],
+        "crop": ["preprocess", "crop", *frames, "--width", "30", "--height", "20"],
+        "mask": ["preprocess", "mask", *frames, "--cx", "20", "--cy", "15", "--radius", "12.5"],
+        "rotate": ["preprocess", "rotate", *frames],
+        "noise-seed-1": ["preprocess", "noise", *frames, "--variance", "16", "--seed", "1"],
+        "noise-seed-2": ["preprocess", "noise", *frames, "--variance", "16", "--seed", "2"],
+    })
+    for mode in ("literal", "normalize"):
+        cases[f"enlarge-threshold-{mode}"] = [
+            "preprocess", "enlarge", *labels, "--threshold", "0.0004", "--mode", mode]
+        cases[f"enlarge-quantile-{mode}"] = [
+            "preprocess", "enlarge", *labels, "--quantile", "0.5", "--mode", mode]
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(root: Path, name: str) -> dict[str, str]:
+    """Run case ``name`` on the inputs in ``root``; the digest of each output."""
+    out = root / "out" / name
+    argv = [arg.format(root=root) for arg in CASES[name]] + ["--out-dir", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        status = cli.main(argv)
+    if status != 0:
+        raise RuntimeError(f"{name} exited {status}: {stderr.getvalue()}")
+    digests = {"stdout": _sha256(stdout.getvalue().encode())}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digests[path.relative_to(out).as_posix()] = _sha256(path.read_bytes())
+    return digests
+
+
+def all_digests() -> dict[str, dict[str, str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        build_inputs(root)
+        return {name: run_case(root, name) for name in CASES}
+
+
+def main(argv: list[str]) -> int:
+    text = json.dumps(all_digests(), indent=1, sort_keys=True) + "\n"
+    if argv == ["--write"]:
+        DIGESTS.write_bytes(text.encode())
+    elif argv:
+        print("usage: golden.py [--write]", file=sys.stderr)
+        return 2
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
