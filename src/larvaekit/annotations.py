@@ -19,9 +19,9 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def _box_fields(cx: float, cy: float, w: float, h: float) -> tuple[float, float,
         x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
         y1, y2 = min(max(y1, 0.0), 1.0), min(max(y2, 0.0), 1.0)
         cx, cy, w, h = (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1
-    # The corners as to_absolute(box, 1, 1) computes them from the final fields.
+    # The corners of the final fields, as _corners computes them.
     x1, x2 = cx - w / 2, cx + w / 2
     y1, y2 = cy - h / 2, cy + h / 2
     if x2 <= x1 or y2 <= y1 or w * h == 0.0:
@@ -146,43 +146,9 @@ class ScoredBox:
 AnyBox = Union[LabeledBox, ScoredBox]
 
 
-class PixelBox(NamedTuple):
-    """Box corners in absolute pixel coordinates (x right, y down)."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    @property
-    def area(self) -> float:
-        return max(0.0, self.x_max - self.x_min) * max(0.0, self.y_max - self.y_min)
-
-
-def to_absolute(box: Box2D, width_px: int, height_px: int) -> PixelBox:
-    """Convert a normalized box to pixel-space corners."""
-    return PixelBox(
-        (box.cx - box.w / 2) * width_px,
-        (box.cy - box.h / 2) * height_px,
-        (box.cx + box.w / 2) * width_px,
-        (box.cy + box.h / 2) * height_px,
-    )
-
-
-def to_normalized(pixel_box: PixelBox, width_px: int, height_px: int) -> Box2D:
-    """Convert pixel-space corners back to a normalized center/extent box."""
-    x1, y1, x2, y2 = pixel_box
-    return Box2D(
-        (x1 + x2) / (2 * width_px),
-        (y1 + y2) / (2 * height_px),
-        (x2 - x1) / width_px,
-        (y2 - y1) / height_px,
-    )
-
-
 def _corners(boxes: np.ndarray) -> np.ndarray:
-    """(n, 4) corners ``x1, y1, x2, y2`` of ``cx, cy, w, h`` rows, as
-    ``to_absolute(box, 1, 1)`` gives them."""
+    """(n, 4) unit-square corners ``cx - w/2, cy - h/2, cx + w/2, cy + h/2``
+    of ``cx, cy, w, h`` rows."""
     center, half = boxes[:, :2], boxes[:, 2:] / 2
     return np.concatenate((center - half, center + half), axis=1)
 
@@ -380,12 +346,15 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
     """Render boxes back to label-file text, six decimals, LF endings.
 
     Raises :class:`DegenerateBox` for a box whose width or height rounds to
-    ``0.000000``, since that line could not be parsed back.
+    ``0.000000``, since that line could not be parsed back, and
+    ``ValueError`` for a sequence that mixes :class:`LabeledBox` and
+    :class:`ScoredBox` items, since no kind parses such a file.
     """
     if not isinstance(boxes, BoxColumns):
-        # Each run of one item kind as columns.
-        return "".join(serialize_label_file(_columns(list(run)))
-                       for _, run in groupby(boxes, lambda item: isinstance(item, ScoredBox)))
+        items = list(boxes)
+        if len({isinstance(item, ScoredBox) for item in items}) > 1:
+            raise ValueError("boxes mix ground truth and predictions; a label file holds one kind")
+        boxes = _columns(items)
     rows = boxes.boxes
     # Only an extent below 1e-6 can print as 0.000000.
     for row in rows[(rows[:, 2:] < 1e-6).any(axis=1)].tolist():

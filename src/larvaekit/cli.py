@@ -401,12 +401,17 @@ def main(argv=None) -> int:
 def run():
     """Run ``main`` as a process and exit with its status; never returns.
 
-    Every entry point ends here. The process frees what the command leaves
+    Every entry point ends here. Stdout and stderr write UTF-8 whatever the
+    locale, as the output files do. The process frees what the command leaves
     behind when it exits, so the heap is frozen first, and the collector's
     exit passes skip the objects numpy and the command made. Stdio is still
-    flushed and ``atexit`` handlers still run. ``main`` itself never freezes
-    the caller's heap.
+    flushed and ``atexit`` handlers still run. ``main`` itself neither
+    re-encodes the caller's streams nor freezes its heap.
     """
+    for stream in (sys.stdout, sys.stderr):
+        # None when the stream was closed at start-up; each keeps its error handler.
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     status = main()
     gc.freeze()
     sys.exit(status)

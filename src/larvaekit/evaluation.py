@@ -35,14 +35,13 @@ from . import AGGREGATIONS, AP_METHODS, GROUP_FIELDS
 from .annotations import (
     LabeledBox,
     ManifestEntry,
-    PixelBox,
     ScoredBox,
     _columns,
     _corners,
     _csv_field,
     load_image_annotation,
 )
-from .errors import DegenerateBox, InconsistentCounts, NoGroundTruth, OutOfRange
+from .errors import InconsistentCounts, NoGroundTruth, OutOfRange
 
 # Predictions per IoU block; a block holds this many rows against every
 # ground-truth box, which bounds the matcher's memory on crowded images.
@@ -105,24 +104,6 @@ class PRPoint:
     recall: float
 
 
-def _require_extent(box: PixelBox) -> None:
-    if box.x_max <= box.x_min or box.y_max <= box.y_min:
-        raise DegenerateBox(f"box {tuple(box)} has non-positive extent")
-
-
-def iou(a: PixelBox, b: PixelBox) -> float:
-    """Intersection-over-union of two corner-form boxes."""
-    _require_extent(a)
-    _require_extent(b)
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    # An intersection that underflows to 0 scores 0, as in _iou_block.
-    return inter / (a.area + b.area - inter) if inter > 0.0 else 0.0
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """Confusion counts and scored predictions from matching one image."""
@@ -133,7 +114,8 @@ class MatchResult:
 
 
 def _iou_block(pred: np.ndarray, gt: np.ndarray, gt_area: np.ndarray) -> np.ndarray:
-    """IoU of each ``pred`` row against every ``gt`` row, bit-equal to :func:`iou`."""
+    """IoU of each ``pred`` row against every ``gt`` row of ``x1, y1, x2, y2`` corners:
+    ``inter / (pred_area + gt_area - inter)``, and 0 where ``inter`` is not positive."""
     # In-place steps keep a block to a few (rows, num_gt) buffers.
     ix = np.minimum(pred[:, 2:3], gt[:, 2])
     ix -= np.maximum(pred[:, 0:1], gt[:, 0])
@@ -143,7 +125,7 @@ def _iou_block(pred: np.ndarray, gt: np.ndarray, gt_area: np.ndarray) -> np.ndar
     pred_area = (pred[:, 2] - pred[:, 0]) * (pred[:, 3] - pred[:, 1])
     union = np.add(pred_area[:, None], gt_area, out=iy)
     union -= inter
-    # Pairs without a positive intersection keep IoU 0, as in iou().
+    # Pairs without a positive intersection, an underflowed one included, keep IoU 0.
     return np.divide(inter, union, out=inter, where=inter > 0.0)
 
 
@@ -202,9 +184,10 @@ def match_detections(
     here are single-class.
 
     IoU is computed in numpy for blocks of ``MATCH_BLOCK_ROWS``
-    predictions, in visiting order, against every gt box, with the same
-    float64 operations as :func:`iou`, so each value and every match is
-    the one the pairwise loop over :func:`iou` gives.
+    predictions, in visiting order, against every gt box (``_iou_block``).
+    Each value takes the same float64 operations on one pair's corners
+    whatever block the pair falls in, so every match is the one a
+    pairwise loop over the boxes gives.
     """
     gt, pred = _columns(ground_truth), _columns(predictions)
     kept = pred.confidence >= config.confidence_threshold

@@ -174,11 +174,6 @@ def predict(kind: GrowthModelKind, params: Sequence[float], t):
     return values
 
 
-def jacobian(kind: GrowthModelKind, params: Sequence[float], t) -> np.ndarray:
-    """Analytic Jacobian d model / d params at ages ``t``, one row per age."""
-    return _model(kind, np.asarray(params, dtype=float), np.atleast_1d(np.asarray(t, float)))[1]
-
-
 def _sse(kind: GrowthModelKind, p: np.ndarray, t: np.ndarray, lengths: np.ndarray):
     """(SSE, residuals, Jacobian) at ``p``."""
     values, J = _model(kind, p, t)
@@ -342,23 +337,6 @@ def fit(
         iterations=total_iterations,
         converged=converged,
     )
-
-
-def r_squared(
-    observations: Sequence[GrowthObservation],
-    predictions: Sequence[float],
-) -> float:
-    """Coefficient of determination of predictions against observations."""
-    if len(predictions) != len(observations):
-        raise ValueError(
-            f"{len(predictions)} predictions for {len(observations)} observations"
-        )
-    if len(observations) < 2:
-        raise InsufficientData("R-squared needs at least two observations")
-    lengths = np.array([o.length_mm for o in observations], dtype=float)
-    sst = _total_sum_of_squares(lengths)
-    residuals = lengths - np.asarray(predictions, dtype=float)
-    return 1.0 - float(residuals @ residuals) / sst
 
 
 def rank_models(

@@ -55,8 +55,8 @@ def center_crop(
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
         # Full-frame crop: hand the boxes back untouched.
         return cropped, _like(boxes, columns)
-    # Pixel corners as to_absolute gives them, shifted into the window and
-    # clipped to it.
+    # Pixel corners: the unit-square corners (cx -+ w/2, cy -+ h/2) times the
+    # image size, shifted into the window and clipped to it.
     size = np.array([target_w, target_h] * 2, dtype=np.float64)
     px = _corners(columns.boxes) * np.array([image.width, image.height] * 2, dtype=np.float64)
     px = np.clip(px - np.array([off_x, off_y] * 2, dtype=np.float64), 0.0, size)
@@ -64,7 +64,7 @@ def center_crop(
     min_area = MIN_CLIPPED_AREA_FRACTION * target_w * target_h
     kept = np.flatnonzero(~(extent[:, 0] * extent[:, 1] < min_area))
     px = px[kept]
-    # to_normalized over the kept corners.
+    # Back to centers and extents, as fractions of the crop size.
     moved = np.concatenate(((px[:, :2] + px[:, 2:]) / (2 * size[:2]),
                             (px[:, 2:] - px[:, :2]) / size[:2]), axis=1)
     return cropped, _like(boxes, columns.derive(kept, _checked_boxes(moved)))
@@ -170,24 +170,14 @@ def _noise_sd(variance: float) -> float:
     return math.sqrt(variance)
 
 
-def gaussian_noise_stream(variance: float, seed: int, count: int) -> np.ndarray:
-    """The exact zero-mean noise samples ``add_gaussian_noise`` draws.
-
-    Exposed so callers can inspect the pre-clamp distribution; samples are
-    generated sequentially, so the first ``k`` values do not depend on
-    ``count``. ``add_gaussian_noise`` draws this same stream in strips:
-    consecutive draws from one generator continue the sequence.
-    """
-    sd = _noise_sd(variance)
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, sd, size=count)
-
-
 def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> RasterImage:
     """Add i.i.d. Gaussian noise per sample, then round and clamp to 8 bits.
 
     The same ``(variance, seed)`` pair always produces the same bytes for
-    the same input. ``variance=0`` returns the image unchanged.
+    the same input: the noise is ``np.random.default_rng(seed).normal(0.0,
+    sqrt(variance), n)`` over the ``n`` samples in storage order, drawn in
+    strips that continue one stream. ``variance=0`` returns the image
+    unchanged.
     """
     sd = _noise_sd(variance)
     if variance == 0:

@@ -17,13 +17,12 @@ import pytest
 from larvaekit.annotations import (
     Box2D,
     LabeledBox,
-    PixelBox,
     ScoredBox,
     serialize_label_file,
-    to_absolute,
 )
-from larvaekit.evaluation import iou
 from larvaekit.raster import RasterImage, encode_raster
+
+from oracles import PixelBox, iou, to_absolute
 
 GRID_COLS = 50
 GRID_ROWS = 40

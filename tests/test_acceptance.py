@@ -13,13 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from larvaekit.annotations import Box2D, LabeledBox, PixelBox, ScoredBox
+from larvaekit.annotations import Box2D, LabeledBox, ScoredBox
 from larvaekit.counting import extrapolate_pond
 from larvaekit.evaluation import (
     MatchConfig,
     average_precision,
     confusion_metrics,
-    iou,
     match_detections,
     pr_curve,
 )
@@ -27,7 +26,6 @@ from larvaekit.growth import (
     GrowthModelKind,
     bundled_stage_means,
     fit,
-    jacobian,
     predict,
     rank_models,
 )
@@ -52,6 +50,7 @@ from conftest import (
     separated_instance,
     solid_image,
 )
+from oracles import PixelBox, iou, jacobian
 
 K = GrowthModelKind
 

@@ -7,15 +7,12 @@ from hypothesis import assume, given, strategies as st
 from larvaekit.annotations import (
     Box2D,
     LabeledBox,
-    PixelBox,
     ScoredBox,
     detect_kind,
     load_image_annotation,
     load_manifest,
     parse_label_file,
     serialize_label_file,
-    to_absolute,
-    to_normalized,
 )
 from larvaekit.errors import (
     AnnotationLoadError,
@@ -26,6 +23,8 @@ from larvaekit.errors import (
     MissingColumn,
     OutOfRange,
 )
+
+from oracles import PixelBox, to_absolute, to_normalized
 
 MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label"
 
@@ -183,6 +182,16 @@ class TestSerializeLabelFile:
             )
             again = serialize_label_file(parse_label_file(text, kind="pred"))
             assert again == text
+
+    @pytest.mark.parametrize("order", ["gt-first", "pred-first"])
+    def test_mixed_kinds_are_refused(self, order):
+        # No kind parses a file of 5-field and 6-field lines.
+        box = Box2D(0.5, 0.5, 0.1, 0.2)
+        boxes = [LabeledBox(0, box), ScoredBox(0, box, 0.9)]
+        if order == "pred-first":
+            boxes.reverse()
+        with pytest.raises(ValueError, match="mix ground truth and predictions"):
+            serialize_label_file(boxes)
 
 
 # Extents down to 1e-9, with extra weight below the 5e-7 that six

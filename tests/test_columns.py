@@ -23,7 +23,6 @@ from larvaekit.annotations import (
     Box2D,
     BoxColumns,
     LabeledBox,
-    PixelBox,
     ScoredBox,
     _box_fields,
     _columns,
@@ -32,8 +31,6 @@ from larvaekit.annotations import (
     load_manifest,
     parse_label_file,
     serialize_label_file,
-    to_absolute,
-    to_normalized,
 )
 from larvaekit.cli import main
 from larvaekit.counting import count_image, density_summary, render_counts_csv, render_density_csv
@@ -60,6 +57,7 @@ from larvaekit.preprocessing import (
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 from conftest import crowded_instance, reference_greedy_flags, write_dataset
+from oracles import PixelBox, to_absolute, to_normalized
 
 MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
 

@@ -14,11 +14,9 @@ from larvaekit.annotations import (
     MANIFEST_COLUMNS,
     Box2D,
     LabeledBox,
-    PixelBox,
     ScoredBox,
     load_image_annotation,
     load_manifest,
-    to_absolute,
 )
 from larvaekit.errors import (
     AnnotationLoadError,
@@ -36,7 +34,6 @@ from larvaekit.evaluation import (
     average_precision,
     confusion_metrics,
     evaluate_dataset,
-    iou,
     match_detections,
     pr_curve,
     render_eval_csv,
@@ -54,6 +51,7 @@ from conftest import (
     separated_instance,
     write_dataset,
 )
+from oracles import PixelBox, iou, to_absolute
 
 SWEEP = MatchConfig(confidence_threshold=0.0)
 

@@ -23,13 +23,13 @@ from larvaekit.growth import (
     _damped_least_squares,
     bundled_stage_means,
     fit,
-    jacobian,
     load_observations_csv,
     parse_model_kind,
     predict,
-    r_squared,
     rank_models,
 )
+
+from oracles import jacobian, r_squared
 
 K = GrowthModelKind
 

@@ -14,12 +14,12 @@ from larvaekit.preprocessing import (
     center_crop,
     circular_mask,
     enlarge_small_boxes,
-    gaussian_noise_stream,
     rotate90,
 )
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 from conftest import solid_image
+from oracles import gaussian_noise_stream
 
 
 class TestCenterCrop:
