@@ -753,11 +753,11 @@ class TestTextEncoding:
         manifest.write_bytes(
             "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
             "larva_\u00e9,,missing.txt,,10,10,,\n".encode())
-        utf8, ascii = (run_cli(command, manifest, "--out-dir", tmp_path / "out", env=env)
-                       for env in (None, ASCII_LOCALE))
-        assert ascii.returncode == 1
-        assert ascii.stderr.startswith("error: image 'larva_\u00e9': ")
-        assert ascii.stderr == utf8.stderr
+        utf8_run, ascii_run = (run_cli(command, manifest, "--out-dir", tmp_path / "out", env=env)
+                               for env in (None, ASCII_LOCALE))
+        assert ascii_run.returncode == 1
+        assert ascii_run.stderr.startswith("error: image 'larva_\u00e9': ")
+        assert ascii_run.stderr == utf8_run.stderr
 
     @pytest.mark.parametrize("command", ["eval", "rotate"])
     def test_label_file_with_byte_order_mark_gives_the_same_bytes(self, tmp_path, command):
