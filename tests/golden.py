@@ -2,9 +2,13 @@
 
 ``build_inputs`` writes a manifest with label files, frames, label files
 for ``enlarge`` and an observations CSV, all from fixed seeds and literal
-text (nothing is downloaded). Each entry of ``CASES`` is one command line;
-``run_case`` runs it in process through ``cli.main`` and returns the
-sha256 of its stdout and of every file it wrote to its ``--out-dir``.
+text (nothing is downloaded), and label files each refused at one line.
+Each entry of ``CASES`` is one command line; ``run_case`` runs it in
+process through ``cli.main`` and returns the sha256 of its stdout and of
+every file it wrote to its ``--out-dir``. A case named in ``FAILING``
+must exit non-zero instead: it gives its exit code, the sha256 of its
+stderr (the input directory written as ``{root}``) and whether its
+``--out-dir`` was created.
 ``tests/test_golden.py`` re-runs every case and requires the digests
 recorded in ``data/golden_digests.json``.
 
@@ -76,6 +80,44 @@ ENLARGE_PRED = (
 )
 
 
+# A row that clamps (an edge 5e-7 past the left border), then one of these
+# lines, each refused by the label parser: (name, gt line, pred line).
+CLAMPED_ROW = "0 0.050000 0.500000 0.100001 0.200000"
+REFUSED_LINES = (
+    ("field-count", "0 0.5 0.5 0.2", "0 0.5 0.5 0.2 0.2"),
+    ("class-not-integer", "1.0 0.5 0.5 0.2 0.2", "1.0 0.5 0.5 0.2 0.2 0.5"),
+    ("class-negative", "-1 0.5 0.5 0.2 0.2", "-1 0.5 0.5 0.2 0.2 0.5"),
+    ("non-numeric", "0 0.5 0.5 0.2 zz", "0 0.5 0.5 zz 0.2 0.5"),
+    ("nan", "0 0.5 nan 0.2 0.2", "0 0.5 0.5 0.2 0.2 nan"),
+    ("outside", "0 1.2 0.5 0.2 0.2", "0 0.5 0.99 0.2 0.2 0.5"),
+    ("no-extent", "0 0.5 0.5 1e-17 0.2", "0 0.5 0.5 0.2 1e-17 0.5"),
+    ("confidence", None, "0 0.5 0.5 0.2 0.2 1.5"),
+)
+# Lines per refused file: one file under 16 lines and one over.
+REFUSED_SIZES = {"short": 4, "long": 24}
+
+
+def refused_label_text(kind: str, refused: str, lines: int) -> str:
+    """``lines`` label lines: the clamped row on line 2, ``refused`` on line
+    ``lines - 1`` and plain in-bounds rows around them."""
+    out = []
+    for n in range(1, lines + 1):
+        fields = CLAMPED_ROW if n == 2 else f"{n % 3} 0.{n + 10} 0.5 0.05 0.08"
+        out.append(fields + (f" 0.{n + 10}" if kind == "pred" else ""))
+    out[lines - 2] = refused
+    return "\n".join(out) + "\n"
+
+
+def _refused_files():
+    """``(kind, size, name, file name, text)`` of every refused label file."""
+    for name, *lines in REFUSED_LINES:
+        for kind, line in zip(("gt", "pred"), lines):
+            if line is not None:
+                for size, count in REFUSED_SIZES.items():
+                    yield (kind, size, name, f"refused_{kind}_{size}_{name}.txt",
+                           refused_label_text(kind, line, count))
+
+
 def build_inputs(root: Path) -> None:
     """Write every input the cases read into ``root``."""
     rng = np.random.default_rng(2024)
@@ -100,13 +142,21 @@ def build_inputs(root: Path) -> None:
     (root / "small_gt.txt").write_bytes(ENLARGE_GT.encode())
     (root / "small_pred.txt").write_bytes(ENLARGE_PRED.encode())
 
+    for kind, size, name, file_name, text in _refused_files():
+        (root / file_name).write_bytes(text.encode())
+        gt, pred = (file_name, "gray.txt") if kind == "gt" else ("frame.txt", file_name)
+        (root / f"refused_{kind}_{size}_{name}.csv").write_bytes(
+            (MANIFEST_HEADER + f"larva_é,,{gt},{pred},640,480,50,\n").encode())
+    (root / "missing.csv").write_bytes(
+        (MANIFEST_HEADER + "larva_é,,frame.txt,gone.txt,640,480,50,\n").encode())
+
     ages = np.arange(0.0, 19.0, 1.5)
     lengths = 20.0 * (1.0 - np.exp(-0.1 * (ages + 1.0))) + rng.normal(0.0, 0.15, ages.size)
     (root / "obs.csv").write_bytes(("age_days,length_mm\n" + "".join(
         f"{a:g},{v:.3f}\n" for a, v in zip(ages, lengths))).encode())
 
 
-def _cases() -> dict[str, list[str]]:
+def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
     # "{root}" stands for the directory build_inputs wrote.
     manifest = "{root}/manifest.csv"
     cases = {
@@ -139,10 +189,20 @@ def _cases() -> dict[str, list[str]]:
             "preprocess", "enlarge", *labels, "--threshold", "0.0004", "--mode", mode]
         cases[f"enlarge-quantile-{mode}"] = [
             "preprocess", "enlarge", *labels, "--quantile", "0.5", "--mode", mode]
-    return cases
+    failing = {}
+    for kind, size, name, file_name, _ in _refused_files():
+        failing[f"refused-eval-{kind}-{size}-{name}"] = [
+            "eval", f"{{root}}/refused_{kind}_{size}_{name}.csv"]
+        failing[f"refused-enlarge-{kind}-{size}-{name}"] = [
+            "preprocess", "enlarge", "{root}/small_gt.txt", f"{{root}}/{file_name}",
+            "--threshold", "0.0004"]
+    failing["missing-label-file"] = ["count", "{root}/missing.csv"]
+    failing["usage-error"] = ["eval", manifest, "--iou-thr", "1.5"]
+    cases.update(failing)
+    return cases, frozenset(failing)
 
 
-CASES = _cases()
+CASES, FAILING = _cases()
 
 
 def _sha256(data: bytes) -> str:
@@ -156,6 +216,10 @@ def run_case(root: Path, name: str) -> dict[str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         status = cli.main(argv)
+    if name in FAILING:
+        return {"exit": str(status),
+                "stderr": _sha256(stderr.getvalue().replace(str(root), "{root}").encode()),
+                "out-dir": "created" if out.exists() else "not created"}
     if status != 0:
         raise RuntimeError(f"{name} exited {status}: {stderr.getvalue()}")
     digests = {"stdout": _sha256(stdout.getvalue().encode())}
