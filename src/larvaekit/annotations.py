@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -45,9 +44,10 @@ LABEL_KINDS = ("gt", "pred")
 # Stocking densities (larvae per tank) used across the rearing experiments.
 DENSITY_GROUPS = (50, 100, 150, 200, 300, 400, 500)
 
-# A label file of at least this many lines is converted a column at a time
-# (see _parse_columns); below it the per-line loop is faster.
-_COLUMNAR_MIN_LINES = 16
+# From this many rows, _checked_boxes first tests them as arrays, and checks
+# them one at a time only when a row fails; below it the per-row check alone
+# is faster.
+_ARRAY_CHECK_MIN_ROWS = 16
 
 MANIFEST_COLUMNS = (
     "image_id",
@@ -167,6 +167,14 @@ def _box_array(boxes: Sequence[Box2D]) -> np.ndarray:
 def _checked_boxes(boxes: np.ndarray) -> np.ndarray:
     """``cx, cy, w, h`` rows as :class:`Box2D` stores them; the first row
     ``Box2D`` refuses raises its error."""
+    if len(boxes) >= _ARRAY_CHECK_MIN_ROWS:
+        half = boxes[:, 2:] / 2
+        low, high = boxes[:, :2] - half, boxes[:, :2] + half
+        # The test of _box_fields's first branch, which keeps the fields as parsed.
+        # A NaN fails it: min and max pass a NaN on, and it fails every comparison.
+        if (low.min(initial=0.0) >= 0.0 and high.max(initial=1.0) <= 1.0
+                and (low < high).all() and (boxes[:, 2] * boxes[:, 3] != 0.0).all()):
+            return boxes
     return np.array(list(map(_box_fields, *boxes.T.tolist())), dtype=np.float64).reshape(-1, 4)
 
 
@@ -273,17 +281,12 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
     if kind not in LABEL_KINDS:
         raise ValueError(f"kind must be {' or '.join(map(repr, LABEL_KINDS))}, got {kind!r}")
     want = 5 if kind == "gt" else 6
-    lines = text.splitlines()
-    rows = list(map(str.split, lines))
-    # A long file goes a column at a time unless a line needs the checks of
-    # the loop below, which then reads the whole file: same values, same errors.
-    if len(rows) >= _COLUMNAR_MIN_LINES:
-        columns = _parse_columns(rows, want)
-        if columns is not None:
-            return columns
-    class_ids: list[int] = []
-    boxes, scores = array("d"), array("d")
-    for line_no, (raw, fields) in enumerate(zip(lines, rows), start=1):
+    columns = _parse_columns(list(map(str.split, text.splitlines())), want)
+    if columns is not None:
+        return columns
+    # Some line is refused: word the first refusal as these per-line checks meet it.
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
         if not fields:
             continue
         if len(fields) != want:
@@ -299,22 +302,19 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
         except ValueError:
             raise MalformedLine(line_no, f"non-numeric field in {raw!r}") from None
         try:
-            boxes.extend(_box_fields(*values[:4]))
+            _box_fields(*values[:4])
             if kind == "pred":
-                scores.append(_checked_confidence(values[4]))
+                _checked_confidence(values[4])
         except (DegenerateBox, OutOfRange) as err:
             raise OutOfRange(str(err), line_no) from None
-        class_ids.append(class_id)
-    confidence = np.frombuffer(scores, dtype=np.float64) if kind == "pred" else None
-    return BoxColumns(np.array(class_ids, dtype=object),
-                      np.frombuffer(boxes, dtype=np.float64).reshape(-1, 4), confidence)
+    raise AssertionError("_parse_columns refused a label file whose every line parses")
 
 
 def _parse_columns(rows: list[list[str]], want: int) -> BoxColumns | None:
-    """The boxes of a label file's split lines, converted a column at a time,
-    or None when any line needs ``parse_label_file``'s per-line checks: a
-    wrong field count, a field that does not convert, a negative class, a
-    box ``_box_fields`` would clamp or refuse, or a confidence outside [0, 1]."""
+    """The boxes of a label file's split lines, converted a column at a time
+    and checked by :func:`_checked_boxes`, or None when a line is refused: a
+    wrong field count, a field that does not convert, a negative class, a box
+    ``_box_fields`` refuses, or a confidence outside [0, 1]."""
     if not set(map(len, rows)) <= {0, want}:
         return None
     tokens = list(chain.from_iterable(rows))
@@ -323,21 +323,15 @@ def _parse_columns(rows: list[list[str]], want: int) -> BoxColumns | None:
     try:
         class_ids = list(map(int, classes))
         values = np.fromiter(map(float, tokens), np.float64, len(tokens)).reshape(-1, want - 1)
-    except ValueError:
+        boxes = _checked_boxes(np.ascontiguousarray(values[:, :4]))
+    except (ValueError, DegenerateBox, OutOfRange):
         return None
-    boxes = np.ascontiguousarray(values[:, :4])
-    half = boxes[:, 2:] / 2
-    low, high = boxes[:, :2] - half, boxes[:, :2] + half
-    # The test of _box_fields's first branch, which keeps the fields as parsed.
-    # A NaN fails it: min and max pass a NaN on, and it fails every comparison.
-    plain = (min(class_ids, default=0) >= 0 and low.min(initial=0.0) >= 0.0
-             and high.max(initial=1.0) <= 1.0 and (low < high).all()
-             and (boxes[:, 2] * boxes[:, 3] != 0.0).all())
     confidence = None
     if want == 6:
         confidence = np.ascontiguousarray(values[:, 4])
-        plain = plain and confidence.min(initial=0.0) >= 0.0 and confidence.max(initial=1.0) <= 1.0
-    if not plain:
+        if not (confidence.min(initial=0.0) >= 0.0 and confidence.max(initial=1.0) <= 1.0):
+            return None
+    if min(class_ids, default=0) < 0:
         return None
     return BoxColumns(np.array(class_ids, dtype=object), boxes, confidence)
 

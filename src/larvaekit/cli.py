@@ -266,6 +266,8 @@ def cmd_fit(args, write) -> str:
             kinds = tuple(growth.parse_model_kind(name) for name in args.models.split(","))
         except ValueError as err:
             raise CommandUsageError(f"--models: {err}") from None
+        for n, kind in enumerate(kinds):
+            _require(kind not in kinds[:n], f"--models: model {kind.value!r} is named more than once")
     csv_path = None if args.csv is None else Path(args.csv)
     # Every data error, a failed family's included, names the CSV it came from.
     with nullcontext() if csv_path is None else _reading(csv_path):

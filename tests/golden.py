@@ -109,12 +109,12 @@ def refused_label_text(kind: str, refused: str, lines: int) -> str:
 
 
 def _refused_files():
-    """``(kind, size, name, file name, text)`` of every refused label file."""
+    """``(kind, size, name, file stem, text)`` of every refused label file."""
     for name, *lines in REFUSED_LINES:
         for kind, line in zip(("gt", "pred"), lines):
             if line is not None:
                 for size, count in REFUSED_SIZES.items():
-                    yield (kind, size, name, f"refused_{kind}_{size}_{name}.txt",
+                    yield (kind, size, name, f"refused_{kind}_{size}_{name}",
                            refused_label_text(kind, line, count))
 
 
@@ -142,10 +142,10 @@ def build_inputs(root: Path) -> None:
     (root / "small_gt.txt").write_bytes(ENLARGE_GT.encode())
     (root / "small_pred.txt").write_bytes(ENLARGE_PRED.encode())
 
-    for kind, size, name, file_name, text in _refused_files():
-        (root / file_name).write_bytes(text.encode())
-        gt, pred = (file_name, "gray.txt") if kind == "gt" else ("frame.txt", file_name)
-        (root / f"refused_{kind}_{size}_{name}.csv").write_bytes(
+    for kind, _, _, stem, text in _refused_files():
+        (root / f"{stem}.txt").write_bytes(text.encode())
+        gt, pred = (f"{stem}.txt", "gray.txt") if kind == "gt" else ("frame.txt", f"{stem}.txt")
+        (root / f"{stem}.csv").write_bytes(
             (MANIFEST_HEADER + f"larva_é,,{gt},{pred},640,480,50,\n").encode())
     (root / "missing.csv").write_bytes(
         (MANIFEST_HEADER + "larva_é,,frame.txt,gone.txt,640,480,50,\n").encode())
@@ -190,11 +190,10 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
         cases[f"enlarge-quantile-{mode}"] = [
             "preprocess", "enlarge", *labels, "--quantile", "0.5", "--mode", mode]
     failing = {}
-    for kind, size, name, file_name, _ in _refused_files():
-        failing[f"refused-eval-{kind}-{size}-{name}"] = [
-            "eval", f"{{root}}/refused_{kind}_{size}_{name}.csv"]
+    for kind, size, name, stem, _ in _refused_files():
+        failing[f"refused-eval-{kind}-{size}-{name}"] = ["eval", f"{{root}}/{stem}.csv"]
         failing[f"refused-enlarge-{kind}-{size}-{name}"] = [
-            "preprocess", "enlarge", "{root}/small_gt.txt", f"{{root}}/{file_name}",
+            "preprocess", "enlarge", "{root}/small_gt.txt", f"{{root}}/{stem}.txt",
             "--threshold", "0.0004"]
     failing["missing-label-file"] = ["count", "{root}/missing.csv"]
     failing["usage-error"] = ["eval", manifest, "--iou-thr", "1.5"]

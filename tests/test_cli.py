@@ -441,6 +441,14 @@ class TestFit:
         assert result.stderr.startswith("usage error: --models: unknown model 'spiral'")
         assert not out.exists()
 
+    def test_repeated_model_is_refused_before_the_csv_is_read(self, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli("fit", tmp_path / "absent.csv", "--models", "vbgm,linear,VBGM",
+                         "--svg", "chart.svg", "--out-dir", out)
+        assert result.returncode == 2
+        assert result.stderr == "usage error: --models: model 'vbgm' is named more than once\n"
+        assert not out.exists()
+
     def test_missing_csv_names_the_file(self, tmp_path):
         csv = tmp_path / "absent.csv"
         line = single_error_line(run_cli("fit", csv, "--out-dir", tmp_path / "out"))

@@ -280,15 +280,25 @@ def long_label_text(rng, kind, lines, odd_share):
     return "".join(line + rng.choice(["\n", "\r\n", "\n", "\r"]) for line in out)
 
 
+@contextlib.contextmanager
+def array_check_from(rows):
+    """``_checked_boxes`` with its size rule at ``rows``: 0 tests every size as arrays."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annotations, "_ARRAY_CHECK_MIN_ROWS", rows)
+        yield
+
+
 class TestColumnarParse:
-    """Label files long enough to be converted a column at a time give what
-    the per-line parser gives: every value, or the same error on the same line."""
+    """Every label file is converted a column at a time and its boxes are
+    checked by ``_checked_boxes``, as arrays from ``_ARRAY_CHECK_MIN_ROWS``
+    rows and one at a time below. Either way it gives what the per-line
+    parser gives: every value, or the same error on the same line."""
 
     @pytest.mark.parametrize("kind", ["gt", "pred"])
-    def test_long_files_are_the_per_line_parser(self, kind):
+    def test_files_of_every_size_are_the_per_line_parser(self, kind):
         rng = np.random.default_rng(5 if kind == "gt" else 6)
-        size_rule = annotations._COLUMNAR_MIN_LINES
-        seen = {"columnar": 0, "clamped or refused": 0, "below the rule": 0}
+        size_rule = annotations._ARRAY_CHECK_MIN_ROWS
+        seen = {"array test": 0, "per-row check": 0, "refused": 0}
         for _ in range(500):
             lines = int(rng.integers(0, 3 * size_rule))
             odd_share = float(rng.choice([0.0, 0.0, 0.01, 0.05, 0.3]))
@@ -300,22 +310,50 @@ class TestColumnarParse:
                 parsed = column_rows(parsed)
             assert repr(parsed) == repr(expected), text
             rows = list(map(str.split, text.splitlines()))
-            if len(rows) < size_rule:
-                seen["below the rule"] += 1
-            elif annotations._parse_columns(rows, 5 if kind == "gt" else 6) is None:
-                seen["clamped or refused"] += 1
+            if annotations._parse_columns(rows, 5 if kind == "gt" else 6) is None:
+                seen["refused"] += 1
+            elif sum(map(bool, rows)) >= size_rule:
+                seen["array test"] += 1
             else:
-                seen["columnar"] += 1
+                seen["per-row check"] += 1
         assert min(seen.values()) >= 100, seen
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.sampled_from(["gt", "pred"]), texts("gt") | texts("pred")))
-    def test_every_file_through_the_columnar_pass(self, case):
+    def test_array_test_at_every_size(self, case):
         kind, text = case
         expected = repr(outcome(lambda: reference_parse(text, kind)))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(annotations, "_COLUMNAR_MIN_LINES", 0)
+        with array_check_from(0):
             assert repr(outcome(lambda: column_rows(parse_label_file(text, kind)))) == expected
+
+    @pytest.mark.parametrize("kind", ["gt", "pred"])
+    def test_a_long_file_with_a_row_to_clamp_stays_columnar(self, kind):
+        plain = long_label_text(np.random.default_rng(7), kind, 20, 0.0).splitlines()
+        clamped = (CLAMPED_GT if kind == "gt" else CLAMPED_PRED).strip()
+        text = "\n".join(plain[:9] + [clamped] + plain[9:]) + "\n"
+        rows = list(map(str.split, text.splitlines()))
+        assert len(rows) >= annotations._ARRAY_CHECK_MIN_ROWS
+        columns = annotations._parse_columns(rows, 5 if kind == "gt" else 6)
+        assert columns is not None
+        expected = reference_parse(text, kind)
+        assert expected[9][1] != tuple(map(float, rows[9][1:5]))  # the row was clamped
+        assert repr(column_rows(columns)) == repr(expected)
+        assert repr(column_rows(parse_label_file(text, kind))) == repr(expected)
+
+    @pytest.mark.parametrize("min_rows", [annotations._ARRAY_CHECK_MIN_ROWS, 0],
+                             ids=["per-row-check", "array-test"])
+    @pytest.mark.parametrize("kind", ["gt", "pred"])
+    @pytest.mark.parametrize("text", ["", "\n", " \t\n\r\n\x0c  "],
+                             ids=["empty", "newline", "blanks"])
+    def test_empty_and_blank_files_give_no_boxes(self, text, kind, min_rows):
+        with array_check_from(min_rows):
+            boxes = parse_label_file(text, kind)
+        assert len(boxes) == 0 and boxes.class_ids.shape == (0,)
+        assert boxes.boxes.dtype == np.float64 and boxes.boxes.shape == (0, 4)
+        if kind == "gt":
+            assert boxes.confidence is None
+        else:
+            assert boxes.confidence.dtype == np.float64 and boxes.confidence.shape == (0,)
 
 
 class TestColumns:
@@ -412,17 +450,23 @@ def containers(boxes):
     return boxes, BoxColumns(columns.class_ids, columns.boxes, columns.confidence)
 
 
+# label_boxes draws fewer boxes than the size rule; a rule of 0 puts them past it.
+MIN_ROWS = st.sampled_from([annotations._ARRAY_CHECK_MIN_ROWS, 0])
+
+
 class TestArrayOperations:
-    """Each array operation gives the replaced per-box loop's boxes bit for bit."""
+    """Each array operation gives the replaced per-box loop's boxes bit for bit,
+    on either side of ``_checked_boxes``'s size rule."""
 
     @settings(max_examples=150, deadline=None)
-    @given(label_boxes(), st.integers(1, 40), st.integers(1, 40), st.data())
-    def test_crop(self, boxes, width, height, data):
+    @given(label_boxes(), st.integers(1, 40), st.integers(1, 40), MIN_ROWS, st.data())
+    def test_crop(self, boxes, width, height, min_rows, data):
         target_w, target_h = data.draw(st.integers(1, width)), data.draw(st.integers(1, height))
         image = RasterImage(width, height, 1, bytes(width * height))
         expected = outcome(lambda: repr(scalar_crop(boxes, width, height, target_w, target_h)))
         for given_boxes in containers(boxes):
-            got = outcome(lambda: repr(list(center_crop(image, given_boxes, target_w, target_h)[1])))
+            with array_check_from(min_rows):
+                got = outcome(lambda: repr(list(center_crop(image, given_boxes, target_w, target_h)[1])))
             assert got == expected
 
     def test_crop_keeps_a_box_of_exactly_the_sliver_floor(self):
@@ -440,20 +484,23 @@ class TestArrayOperations:
 
     @settings(max_examples=150, deadline=None)
     @given(label_boxes(), st.floats(1e-12, 1.0) | st.sampled_from([1.0, 1e-300, 0.5]),
-           st.sampled_from(["literal", "normalize"]))
-    def test_enlarge(self, boxes, threshold, mode):
+           st.sampled_from(["literal", "normalize"]), MIN_ROWS)
+    def test_enlarge(self, boxes, threshold, mode, min_rows):
         expected = outcome(lambda: repr(scalar_enlarge(boxes, threshold, mode)))
         for given_boxes in containers(boxes):
-            got = outcome(lambda: repr(list(enlarge_small_boxes(given_boxes, threshold, mode))))
+            with array_check_from(min_rows):
+                got = outcome(lambda: repr(list(enlarge_small_boxes(given_boxes, threshold, mode))))
             assert got == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(label_boxes())
-    def test_rotate(self, boxes):
+    @given(label_boxes(), MIN_ROWS)
+    def test_rotate(self, boxes, min_rows):
         image = RasterImage(3, 2, 1, bytes(6))
         expected = outcome(lambda: repr(scalar_rotate(boxes)))
         for given_boxes in containers(boxes):
-            assert outcome(lambda: repr(list(rotate90(image, given_boxes)[1]))) == expected
+            with array_check_from(min_rows):
+                got = outcome(lambda: repr(list(rotate90(image, given_boxes)[1])))
+            assert got == expected
 
     @settings(max_examples=100, deadline=None)
     @given(label_boxes(), st.floats(0.0, 1.0))
