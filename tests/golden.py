@@ -2,7 +2,8 @@
 
 ``build_inputs`` writes a manifest with label files, frames, label files
 for ``enlarge`` and an observations CSV, all from fixed seeds and literal
-text (nothing is downloaded), and label files each refused at one line.
+text (nothing is downloaded), label files each refused at one line and
+observation CSVs on which ``fit`` fails.
 Each entry of ``CASES`` is one command line; ``run_case`` runs it in
 process through ``cli.main`` and returns the sha256 of its stdout and of
 every file it wrote to its ``--out-dir``. A case named in ``FAILING``
@@ -96,6 +97,17 @@ REFUSED_LINES = (
 # Lines per refused file: one file under 16 lines and one over.
 REFUSED_SIZES = {"short": 4, "long": 24}
 
+# Observation CSVs that ``fit`` refuses: (age, length) rows by file stem.
+# At ages near 1e8 the power and exponential families both fail to fit.
+UNFITTABLE = {
+    "obs_3_rows": ((0.0, 1.5), (5.0, 2.9), (10.0, 4.1)),
+    "obs_4_rows": ((0.0, 1.5), (5.0, 2.9), (10.0, 4.1), (15.0, 5.0)),
+    "obs_equal": tuple((age, 2.5) for age in (0.0, 5.0, 10.0, 15.0, 20.0)),
+    "obs_header_only": (),
+    "obs_far": tuple((1e8 + age, length) for age, length in zip(
+        (0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 1.3, 1.5, 1.8, 2.05))),
+}
+
 
 def refused_label_text(kind: str, refused: str, lines: int) -> str:
     """``lines`` label lines: the clamped row on line 2, ``refused`` on line
@@ -154,6 +166,9 @@ def build_inputs(root: Path) -> None:
     lengths = 20.0 * (1.0 - np.exp(-0.1 * (ages + 1.0))) + rng.normal(0.0, 0.15, ages.size)
     (root / "obs.csv").write_bytes(("age_days,length_mm\n" + "".join(
         f"{a:g},{v:.3f}\n" for a, v in zip(ages, lengths))).encode())
+    for name, rows in UNFITTABLE.items():
+        (root / f"{name}.csv").write_bytes(("age_days,length_mm\n" + "".join(
+            f"{a!r},{v!r}\n" for a, v in rows)).encode())
 
 
 def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
@@ -196,6 +211,14 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
             "preprocess", "enlarge", "{root}/small_gt.txt", f"{{root}}/{stem}.txt",
             "--threshold", "0.0004"]
     failing["missing-label-file"] = ["count", "{root}/missing.csv"]
+    failing.update({
+        "fit-error-3-rows": ["fit", "{root}/obs_3_rows.csv", "--models", "gompertz,vbgm"],
+        "fit-error-3-rows-reordered": ["fit", "{root}/obs_3_rows.csv", "--models", "vbgm,gompertz"],
+        "fit-error-4-rows": ["fit", "{root}/obs_4_rows.csv", "--models", "linear,gompertz"],
+        "fit-error-equal-lengths": ["fit", "{root}/obs_equal.csv"],
+        "fit-error-header-only": ["fit", "{root}/obs_header_only.csv"],
+        "fit-error-far-ages": ["fit", "{root}/obs_far.csv", "--models", "exponential,power"],
+    })
     failing["usage-error"] = ["eval", manifest, "--iou-thr", "1.5"]
     cases.update(failing)
     return cases, frozenset(failing)
