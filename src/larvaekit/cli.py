@@ -278,13 +278,8 @@ def cmd_fit(args, write) -> str:
                 csv_path.read_text(encoding="utf-8-sig"))
         ranked = growth.rank_models(observations, kinds, multi_start=args.multi_start,
                                     seed=args.seed)
-        for rm in ranked:
-            if rm.error is not None:
-                # The family name is added here only; fit errors do not carry it.
-                raise LarvaekitError(f"{rm.kind.value}: {rm.error}")
     lines = ["model,param_names,param_values,sse,r_squared,converged\n"]
-    for rm in ranked:
-        result = rm.result
+    for result in ranked:
         names = ";".join(growth.PARAM_NAMES[result.kind])
         values = ";".join(f"{v:.9g}" for v in result.params)
         lines.append(
@@ -293,9 +288,10 @@ def cmd_fit(args, write) -> str:
         )
     write("fits.csv", "".join(lines))
     if args.svg is not None:
-        write(args.svg, chart.growth_chart_svg(observations, [rm.result for rm in ranked]))
-    return "".join(f"{place}. {growth.DISPLAY_NAMES[rm.kind]} r_squared={rm.result.r_squared:.4f}\n"
-                   for place, rm in enumerate(ranked, start=1))
+        write(args.svg, chart.growth_chart_svg(observations, ranked))
+    return "".join(f"{place}. {growth.DISPLAY_NAMES[result.kind]} "
+                   f"r_squared={result.r_squared:.4f}\n"
+                   for place, result in enumerate(ranked, start=1))
 
 
 def cmd_report(args, write) -> str:

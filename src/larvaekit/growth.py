@@ -13,6 +13,9 @@ The damping schedule is the classic one: multiply the factor by 10 when a
 trial step increases the SSE (and reject the step), divide by 10 when it
 decreases. Iteration stops when the relative SSE improvement of an
 accepted step falls below 1e-10 or after 200 attempts.
+
+``rank_models`` returns plain ``FitResult``s: the first family, in
+declaration order, that cannot be fitted fails the whole ranking.
 """
 
 from __future__ import annotations
@@ -93,8 +96,9 @@ class GrowthObservation:
 class FitResult:
     """One family's fitted parameters and fit quality.
 
-    ``iterations`` counts damped steps summed over every start, so under
-    ``multi_start`` it is the total work, not the winning start's share.
+    ``iterations`` counts damped steps summed over the starts that
+    finished, so under ``multi_start`` it is their total work, not the
+    winning start's share.
     """
 
     kind: GrowthModelKind
@@ -103,18 +107,6 @@ class FitResult:
     r_squared: float
     iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class RankedModel:
-    """A family's slot in the model ranking; failed fits carry the error.
-
-    Fit errors do not name the family; ``kind`` does.
-    """
-
-    kind: GrowthModelKind
-    result: FitResult | None
-    error: Exception | None = None
 
 
 def _model(kind: GrowthModelKind, p: Sequence[float], t: np.ndarray):
@@ -305,7 +297,8 @@ def fit(
     t0 = 0, k2 = ln(l_inf / first length), with Gompertz tr held at 0.
     ``multi_start`` adds five jittered restarts (seeded, deterministic)
     and keeps the lowest SSE, which guards the sigmoids against local
-    minima.
+    minima. A start whose damped normal equations fail is skipped; the
+    fit fails, with the first start's error, only when every start does.
     """
     names = PARAM_NAMES[kind]
     t, lengths = _prepared(observations, len(names))
@@ -320,21 +313,22 @@ def fit(
         scale = np.maximum(1.0, np.abs(p0))
         for _ in range(MULTI_STARTS):
             starts.append(list(p0 + 0.25 * scale * rng.standard_normal(len(p0))))
-    best = None
-    total_iterations = 0
+    finished, errors = [], []
     for start in starts:
-        p, sse, iterations, converged, _ = _damped_least_squares(kind, start, t, lengths)
-        total_iterations += iterations
-        if best is None or sse < best[1]:
-            best = (p, sse, converged)
-    p, sse, converged = best
+        try:
+            finished.append(_damped_least_squares(kind, start, t, lengths))
+        except SingularNormalEquations as err:
+            errors.append(err)
+    if not finished:
+        raise errors[0]
+    p, sse, _, converged, _ = min(finished, key=lambda run: run[1])
     fixed = (0.0,) * (len(names) - p.size)  # Gompertz tr
     return FitResult(
         kind,
         tuple(float(v) for v in p) + fixed,
         sse,
         1.0 - sse / sst,
-        iterations=total_iterations,
+        iterations=sum(run[2] for run in finished),
         converged=converged,
     )
 
@@ -344,35 +338,28 @@ def rank_models(
     kinds: Sequence[GrowthModelKind] = tuple(GrowthModelKind),
     multi_start: bool = False,
     seed: int = 0,
-) -> list[RankedModel]:
+) -> list[FitResult]:
     """Fit the requested families and sort by descending R².
 
-    Ties break toward the family with fewer parameters. A family whose
-    fit raises a domain error (or ``LinAlgError``) is ranked after every
-    successful one, with the error attached; any other exception is a
-    bug and propagates. Degenerate constant-length data raises
-    ZeroVariance outright since no family can be scored on it.
+    Ties break toward the family with fewer parameters, then declaration
+    order. Families are fitted in declaration order whatever the order of
+    ``kinds``: the first whose fit raises a domain error fails the ranking
+    with a LarvaekitError that names it, and no later family is fitted.
+    Any other exception is a bug and propagates. Degenerate constant-length
+    data raises ZeroVariance outright since no family can be scored on it.
     """
     lengths = np.array([o.length_mm for o in observations], dtype=float)
     if lengths.size and lengths.min() == lengths.max():
         raise ZeroVariance("all lengths are equal; models cannot be ranked")
-    family_order = {kind: i for i, kind in enumerate(GrowthModelKind)}
-    fitted: list[RankedModel] = []
-    failed: list[RankedModel] = []
-    for kind in kinds:
+    fitted = []
+    for kind in sorted(kinds, key=list(GrowthModelKind).index):
         try:
-            fitted.append(RankedModel(kind, fit(kind, observations, multi_start, seed)))
-        except (LarvaekitError, np.linalg.LinAlgError) as err:
-            failed.append(RankedModel(kind, None, err))
-    fitted.sort(
-        key=lambda rm: (
-            -rm.result.r_squared,
-            len(PARAM_NAMES[rm.kind]),
-            family_order[rm.kind],
-        )
-    )
-    failed.sort(key=lambda rm: family_order[rm.kind])
-    return fitted + failed
+            fitted.append(fit(kind, observations, multi_start, seed))
+        except LarvaekitError as err:
+            raise LarvaekitError(f"{kind.value}: {err}") from err
+    # A stable sort: equal keys keep declaration order.
+    fitted.sort(key=lambda r: (-r.r_squared, len(PARAM_NAMES[r.kind])))
+    return fitted
 
 
 # --- observation CSV I/O ---

@@ -10,10 +10,12 @@ from larvaekit.chart import growth_chart_svg
 from larvaekit.errors import (
     EmptyDataset,
     InsufficientData,
+    LarvaekitError,
     MalformedLine,
     MissingColumn,
     NonFiniteResult,
     OutOfRange,
+    SingularNormalEquations,
     ZeroVariance,
 )
 from larvaekit.growth import (
@@ -211,6 +213,28 @@ class TestFitSynthetic:
         assert once.params == again.params
         assert once.sse <= base.sse + 1e-12
 
+    def test_multi_start_skips_a_failing_start(self):
+        # some jittered starts leave the damped normal equations singular on
+        # this steep curve; the single start fits, so multi-start must too
+        ages = np.arange(0.0, 701.0, 70.0)
+        data = obs(ages, [round(1.5 * math.exp(0.005 * a), 4) for a in ages])
+        for kind in (K.EXPONENTIAL, K.VBGM):
+            single = fit(kind, data)
+            for seed in range(8):
+                assert fit(kind, data, multi_start=True, seed=seed).sse <= single.sse
+
+    def test_multi_start_fails_with_the_first_starts_error(self, means, monkeypatch):
+        starts = []
+
+        def failing(kind, p0, t, lengths):
+            starts.append(p0)
+            raise SingularNormalEquations(f"start {len(starts)}")
+
+        monkeypatch.setattr(growth, "_damped_least_squares", failing)
+        with pytest.raises(SingularNormalEquations, match="^start 1$"):
+            fit(K.VBGM, means, multi_start=True)
+        assert len(starts) == 1 + growth.MULTI_STARTS
+
     def test_gompertz_is_identifiable(self, means):
         # k2 and tr enter only as k2*exp(a*tr); with tr held at 0 the best
         # curve has one set of parameters, whichever start reaches it
@@ -264,15 +288,14 @@ class TestRSquared:
 class TestRankModels:
     def test_stage_means_order(self, means):
         ranked = rank_models(means)
-        assert [rm.kind for rm in ranked] == [
+        assert [r.kind for r in ranked] == [
             K.GOMPERTZ,
             K.VBGM,
             K.LINEAR,
             K.POWER,
             K.EXPONENTIAL,
         ]
-        assert all(rm.error is None and rm.result is not None for rm in ranked)
-        scores = [rm.result.r_squared for rm in ranked]
+        scores = [r.r_squared for r in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_exact_linear_data_ranks_linear_first(self):
@@ -280,7 +303,7 @@ class TestRankModels:
         data = obs(ages, 0.35 * ages + 1.5)
         ranked = rank_models(data)
         assert ranked[0].kind is K.LINEAR
-        assert ranked[0].result.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert ranked[0].r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_breaks_by_family_order(self):
         # lengths proportional to age fit both the linear (b=0) and the
@@ -290,32 +313,54 @@ class TestRankModels:
         ranked = rank_models(data)
         assert ranked[0].kind is K.LINEAR
         assert ranked[1].kind is K.POWER
-        assert ranked[0].result.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert ranked[1].result.r_squared == pytest.approx(1.0, abs=1e-9)
+        assert ranked[0].r_squared == pytest.approx(1.0, abs=1e-12)
+        assert ranked[1].r_squared == pytest.approx(1.0, abs=1e-9)
 
-    def test_failed_family_ranked_last_with_error(self):
+    def test_failed_family_fails_the_ranking(self):
         ages = np.array([1.0, 2.0, 3.0, 4.0])
         data = obs(ages, 0.35 * ages + 1.5)
-        ranked = rank_models(data)
-        assert ranked[-1].kind is K.GOMPERTZ
-        assert ranked[-1].result is None
-        assert isinstance(ranked[-1].error, InsufficientData)
-        assert all(rm.result is not None for rm in ranked[:-1])
+        with pytest.raises(LarvaekitError,
+                           match="^gompertz: needs at least 5 observations, got 4$") as raised:
+            rank_models(data)
+        assert isinstance(raised.value.__cause__, InsufficientData)
 
-    def test_overflowing_start_is_a_failed_family(self):
-        # log-space regressions at ages near 1e6 put exp() of the intercept
-        # far beyond float range for power and exponential
-        data = obs([1e6, 1e6 + 0.25, 1e6 + 0.5, 1e6 + 1], [20, 10, 5, 1])
-        ranked = rank_models(data)
-        assert [rm.kind for rm in ranked] == [
-            K.LINEAR, K.VBGM, K.GOMPERTZ, K.POWER, K.EXPONENTIAL
-        ]
-        assert all(rm.result is not None for rm in ranked[:2])
-        assert isinstance(ranked[2].error, InsufficientData)
-        for rm in ranked[3:]:
-            assert rm.result is None
-            assert isinstance(rm.error, NonFiniteResult)
-            assert "overflows" in str(rm.error)
+    # Log-space regressions at ages near 1e6 put exp() of the intercept far
+    # beyond float range for power and exponential.
+    FAR_AGES = ([1e6, 1e6 + 0.25, 1e6 + 0.5, 1e6 + 1], [20, 10, 5, 1])
+
+    def test_far_ages_fit_linear_and_vbgm(self):
+        ranked = rank_models(obs(*self.FAR_AGES), kinds=(K.LINEAR, K.VBGM))
+        assert [r.kind for r in ranked] == [K.LINEAR, K.VBGM]
+
+    def test_overflowing_start_fails_the_ranking(self):
+        with pytest.raises(LarvaekitError, match="^power: ") as raised:
+            rank_models(obs(*self.FAR_AGES), kinds=(K.EXPONENTIAL, K.POWER))
+        assert isinstance(raised.value.__cause__, NonFiniteResult)
+        assert "overflows" in str(raised.value)
+
+    @pytest.mark.parametrize("kinds, named", [
+        (tuple(K), "vbgm"),
+        (tuple(reversed(K)), "vbgm"),
+        ((K.EXPONENTIAL, K.GOMPERTZ), "gompertz"),
+    ])
+    def test_first_failure_in_declaration_order_is_named(self, kinds, named):
+        # three rows are too few for VBGM and Gompertz, and enough for the rest
+        with pytest.raises(LarvaekitError, match=f"^{named}: needs at least"):
+            rank_models(obs([0, 5, 10], [1.5, 2.9, 4.1]), kinds=kinds)
+
+    def test_no_family_after_the_failure_is_fitted(self, monkeypatch):
+        fitted = []
+        real_fit = growth.fit
+
+        def counting_fit(kind, *args):
+            fitted.append(kind)
+            return real_fit(kind, *args)
+
+        monkeypatch.setattr(growth, "fit", counting_fit)
+        ages = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(LarvaekitError, match="^gompertz: "):
+            rank_models(obs(ages, 0.35 * ages + 1.5), kinds=tuple(reversed(K)))
+        assert fitted == [K.VBGM, K.GOMPERTZ]
 
     def test_non_domain_error_propagates(self, means, monkeypatch):
         def broken_fit(*args, **kwargs):
@@ -332,15 +377,15 @@ class TestRankModels:
 
     def test_subset_of_families(self, means):
         ranked = rank_models(means, kinds=(K.LINEAR, K.POWER))
-        assert [rm.kind for rm in ranked] == [K.LINEAR, K.POWER]
+        assert [r.kind for r in ranked] == [K.LINEAR, K.POWER]
 
     def test_order_invariant_under_length_rescale(self, means):
-        base = [rm.kind for rm in rank_models(means)]
+        base = [r.kind for r in rank_models(means)]
         for c in (0.5, 2.0, 3.0):
             scaled = [
                 GrowthObservation(o.age_days, o.length_mm * c) for o in means
             ]
-            assert [rm.kind for rm in rank_models(scaled)] == base
+            assert [r.kind for r in rank_models(scaled)] == base
 
     def test_r_squared_invariant_under_time_shift(self, means):
         for kind in (K.VBGM, K.GOMPERTZ, K.LINEAR):
