@@ -102,7 +102,7 @@ def test_criterion_3_growth_model_reproduction():
     vbgm = fit(K.VBGM, means)
     assert vbgm.r_squared == pytest.approx(0.973, abs=0.010)
     ranked = rank_models(means)
-    assert [r.kind for r in ranked] == [K.GOMPERTZ, K.VBGM, K.LINEAR, K.POWER, K.EXPONENTIAL]
+    assert [rm.kind for rm in ranked] == [K.GOMPERTZ, K.VBGM, K.LINEAR, K.POWER, K.EXPONENTIAL]
     hatch_length = float(predict(K.GOMPERTZ, gompertz.params, 0.0))
     assert hatch_length == pytest.approx(1.337, abs=0.2)
     print(

@@ -288,14 +288,14 @@ class TestRSquared:
 class TestRankModels:
     def test_stage_means_order(self, means):
         ranked = rank_models(means)
-        assert [r.kind for r in ranked] == [
+        assert [rm.kind for rm in ranked] == [
             K.GOMPERTZ,
             K.VBGM,
             K.LINEAR,
             K.POWER,
             K.EXPONENTIAL,
         ]
-        scores = [r.r_squared for r in ranked]
+        scores = [rm.r_squared for rm in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_exact_linear_data_ranks_linear_first(self):
@@ -330,13 +330,13 @@ class TestRankModels:
 
     def test_far_ages_fit_linear_and_vbgm(self):
         ranked = rank_models(obs(*self.FAR_AGES), kinds=(K.LINEAR, K.VBGM))
-        assert [r.kind for r in ranked] == [K.LINEAR, K.VBGM]
+        assert [rm.kind for rm in ranked] == [K.LINEAR, K.VBGM]
 
     def test_overflowing_start_fails_the_ranking(self):
         with pytest.raises(LarvaekitError, match="^power: ") as raised:
             rank_models(obs(*self.FAR_AGES), kinds=(K.EXPONENTIAL, K.POWER))
         assert isinstance(raised.value.__cause__, NonFiniteResult)
-        assert "overflows" in str(raised.value)
+        assert "overflows" in str(raised.value.__cause__)
 
     @pytest.mark.parametrize("kinds, named", [
         (tuple(K), "vbgm"),
@@ -377,15 +377,15 @@ class TestRankModels:
 
     def test_subset_of_families(self, means):
         ranked = rank_models(means, kinds=(K.LINEAR, K.POWER))
-        assert [r.kind for r in ranked] == [K.LINEAR, K.POWER]
+        assert [rm.kind for rm in ranked] == [K.LINEAR, K.POWER]
 
     def test_order_invariant_under_length_rescale(self, means):
-        base = [r.kind for r in rank_models(means)]
+        base = [rm.kind for rm in rank_models(means)]
         for c in (0.5, 2.0, 3.0):
             scaled = [
                 GrowthObservation(o.age_days, o.length_mm * c) for o in means
             ]
-            assert [r.kind for r in rank_models(scaled)] == base
+            assert [rm.kind for rm in rank_models(scaled)] == base
 
     def test_r_squared_invariant_under_time_shift(self, means):
         for kind in (K.VBGM, K.GOMPERTZ, K.LINEAR):
