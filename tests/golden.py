@@ -2,8 +2,9 @@
 
 ``build_inputs`` writes a manifest with label files, frames, label files
 for ``enlarge`` and an observations CSV, all from fixed seeds and literal
-text (nothing is downloaded), label files each refused at one line and
-observation CSVs on which ``fit`` fails.
+text (nothing is downloaded), label files each refused at one line,
+observation CSVs on which ``fit`` fails, and manifests, frames and a label
+file that other commands refuse.
 Each entry of ``CASES`` is one command line; ``run_case`` runs it in
 process through ``cli.main`` and returns the sha256 of its stdout and of
 every file it wrote to its ``--out-dir``. A case named in ``FAILING``
@@ -106,6 +107,20 @@ UNFITTABLE = {
     "obs_header_only": (),
     "obs_far": tuple((1e8 + age, length) for age, length in zip(
         (0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 1.3, 1.5, 1.8, 2.05))),
+    "obs_huge_age": ((0.0, 1.5), (1.0, 2.9), (2.0, 4.1), (1e200, 5.0)),
+}
+
+# Manifests, frames and a label file that a command refuses, by file name.
+REFUSED_INPUTS = {
+    "no_density.csv": (MANIFEST_HEADER + "a,,,,640,480,,\n").encode(),
+    "short_header.csv": b"image_id,gt_path\na,\n",
+    "repeated_id.csv": (MANIFEST_HEADER + "a,,,,640,480,50,\n" * 2).encode(),
+    "density_75.csv": (MANIFEST_HEADER + "a,,,,640,480,75,\n").encode(),
+    "small.pgm": b"P5\n4 4\n255\n" + bytes(range(16)),
+    "truncated.pgm": b"P5\n4 4\n255\n" + bytes(10),
+    "maxval.pgm": b"P5\n4 4\n65535\n" + bytes(32),
+    "plain.pgm": b"P2\n4 4\n255\n" + b"0 " * 16,
+    "empty.txt": b"",
 }
 
 
@@ -169,6 +184,8 @@ def build_inputs(root: Path) -> None:
     for name, rows in UNFITTABLE.items():
         (root / f"{name}.csv").write_bytes(("age_days,length_mm\n" + "".join(
             f"{a!r},{v!r}\n" for a, v in rows)).encode())
+    for name, data in REFUSED_INPUTS.items():
+        (root / name).write_bytes(data)
 
 
 def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
@@ -218,6 +235,18 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
         "fit-error-equal-lengths": ["fit", "{root}/obs_equal.csv"],
         "fit-error-header-only": ["fit", "{root}/obs_header_only.csv"],
         "fit-error-far-ages": ["fit", "{root}/obs_far.csv", "--models", "exponential,power"],
+        "fit-error-huge-age": ["fit", "{root}/obs_huge_age.csv", "--models", "linear"],
+        "report-error-no-density": ["report", "{root}/no_density.csv"],
+        "eval-error-short-header": ["eval", "{root}/short_header.csv"],
+        "eval-error-repeated-id": ["eval", "{root}/repeated_id.csv"],
+        "count-error-density-75": ["count", "{root}/density_75.csv"],
+        "crop-error-too-large": ["preprocess", "crop", "{root}/small.pgm",
+                                 "--width", "5", "--height", "2"],
+        "rotate-error-truncated": ["preprocess", "rotate", "{root}/truncated.pgm"],
+        "rotate-error-maxval": ["preprocess", "rotate", "{root}/maxval.pgm"],
+        "rotate-error-magic": ["preprocess", "rotate", "{root}/plain.pgm"],
+        "enlarge-error-quantile-empty": ["preprocess", "enlarge", "{root}/empty.txt",
+                                         "--quantile", "0.5"],
     })
     failing["usage-error"] = ["eval", manifest, "--iou-thr", "1.5"]
     cases.update(failing)
