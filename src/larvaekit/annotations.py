@@ -26,11 +26,9 @@ import numpy as np
 
 from .errors import (
     AnnotationLoadError,
-    BadDensity,
     DegenerateBox,
-    DuplicateImageId,
+    LarvaekitError,
     MalformedLine,
-    MissingColumn,
     OutOfRange,
 )
 
@@ -269,24 +267,33 @@ def _like(boxes: Sequence[AnyBox], columns: BoxColumns) -> Sequence[AnyBox]:
     return columns if isinstance(boxes, BoxColumns) else list(columns)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, ended only by LF, CRLF or CR as universal-newline
+    reading counts them; any other line break ``str.splitlines`` knows, such
+    as a form feed or U+2028, stays inside its line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
     """Parse a label file into boxes.
 
     ``kind`` selects the line shape: ``"gt"`` expects 5 fields per line,
-    ``"pred"`` expects 6 (trailing confidence). Blank lines are skipped;
-    every other line must parse, so the result has exactly one entry per
-    non-empty input line. The boxes come back as :class:`BoxColumns`, a
-    sequence of :class:`LabeledBox` or :class:`ScoredBox`.
+    ``"pred"`` expects 6 (trailing confidence). Lines end at LF, CRLF or CR
+    only, and fields are separated by any whitespace. Blank lines are
+    skipped; every other line must parse, so the result has exactly one
+    entry per non-empty input line. The boxes come back as
+    :class:`BoxColumns`, a sequence of :class:`LabeledBox` or :class:`ScoredBox`.
     """
     if kind not in LABEL_KINDS:
         raise ValueError(f"kind must be {' or '.join(map(repr, LABEL_KINDS))}, got {kind!r}")
     want = 5 if kind == "gt" else 6
-    columns = _parse_columns(list(map(str.split, text.splitlines())), want)
+    lines = _lines(text)
+    rows = list(map(str.split, lines))
+    columns = _parse_columns(rows, want)
     if columns is not None:
         return columns
     # Some line is refused: word the first refusal as these per-line checks meet it.
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
+    for line_no, (raw, fields) in enumerate(zip(lines, rows), start=1):
         if not fields:
             continue
         if len(fields) != want:
@@ -365,7 +372,7 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
 
 def detect_kind(text: str) -> str | None:
     """Guess 'gt' or 'pred' from the first non-empty line; None if empty."""
-    for raw in text.splitlines():
+    for raw in _lines(text):
         n = len(raw.split())
         if n == 0:
             continue
@@ -401,14 +408,14 @@ def _csv_rows(text: str, required: Sequence[str], what: str) -> Iterator[tuple[i
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is
     skipped. A header lacking a ``required`` column raises
-    :class:`MissingColumn` naming ``what``; a CSV syntax error, such as an
+    :class:`LarvaekitError` naming ``what``; a CSV syntax error, such as an
     oversized field, raises :class:`MalformedLine` at the line it was read on.
     """
     reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         missing = [c for c in required if c not in (reader.fieldnames or ())]
         if missing:
-            raise MissingColumn(f"{what} lacks column(s): {', '.join(missing)}")
+            raise LarvaekitError(f"{what} lacks column(s): {', '.join(missing)}")
         yield from enumerate(reader, start=2)
     except csv.Error as err:
         raise MalformedLine(reader.reader.line_num, str(err)) from None
@@ -435,7 +442,7 @@ def load_manifest(text: str) -> tuple[ManifestEntry, ...]:
         if not image_id:
             raise MalformedLine(row_no, "empty image_id")
         if image_id in seen:
-            raise DuplicateImageId(f"image_id {image_id!r} appears more than once")
+            raise LarvaekitError(f"image_id {image_id!r} appears more than once")
         seen.add(image_id)
         try:
             width = int(row["width_px"])
@@ -450,9 +457,9 @@ def load_manifest(text: str) -> tuple[ManifestEntry, ...]:
             try:
                 density = int(density_raw)
             except ValueError:
-                raise BadDensity(f"density_group {density_raw!r} is not an integer") from None
+                raise LarvaekitError(f"density_group {density_raw!r} is not an integer") from None
             if density not in DENSITY_GROUPS:
-                raise BadDensity(
+                raise LarvaekitError(
                     f"density_group {density} not one of {', '.join(map(str, DENSITY_GROUPS))}"
                 )
         day = (row["day_label"] or "").strip() or None

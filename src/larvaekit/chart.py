@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset
+from .errors import LarvaekitError
 from .growth import DISPLAY_NAMES, FitResult, GrowthObservation, predict
 
 WIDTH, HEIGHT = 640, 480
@@ -53,7 +53,7 @@ def growth_chart_svg(
 ) -> str:
     """Render observations (circles) and fitted curves (one path each)."""
     if not observations:
-        raise EmptyDataset("nothing to plot")
+        raise LarvaekitError("nothing to plot")
     ages, curves, sx, sy = _scales(observations, fits)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

@@ -31,7 +31,7 @@ from . import (
     GROUP_FIELDS,
     __version__,
 )
-from .errors import EmptyDataset, InputFileError, LarvaekitError, MissingDensity
+from .errors import InputFileError, LarvaekitError
 
 
 def _lazy(name: str):
@@ -233,7 +233,7 @@ def _preprocess_enlarge(args, write) -> str:
         rows = np.concatenate([boxes.boxes for _, boxes in parsed])
         if not len(rows):
             files = "label file" if len(parsed) == 1 else "label files"
-            raise EmptyDataset(f"--quantile: none of the {len(parsed)} {files} holds a box")
+            raise LarvaekitError(f"--quantile: none of the {len(parsed)} {files} holds a box")
         threshold = preprocessing.area_quantile(rows, args.quantile)
     for path, boxes in parsed:
         enlarged = preprocessing.enlarge_small_boxes(boxes, threshold, mode=args.mode)
@@ -301,7 +301,7 @@ def cmd_report(args, write) -> str:
     with _reading(manifest_path):
         for entry in manifest:
             if entry.density_group is None:
-                raise MissingDensity(f"image '{entry.image_id}' has no density_group, "
+                raise LarvaekitError(f"image '{entry.image_id}' has no density_group, "
                                      "which a density summary needs")
     scored = evaluation.evaluate_dataset(manifest, config, root=manifest_path.parent)
     report = counting.density_summary([(e.density_group, scored.per_image[e.image_id])

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import DEFAULT_VOLUME_FACTOR
 from .annotations import ImageAnnotation, _columns, _csv_field
-from .errors import MissingDensity, OutOfRange
+from .errors import LarvaekitError, OutOfRange
 
 if TYPE_CHECKING:
     from .evaluation import EvalReport
@@ -96,7 +96,7 @@ def density_summary(
     buckets: dict[int, list[EvalReport]] = {}
     for density, report in items:
         if density is None:
-            raise MissingDensity("every image needs a density_group for a density summary")
+            raise LarvaekitError("every image needs a density_group for a density summary")
         buckets.setdefault(density, []).append(report)
     rows = [
         DensityRow(density, len(reports), _image_mean(reports, "counting_accuracy"),

@@ -2,6 +2,9 @@
 
 Every error raised by library code derives from :class:`LarvaekitError` so
 callers (and the CLI) can distinguish domain failures from programming bugs.
+A failure gets a class of its own only when an ``except`` in the package
+names that class, or when the class carries data beyond its message; every
+other failure raises :class:`LarvaekitError` itself.
 """
 
 from __future__ import annotations
@@ -11,11 +14,10 @@ class LarvaekitError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-# --- annotation / manifest parsing ---
-
-
 class MalformedLine(LarvaekitError):
-    """A label-file line has the wrong field count or a non-numeric field."""
+    """A line that does not parse: a label-file line with the wrong field
+    count or a non-numeric field, a manifest row with an empty id, a
+    non-integer width or height or a NUL in a path, or a CSV syntax error."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -32,16 +34,13 @@ class OutOfRange(LarvaekitError):
         self.line_no = line_no
 
 
-class MissingColumn(LarvaekitError):
-    """A manifest header lacks a required column."""
+class DegenerateBox(LarvaekitError):
+    """A box has non-positive width or height, or no extent in float64 or
+    at six decimals."""
 
 
-class DuplicateImageId(LarvaekitError):
-    """Two manifest rows share the same image_id."""
-
-
-class BadDensity(LarvaekitError):
-    """A manifest density_group is not one of the stocking densities."""
+class SingularNormalEquations(LarvaekitError):
+    """The damped normal equations could not be solved."""
 
 
 class AnnotationLoadError(LarvaekitError):
@@ -68,64 +67,3 @@ class InputFileError(LarvaekitError):
         super().__init__(f"{path}: {cause}")
         self.path = path
         self.cause = cause
-
-
-# --- raster codec / preprocessing ---
-
-
-class UnsupportedFormat(LarvaekitError):
-    """The byte stream is not a binary netpbm image this package reads."""
-
-
-class MaxvalNot255(LarvaekitError):
-    """The netpbm header declares a sample maxval other than 255."""
-
-
-class TruncatedPayload(LarvaekitError):
-    """The pixel payload does not match the size promised by the header."""
-
-
-class TargetTooLarge(LarvaekitError):
-    """A crop window exceeds the source image dimensions."""
-
-
-class EmptyDataset(LarvaekitError):
-    """An operation over a collection received no elements."""
-
-
-class DegenerateBox(LarvaekitError):
-    """A box has non-positive width or height."""
-
-
-# --- evaluation / counting ---
-
-
-class InconsistentCounts(LarvaekitError):
-    """Confusion counts disagree with the stated ground-truth total."""
-
-
-class NoGroundTruth(LarvaekitError):
-    """A precision/recall curve was requested over zero ground-truth boxes."""
-
-
-class MissingDensity(LarvaekitError):
-    """A per-density summary received an image without a density group."""
-
-
-# --- growth fitting ---
-
-
-class InsufficientData(LarvaekitError):
-    """Too few (or too degenerate) observations to fit the requested model."""
-
-
-class SingularNormalEquations(LarvaekitError):
-    """The damped normal equations could not be solved."""
-
-
-class ZeroVariance(LarvaekitError):
-    """All observed lengths are equal; R-squared is undefined."""
-
-
-class NonFiniteResult(LarvaekitError):
-    """A model evaluation overflowed or produced NaN."""

@@ -41,7 +41,7 @@ from .annotations import (
     _csv_field,
     load_image_annotation,
 )
-from .errors import InconsistentCounts, NoGroundTruth, OutOfRange
+from .errors import LarvaekitError, OutOfRange
 
 # Predictions per IoU block; a block holds this many rows against every
 # ground-truth box, which bounds the matcher's memory on crowded images.
@@ -81,7 +81,7 @@ class ConfusionCounts:
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn) < 0 or self.tn != 0:
-            raise InconsistentCounts(f"bad counts tp={self.tp} fp={self.fp} fn={self.fn} tn={self.tn}")
+            raise LarvaekitError(f"bad counts tp={self.tp} fp={self.fp} fn={self.fn} tn={self.tn}")
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,7 @@ def confusion_metrics(counts: ConfusionCounts, num_gt: int) -> MetricSet:
     reported as 0 by convention.
     """
     if num_gt != counts.tp + counts.fn:
-        raise InconsistentCounts(
-            f"num_gt={num_gt} but tp+fn={counts.tp + counts.fn}"
-        )
+        raise LarvaekitError(f"num_gt={num_gt} but tp+fn={counts.tp + counts.fn}")
     tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -224,7 +222,7 @@ def pr_curve(scored_flags: Iterable[tuple[float, bool]], total_gt: int) -> list[
     so the curve sweeps every score the detector emitted.
     """
     if total_gt <= 0:
-        raise NoGroundTruth("a PR curve needs at least one ground-truth box")
+        raise LarvaekitError("a PR curve needs at least one ground-truth box")
     ordered = sorted(scored_flags, key=lambda t: -t[0])
     points = []
     tp = 0

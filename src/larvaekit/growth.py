@@ -29,15 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .annotations import _csv_rows
-from .errors import (
-    InsufficientData,
-    LarvaekitError,
-    MalformedLine,
-    NonFiniteResult,
-    OutOfRange,
-    SingularNormalEquations,
-    ZeroVariance,
-)
+from .errors import LarvaekitError, MalformedLine, OutOfRange, SingularNormalEquations
 
 
 class GrowthModelKind(enum.Enum):
@@ -160,7 +152,7 @@ def predict(kind: GrowthModelKind, params: Sequence[float], t):
         raise OutOfRange("ages must be finite and non-negative")
     values, _ = _model(kind, tuple(float(v) for v in params), np.atleast_1d(t_arr))
     if not np.all(np.isfinite(values)):
-        raise NonFiniteResult(f"{kind.value} overflowed at the requested ages")
+        raise LarvaekitError(f"{kind.value} overflowed at the requested ages")
     if t_arr.ndim == 0:
         return float(values[0])
     return values
@@ -223,14 +215,12 @@ def _damped_least_squares(
 
 def _prepared(observations: Sequence[GrowthObservation], n_params: int):
     if len(observations) < n_params + 1:
-        raise InsufficientData(
-            f"needs at least {n_params + 1} observations, got {len(observations)}"
-        )
+        raise LarvaekitError(f"needs at least {n_params + 1} observations, got {len(observations)}")
     ordered = sorted(observations, key=lambda o: o.age_days)
     t = np.array([o.age_days for o in ordered], dtype=float)
     lengths = np.array([o.length_mm for o in ordered], dtype=float)
     if np.unique(t).size < 2:
-        raise InsufficientData("needs at least two distinct ages")
+        raise LarvaekitError("needs at least two distinct ages")
     return t, lengths
 
 
@@ -243,7 +233,7 @@ def _initial_params(kind: GrowthModelKind, t: np.ndarray, lengths: np.ndarray) -
     if kind is GrowthModelKind.POWER:
         pos = t > 0
         if np.unique(t[pos]).size < 2:
-            raise InsufficientData("needs two distinct positive ages to initialize")
+            raise LarvaekitError("needs two distinct positive ages to initialize")
         return _log_linear_start(np.log(t[pos]), lengths[pos])
     if kind is GrowthModelKind.EXPONENTIAL:
         return _log_linear_start(t, lengths)
@@ -256,7 +246,7 @@ def _log_linear_start(x: np.ndarray, lengths: np.ndarray) -> list[float]:
     try:
         return [math.exp(log_a0), b0]
     except OverflowError:
-        raise NonFiniteResult(f"initial scale exp({log_a0:.6g}) overflows") from None
+        raise LarvaekitError(f"initial scale exp({log_a0:.6g}) overflows") from None
 
 
 def _fit_linear(t: np.ndarray, lengths: np.ndarray) -> tuple[tuple[float, float], float]:
@@ -272,14 +262,14 @@ def _fit_linear(t: np.ndarray, lengths: np.ndarray) -> tuple[tuple[float, float]
         residuals = lengths - (slope * t + intercept)
         sse = float(residuals @ residuals)
     if not all(map(math.isfinite, (sxx, slope, intercept, sse))):
-        raise NonFiniteResult("least-squares line overflows")
+        raise LarvaekitError("least-squares line overflows")
     return (slope, intercept), sse
 
 
 def _total_sum_of_squares(lengths: np.ndarray) -> float:
     sst = float(((lengths - lengths.mean()) ** 2).sum())
     if sst == 0.0:
-        raise ZeroVariance("all lengths are equal; R-squared is undefined")
+        raise LarvaekitError("all lengths are equal; R-squared is undefined")
     return sst
 
 
@@ -346,11 +336,11 @@ def rank_models(
     ``kinds``: the first whose fit raises a domain error fails the ranking
     with a LarvaekitError that names it, and no later family is fitted.
     Any other exception is a bug and propagates. Degenerate constant-length
-    data raises ZeroVariance outright since no family can be scored on it.
+    data raises LarvaekitError outright since no family can be scored on it.
     """
     lengths = np.array([o.length_mm for o in observations], dtype=float)
     if lengths.size and lengths.min() == lengths.max():
-        raise ZeroVariance("all lengths are equal; models cannot be ranked")
+        raise LarvaekitError("all lengths are equal; models cannot be ranked")
     fitted = []
     for kind in sorted(kinds, key=list(GrowthModelKind).index):
         try:

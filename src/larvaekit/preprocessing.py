@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ENLARGE_MODES
 from .annotations import AnyBox, Box2D, _box_array, _checked_boxes, _columns, _corners, _like
-from .errors import EmptyDataset, OutOfRange, TargetTooLarge
+from .errors import LarvaekitError, OutOfRange
 from .raster import RasterImage
 
 # Boxes whose clipped area falls below this fraction of the crop window are
@@ -44,7 +44,7 @@ def center_crop(
     if target_w < 1 or target_h < 1:
         raise OutOfRange(f"crop size must be positive, got {target_w}x{target_h}")
     if target_w > image.width or target_h > image.height:
-        raise TargetTooLarge(
+        raise LarvaekitError(
             f"crop {target_w}x{target_h} exceeds image {image.width}x{image.height}"
         )
     off_x = (image.width - target_w) // 2
@@ -128,7 +128,7 @@ def area_quantile(boxes: Iterable[Box2D] | np.ndarray, q: float) -> float:
         raise OutOfRange(f"quantile rank must lie in [0, 1], got {q}")
     rows = boxes if isinstance(boxes, np.ndarray) else _box_array(list(boxes))
     if not len(rows):
-        raise EmptyDataset("no boxes to take a quantile over")
+        raise LarvaekitError("no boxes to take a quantile over")
     return float(np.quantile(rows[:, 2] * rows[:, 3], q))
 
 

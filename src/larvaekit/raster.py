@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxvalNot255, TruncatedPayload, UnsupportedFormat
+from .errors import LarvaekitError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
@@ -39,14 +39,12 @@ class RasterImage:
             view = view.cast("B") if view.readonly and view.c_contiguous else view.tobytes()
             object.__setattr__(self, "pixels", view)
         if self.width < 1 or self.height < 1:
-            raise UnsupportedFormat(f"bad dimensions {self.width}x{self.height}")
+            raise LarvaekitError(f"bad dimensions {self.width}x{self.height}")
         if self.channels not in (1, 3):
-            raise UnsupportedFormat(f"unsupported channel count {self.channels}")
+            raise LarvaekitError(f"unsupported channel count {self.channels}")
         expected = self.width * self.height * self.channels
         if len(self.pixels) != expected:
-            raise TruncatedPayload(
-                f"expected {expected} payload bytes, got {len(self.pixels)}"
-            )
+            raise LarvaekitError(f"expected {expected} payload bytes, got {len(self.pixels)}")
 
     def to_array(self) -> np.ndarray:
         """View the pixels as a (height, width, channels) uint8 array."""
@@ -57,11 +55,11 @@ class RasterImage:
     def from_array(arr: np.ndarray) -> "RasterImage":
         """Build an image from a (h, w) or (h, w, c) uint8 array."""
         if arr.dtype != np.uint8:
-            raise UnsupportedFormat(f"expected uint8 samples, got {arr.dtype}")
+            raise LarvaekitError(f"expected uint8 samples, got {arr.dtype}")
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-            raise UnsupportedFormat(f"bad array shape {arr.shape}")
+            raise LarvaekitError(f"bad array shape {arr.shape}")
         h, w, c = arr.shape
         return RasterImage(w, h, c, arr.tobytes())
 
@@ -82,7 +80,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
     if start == pos:
-        raise UnsupportedFormat("header ended before all fields were read")
+        raise LarvaekitError("header ended before all fields were read")
     return data[start:pos], pos
 
 
@@ -90,22 +88,22 @@ def decode_raster(data: bytes) -> RasterImage:
     """Decode a binary netpbm stream (P5 grayscale or P6 RGB, maxval 255)."""
     magic, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P6"):
-        raise UnsupportedFormat(f"unrecognized magic {magic!r}")
+        raise LarvaekitError(f"unrecognized magic {magic!r}")
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos)
         try:
             fields.append(int(token))
         except ValueError:
-            raise UnsupportedFormat(f"{name} field {token!r} is not an integer") from None
+            raise LarvaekitError(f"{name} field {token!r} is not an integer") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise UnsupportedFormat(f"bad dimensions {width}x{height}")
+        raise LarvaekitError(f"bad dimensions {width}x{height}")
     if maxval != 255:
-        raise MaxvalNot255(f"maxval is {maxval}, this codec only handles 255")
+        raise LarvaekitError(f"maxval is {maxval}, this codec only handles 255")
     # Exactly one whitespace byte separates the header from the payload.
     if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise UnsupportedFormat("missing separator between header and payload")
+        raise LarvaekitError("missing separator between header and payload")
     # RasterImage refuses a payload of any other length than the header's.
     return RasterImage(width, height, 1 if magic == b"P5" else 3, memoryview(data)[pos + 1 :])
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from larvaekit.annotations import Box2D
-from larvaekit.errors import DegenerateBox, InsufficientData
+from larvaekit.errors import DegenerateBox, LarvaekitError
 from larvaekit.growth import GrowthModelKind, GrowthObservation, _model, _total_sum_of_squares
 from larvaekit.preprocessing import _noise_sd
 
@@ -98,7 +98,7 @@ def r_squared(
             f"{len(predictions)} predictions for {len(observations)} observations"
         )
     if len(observations) < 2:
-        raise InsufficientData("R-squared needs at least two observations")
+        raise LarvaekitError("R-squared needs at least two observations")
     lengths = np.array([o.length_mm for o in observations], dtype=float)
     sst = _total_sum_of_squares(lengths)
     residuals = lengths - np.asarray(predictions, dtype=float)

@@ -16,17 +16,19 @@ from larvaekit.annotations import (
 )
 from larvaekit.errors import (
     AnnotationLoadError,
-    BadDensity,
     DegenerateBox,
-    DuplicateImageId,
+    LarvaekitError,
     MalformedLine,
-    MissingColumn,
     OutOfRange,
 )
 
 from oracles import PixelBox, to_absolute, to_normalized
 
 MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label"
+
+# Characters str.splitlines breaks at but a label file does not: whitespace
+# between fields instead.
+LINE_BREAKS_INSIDE_A_LINE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestBox2D:
@@ -106,6 +108,20 @@ class TestParseLabelFile:
         with pytest.raises(MalformedLine) as err:
             parse_label_file("0 0.5 0.5 0.1 0.2\n0 0.5 0.5 0.1\n")
         assert err.value.line_no == 2
+
+    def test_form_feed_ends_no_line(self):
+        with pytest.raises(MalformedLine) as err:
+            parse_label_file("0 0.5 0.5 0.2 0.2\x0c\n0 0.5 0.5 0.2\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("separator", LINE_BREAKS_INSIDE_A_LINE)
+    def test_other_line_breaks_separate_fields(self, separator):
+        text = f"0 0.5 0.5 0.2 0.2{separator}\n0 0.5{separator}0.5 0.1 0.2\n0 0.5 0.5 0.2\n"
+        with pytest.raises(MalformedLine, match="^line 3: expected 5 fields, got 4$") as err:
+            parse_label_file(text)
+        assert err.value.line_no == 3
+        assert parse_label_file(text.rpartition("0 0.5 0.5 0.2\n")[0]) == [
+            LabeledBox(0, Box2D(0.5, 0.5, 0.2, 0.2)), LabeledBox(0, Box2D(0.5, 0.5, 0.1, 0.2))]
 
     def test_collapsing_box_names_line(self):
         with pytest.raises(OutOfRange, match="^line 2: box .* no extent") as err:
@@ -237,6 +253,10 @@ class TestDetectKind:
     def test_empty(self):
         assert detect_kind("\n  \n") is None
 
+    @pytest.mark.parametrize("separator", LINE_BREAKS_INSIDE_A_LINE)
+    def test_other_line_breaks_stay_inside_the_first_line(self, separator):
+        assert detect_kind(f"0 0.5 0.5{separator}0.1 0.2 0.9\n") == "pred"
+
 
 class TestPixelConversion:
     def test_to_absolute_example(self):
@@ -287,22 +307,22 @@ class TestManifest:
         assert load_manifest(text)[0].image_id == "a"
 
     def test_missing_column(self):
-        with pytest.raises(MissingColumn):
+        with pytest.raises(LarvaekitError, match="^manifest header lacks column[(]s[)]: gt_path, "):
             load_manifest("image_id,image_path\nx,y\n")
 
     def test_duplicate_image_id(self):
         text = MANIFEST_HEADER + "\n" + "a,,,,10,10,,\n" + "a,,,,10,10,,\n"
-        with pytest.raises(DuplicateImageId):
+        with pytest.raises(LarvaekitError, match="^image_id 'a' appears more than once$"):
             load_manifest(text)
 
     def test_density_not_integer(self):
         text = MANIFEST_HEADER + "\n" + "a,,,,10,10,dense,\n"
-        with pytest.raises(BadDensity):
+        with pytest.raises(LarvaekitError, match="^density_group 'dense' is not an integer$"):
             load_manifest(text)
 
     def test_density_not_a_stocking_group(self):
         text = MANIFEST_HEADER + "\n" + "a,,,,10,10,120,\n"
-        with pytest.raises(BadDensity):
+        with pytest.raises(LarvaekitError, match="^density_group 120 not one of 50, 100, "):
             load_manifest(text)
 
     def test_bad_dimensions(self):
@@ -333,6 +353,13 @@ class TestManifest:
             load_image_annotation(entry, tmp_path)
         assert err.value.image_id == "imgX"
         assert "imgX" in str(err.value)
+
+    def test_load_annotation_counts_lines_as_universal_newlines_do(self, tmp_path):
+        (tmp_path / "g.txt").write_bytes("0 0.5 0.5 0.2 0.2\u2028\r\n0 0.5 0.5 0.2\n".encode())
+        entry = load_manifest(MANIFEST_HEADER + "\n" + "img1,,g.txt,,100,100,,\n")[0]
+        with pytest.raises(AnnotationLoadError, match="^image 'img1': line 2: ") as err:
+            load_image_annotation(entry, tmp_path)
+        assert err.value.cause.line_no == 2
 
     def test_load_annotation_reads_both_sides(self, tmp_path):
         (tmp_path / "g.txt").write_text("0 0.5 0.5 0.1 0.2\n")

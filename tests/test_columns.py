@@ -61,7 +61,8 @@ from oracles import PixelBox, to_absolute, to_normalized
 
 MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
 
-# Every line boundary str.splitlines honours.
+# Every line boundary str.splitlines honours. A label file ends a line at the
+# first three only; the others are whitespace between fields.
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
               "\u2028", "\u2029"]
 FORMATS = [repr, "{:.6f}".format, "{:e}".format, "{:.17g}".format, "{:+.3E}".format]
@@ -168,10 +169,12 @@ def reference_fields(cx, cy, w, h):
 
 
 def reference_parse(text, kind):
-    """``(class_id, fields, confidence)`` per line, as the per-line object parser read them."""
+    """``(class_id, fields, confidence)`` per line, as the per-line object parser
+    read them, with lines as universal-newline reading gives them."""
     want = 5 if kind == "gt" else 6
     rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        raw = raw.removesuffix("\n")
         fields = raw.split()
         if not fields:
             continue

@@ -17,7 +17,7 @@ from larvaekit.counting import (
     render_counts_csv,
     render_density_csv,
 )
-from larvaekit.errors import MissingDensity, OutOfRange
+from larvaekit.errors import LarvaekitError, OutOfRange
 from larvaekit.evaluation import ConfusionCounts, EvalReport
 
 
@@ -123,7 +123,8 @@ class TestDensitySummary:
         assert all(r.num_images == 1 for r in rep.rows)
 
     def test_missing_density(self):
-        with pytest.raises(MissingDensity):
+        with pytest.raises(LarvaekitError,
+                           match="^every image needs a density_group for a density summary$"):
             density_summary([(100, report(1, 0)), (None, report(1, 0))])
 
     def test_trend_flag_on_strict_decrease(self):

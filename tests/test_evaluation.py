@@ -21,8 +21,7 @@ from larvaekit.annotations import (
 from larvaekit.errors import (
     AnnotationLoadError,
     DegenerateBox,
-    InconsistentCounts,
-    NoGroundTruth,
+    LarvaekitError,
     OutOfRange,
 )
 from larvaekit.counting import CountRecord, render_counts_csv
@@ -266,7 +265,7 @@ class TestConfusionMetrics:
         assert round(100 * m.counting_accuracy, 1) == 91.2
 
     def test_inconsistent_counts(self):
-        with pytest.raises(InconsistentCounts):
+        with pytest.raises(LarvaekitError, match="^num_gt=9 but tp[+]fn=7$"):
             confusion_metrics(ConfusionCounts(5, 1, 2), num_gt=9)
 
     def test_counting_accuracy_equals_recall(self):
@@ -277,7 +276,7 @@ class TestConfusionMetrics:
             assert m.counting_accuracy == m.recall
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(InconsistentCounts):
+        with pytest.raises(LarvaekitError, match="^bad counts tp=-1 fp=0 fn=0 tn=0$"):
             ConfusionCounts(-1, 0, 0)
 
 
@@ -300,7 +299,8 @@ class TestPRCurve:
         assert [(p.precision, p.recall) for p in points] == [(0.0, 0.0)]
 
     def test_no_ground_truth(self):
-        with pytest.raises(NoGroundTruth):
+        with pytest.raises(LarvaekitError,
+                           match="^a PR curve needs at least one ground-truth box$"):
             pr_curve([(0.5, True)], total_gt=0)
 
     def test_sorted_by_confidence_with_monotone_recall(self):

@@ -7,7 +7,7 @@ import pytest
 
 from larvaekit import preprocessing
 from larvaekit.annotations import Box2D, LabeledBox, ScoredBox
-from larvaekit.errors import EmptyDataset, OutOfRange, TargetTooLarge
+from larvaekit.errors import LarvaekitError, OutOfRange
 from larvaekit.preprocessing import (
     add_gaussian_noise,
     area_quantile,
@@ -81,7 +81,7 @@ class TestCenterCrop:
             assert b.h * 120 == pytest.approx(h, abs=1e-9)
 
     def test_target_too_large(self):
-        with pytest.raises(TargetTooLarge):
+        with pytest.raises(LarvaekitError, match="^crop 11x10 exceeds image 10x10$"):
             center_crop(solid_image(10, 10), [], 11, 10)
 
     def test_non_positive_target(self):
@@ -156,7 +156,7 @@ class TestAreaQuantile:
             assert got == pytest.approx(float(np.quantile(areas, q)), rel=1e-12)
 
     def test_empty(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(LarvaekitError, match="^no boxes to take a quantile over$"):
             area_quantile([], 0.25)
 
     def test_bad_rank(self):

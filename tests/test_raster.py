@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from larvaekit.errors import MaxvalNot255, TruncatedPayload, UnsupportedFormat
+from larvaekit.errors import LarvaekitError
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 
 class TestRasterImage:
     def test_buffer_length_checked(self):
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(LarvaekitError, match="^expected 4 payload bytes, got 3$"):
             RasterImage(2, 2, 1, b"\x00" * 3)
 
     def test_channels_checked(self):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(LarvaekitError, match="^unsupported channel count 2$"):
             RasterImage(2, 2, 2, b"\x00" * 8)
 
     def test_dimensions_checked(self):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(LarvaekitError, match="^bad dimensions 0x2$"):
             RasterImage(0, 2, 1, b"")
 
     @pytest.mark.parametrize("arr, message", [
@@ -27,7 +27,7 @@ class TestRasterImage:
         (np.zeros(4, dtype=np.uint8), r"bad array shape \(4,\)"),
     ], ids=["uint16", "two-channels", "flat"])
     def test_from_array_refuses_other_samples_and_shapes(self, arr, message):
-        with pytest.raises(UnsupportedFormat, match=f"^{message}$"):
+        with pytest.raises(LarvaekitError, match=f"^{message}$"):
             RasterImage.from_array(arr)
 
     def test_array_round_trip_gray(self):
@@ -60,7 +60,7 @@ class TestDecode:
         assert (img.width, img.height) == (3, 2)
 
     def test_wrong_magic(self):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(LarvaekitError, match="^unrecognized magic b'P3'$"):
             decode_raster(b"P3\n2 2\n255\n" + bytes(12))
 
     @pytest.mark.parametrize("data, message", [
@@ -69,19 +69,19 @@ class TestDecode:
         (b"P5\n1 1\n255", "missing separator between header and payload"),
     ], ids=["zero-width", "zero-height", "no-separator"])
     def test_bad_header_is_refused(self, data, message):
-        with pytest.raises(UnsupportedFormat, match=f"^{message}$"):
+        with pytest.raises(LarvaekitError, match=f"^{message}$"):
             decode_raster(data)
 
     def test_maxval_must_be_255(self):
-        with pytest.raises(MaxvalNot255):
+        with pytest.raises(LarvaekitError, match="^maxval is 65535, this codec only handles 255$"):
             decode_raster(b"P5\n2 2\n65535\n" + bytes(8))
 
     def test_short_payload(self):
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(LarvaekitError, match="^expected 300 payload bytes, got 15$"):
             decode_raster(b"P6\n10 10\n255\n" + bytes(15))
 
     def test_long_payload(self):
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(LarvaekitError, match="^expected 4 payload bytes, got 5$"):
             decode_raster(b"P5\n2 2\n255\n" + bytes(5))
 
 
