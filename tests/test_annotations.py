@@ -307,7 +307,8 @@ class TestManifest:
         assert load_manifest(text)[0].image_id == "a"
 
     def test_missing_column(self):
-        with pytest.raises(LarvaekitError, match="^manifest header lacks column[(]s[)]: gt_path, "):
+        with pytest.raises(LarvaekitError, match="^manifest header lacks column[(]s[)]: gt_path, "
+                           "pred_path, width_px, height_px, density_group, day_label$"):
             load_manifest("image_id,image_path\nx,y\n")
 
     def test_duplicate_image_id(self):
@@ -322,7 +323,8 @@ class TestManifest:
 
     def test_density_not_a_stocking_group(self):
         text = MANIFEST_HEADER + "\n" + "a,,,,10,10,120,\n"
-        with pytest.raises(LarvaekitError, match="^density_group 120 not one of 50, 100, "):
+        with pytest.raises(LarvaekitError,
+                           match="^density_group 120 not one of 50, 100, 150, 200, 300, 400, 500$"):
             load_manifest(text)
 
     def test_bad_dimensions(self):
