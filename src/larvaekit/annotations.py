@@ -5,10 +5,10 @@ tooling: ``class cx cy w h`` for ground truth and ``class cx cy w h conf``
 for predictions, all coordinates normalized to the image size. Manifests
 are CSV files binding image ids to their files and acquisition metadata.
 
-A parsed label file is held as columns (:class:`BoxColumns`): class ids,
-an ``(n, 4)`` array of boxes and the scores, which the matcher, counter
-and image operations work on directly. Read as a sequence, the columns
-give the per-box objects.
+A parsed label file is held as columns (:class:`BoxColumns`): plain
+Python lists of the class ids, the ``(cx, cy, w, h)`` boxes and the
+scores, which the matcher, counter and image operations work on
+directly. Read as a sequence, the columns give the per-box objects.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Iterator, Union
-
-import numpy as np
 
 from .errors import (
     AnnotationLoadError,
@@ -41,11 +39,6 @@ LABEL_KINDS = ("gt", "pred")
 
 # Stocking densities (larvae per tank) used across the rearing experiments.
 DENSITY_GROUPS = (50, 100, 150, 200, 300, 400, 500)
-
-# From this many rows, _checked_boxes first tests them as arrays, and checks
-# them one at a time only when a row fails; below it the per-row check alone
-# is faster.
-_ARRAY_CHECK_MIN_ROWS = 16
 
 MANIFEST_COLUMNS = (
     "image_id",
@@ -80,7 +73,7 @@ def _box_fields(cx: float, cy: float, w: float, h: float) -> tuple[float, float,
         x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
         y1, y2 = min(max(y1, 0.0), 1.0), min(max(y2, 0.0), 1.0)
         cx, cy, w, h = (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1
-    # The corners of the final fields, as _corners computes them.
+    # The corners of the final fields, as the matcher and the crop compute them.
     x1, x2 = cx - w / 2, cx + w / 2
     y1, y2 = cy - h / 2, cy + h / 2
     if x2 <= x1 or y2 <= y1 or w * h == 0.0:
@@ -144,13 +137,6 @@ class ScoredBox:
 AnyBox = Union[LabeledBox, ScoredBox]
 
 
-def _corners(boxes: np.ndarray) -> np.ndarray:
-    """(n, 4) unit-square corners ``cx - w/2, cy - h/2, cx + w/2, cy + h/2``
-    of ``cx, cy, w, h`` rows."""
-    center, half = boxes[:, :2], boxes[:, 2:] / 2
-    return np.concatenate((center - half, center + half), axis=1)
-
-
 def _stored_box(cx: float, cy: float, w: float, h: float) -> Box2D:
     """A :class:`Box2D` holding fields that ``Box2D`` has already checked."""
     box = object.__new__(Box2D)
@@ -158,30 +144,12 @@ def _stored_box(cx: float, cy: float, w: float, h: float) -> Box2D:
     return box
 
 
-def _box_array(boxes: Sequence[Box2D]) -> np.ndarray:
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def _checked_boxes(boxes: np.ndarray) -> np.ndarray:
-    """``cx, cy, w, h`` rows as :class:`Box2D` stores them; the first row
-    ``Box2D`` refuses raises its error."""
-    if len(boxes) >= _ARRAY_CHECK_MIN_ROWS:
-        half = boxes[:, 2:] / 2
-        low, high = boxes[:, :2] - half, boxes[:, :2] + half
-        # The test of _box_fields's first branch, which keeps the fields as parsed.
-        # A NaN fails it: min and max pass a NaN on, and it fails every comparison.
-        if (low.min(initial=0.0) >= 0.0 and high.max(initial=1.0) <= 1.0
-                and (low < high).all() and (boxes[:, 2] * boxes[:, 3] != 0.0).all()):
-            return boxes
-    return np.array(list(map(_box_fields, *boxes.T.tolist())), dtype=np.float64).reshape(-1, 4)
-
-
 class BoxColumns(Sequence):
     """Labeled or scored boxes held as columns.
 
-    ``class_ids`` is an object array of Python ints, ``boxes`` an
-    ``(n, 4)`` float64 array of ``cx, cy, w, h`` as :class:`Box2D` stores
-    them, and ``confidence`` the float64 scores (None for ground truth).
+    ``class_ids`` is a list of Python ints, ``boxes`` a list of
+    ``(cx, cy, w, h)`` tuples of floats as :class:`Box2D` stores them, and
+    ``confidence`` a list of the float scores (None for ground truth).
     As a sequence it yields :class:`LabeledBox` or :class:`ScoredBox`
     items, built on first access and compared by value with any other
     sequence of boxes.
@@ -192,8 +160,8 @@ class BoxColumns(Sequence):
 
     __slots__ = ("class_ids", "boxes", "confidence", "_items", "_source")
 
-    def __init__(self, class_ids: np.ndarray, boxes: np.ndarray,
-                 confidence: np.ndarray | None = None, items: list[AnyBox] | None = None,
+    def __init__(self, class_ids: list[int], boxes: list[tuple[float, float, float, float]],
+                 confidence: list[float] | None = None, items: list[AnyBox] | None = None,
                  source: tuple | None = None):
         self.class_ids, self.boxes, self.confidence = class_ids, boxes, confidence
         self._items = items
@@ -218,32 +186,34 @@ class BoxColumns(Sequence):
     def __repr__(self) -> str:
         return f"BoxColumns({self._objects()!r})"
 
-    def derive(self, index: np.ndarray, boxes: np.ndarray, changed: np.ndarray | None = None):
+    def derive(self, index: Sequence[int], boxes: list[tuple[float, float, float, float]],
+               changed: Sequence[bool] | None = None):
         """Rows ``index`` of these columns with ``boxes`` in place of theirs.
 
         ``changed`` marks the rows whose box is new (all by default); the
         others keep their items.
         """
         if changed is None:
-            changed = np.ones(len(index), dtype=bool)
-        confidence = None if self.confidence is None else self.confidence[index]
-        return BoxColumns(self.class_ids[index], boxes, confidence,
+            changed = [True] * len(index)
+        confidence = None
+        if self.confidence is not None:
+            confidence = list(map(self.confidence.__getitem__, index))
+        return BoxColumns(list(map(self.class_ids.__getitem__, index)), boxes, confidence,
                           source=(self, index, changed))
 
     def _objects(self) -> list[AnyBox]:
         if self._items is None:
             if self._source is None:
-                ids, boxes = self.class_ids.tolist(), map(_stored_box, *self.boxes.T.tolist())
+                boxes = starmap(_stored_box, self.boxes)
                 if self.confidence is None:
-                    self._items = list(map(LabeledBox, ids, boxes))
+                    self._items = list(map(LabeledBox, self.class_ids, boxes))
                 else:
-                    self._items = list(map(ScoredBox, ids, boxes, self.confidence.tolist()))
+                    self._items = list(map(ScoredBox, self.class_ids, boxes, self.confidence))
             else:
                 parent, index, changed = self._source
                 items = parent._objects()
                 self._items = [replace(items[i], box=_stored_box(*row)) if new else items[i]
-                               for i, row, new in zip(index.tolist(), self.boxes.tolist(),
-                                                      changed.tolist())]
+                               for i, row, new in zip(index, self.boxes, changed)]
         return self._items
 
 
@@ -257,9 +227,10 @@ def _columns(boxes: Sequence[AnyBox]) -> BoxColumns:
     items = list(boxes)
     confidence = None
     if all(isinstance(item, ScoredBox) for item in items):
-        confidence = np.array([item.confidence for item in items], dtype=np.float64)
-    return BoxColumns(np.array([item.class_id for item in items], dtype=object),
-                      _box_array([item.box for item in items]), confidence, items)
+        confidence = [float(item.confidence) for item in items]
+    return BoxColumns([item.class_id for item in items],
+                      [(float(b.cx), float(b.cy), float(b.w), float(b.h))
+                       for b in (item.box for item in items)], confidence, items)
 
 
 def _like(boxes: Sequence[AnyBox], columns: BoxColumns) -> Sequence[AnyBox]:
@@ -319,9 +290,10 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
 
 def _parse_columns(rows: list[list[str]], want: int) -> BoxColumns | None:
     """The boxes of a label file's split lines, converted a column at a time
-    and checked by :func:`_checked_boxes`, or None when a line is refused: a
-    wrong field count, a field that does not convert, a negative class, a box
-    ``_box_fields`` refuses, or a confidence outside [0, 1]."""
+    and checked a row at a time by :func:`_box_fields`, or None when a line
+    is refused: a wrong field count, a field that does not convert, a
+    negative class, a box ``_box_fields`` refuses, or a confidence outside
+    [0, 1]."""
     if not set(map(len, rows)) <= {0, want}:
         return None
     tokens = list(chain.from_iterable(rows))
@@ -329,18 +301,20 @@ def _parse_columns(rows: list[list[str]], want: int) -> BoxColumns | None:
     del tokens[::want]
     try:
         class_ids = list(map(int, classes))
-        values = np.fromiter(map(float, tokens), np.float64, len(tokens)).reshape(-1, want - 1)
-        boxes = _checked_boxes(np.ascontiguousarray(values[:, :4]))
+        values = list(map(float, tokens))
+        columns = [values[field::want - 1] for field in range(want - 1)]
+        boxes = list(map(_box_fields, *columns[:4]))
     except (ValueError, DegenerateBox, OutOfRange):
         return None
     confidence = None
     if want == 6:
-        confidence = np.ascontiguousarray(values[:, 4])
-        if not (confidence.min(initial=0.0) >= 0.0 and confidence.max(initial=1.0) <= 1.0):
+        confidence = columns[4]
+        # A NaN fails both comparisons, as it fails _checked_confidence.
+        if not all(0.0 <= score <= 1.0 for score in confidence):
             return None
     if min(class_ids, default=0) < 0:
         return None
-    return BoxColumns(np.array(class_ids, dtype=object), boxes, confidence)
+    return BoxColumns(class_ids, boxes, confidence)
 
 
 def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
@@ -356,16 +330,15 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
         if len({isinstance(item, ScoredBox) for item in items}) > 1:
             raise ValueError("boxes mix ground truth and predictions; a label file holds one kind")
         boxes = _columns(items)
-    rows = boxes.boxes
     # Only an extent below 1e-6 can print as 0.000000.
-    for row in rows[(rows[:, 2:] < 1e-6).any(axis=1)].tolist():
-        if "0.000000" in (f"{row[2]:.6f}", f"{row[3]:.6f}"):
-            cx, cy, w, h = row
+    for cx, cy, w, h in boxes.boxes:
+        if (w < 1e-6 or h < 1e-6) and "0.000000" in (f"{w:.6f}", f"{h:.6f}"):
             raise DegenerateBox(f"box ({cx}, {cy}, {w}, {h}) has no extent at six decimals")
-    fields = [boxes.class_ids.tolist(), *rows.T.tolist()]
+    # The class ids, then the box columns (none when there is no box).
+    fields = [boxes.class_ids, *zip(*boxes.boxes)]
     line = "%s %.6f %.6f %.6f %.6f\n"
     if boxes.confidence is not None:
-        fields.append(boxes.confidence.tolist())
+        fields.append(boxes.confidence)
         line = line[:-1] + " %.6f\n"
     return "".join(map(line.__mod__, zip(*fields)))
 

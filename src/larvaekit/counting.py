@@ -7,10 +7,9 @@ rounded value rather than 100/6, and overridable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from . import DEFAULT_VOLUME_FACTOR
 from .annotations import ImageAnnotation, _columns, _csv_field
@@ -63,7 +62,7 @@ def count_image(
             f"confidence_threshold must be non-negative, got {confidence_threshold}"
         )
     confidence = _columns(annotation.predictions).confidence
-    predicted = int(np.count_nonzero(confidence >= confidence_threshold))
+    predicted = sum(score >= confidence_threshold for score in confidence)
     true_count = len(annotation.ground_truth) if truth_known else None
     return CountRecord(annotation.image_id, predicted, true_count)
 
@@ -75,7 +74,7 @@ def extrapolate_pond(count: int, volume_factor: float = DEFAULT_VOLUME_FACTOR) -
     if volume_factor <= 0:
         raise OutOfRange(f"volume_factor must be positive, got {volume_factor}")
     total = count * volume_factor
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise OutOfRange(f"pond estimate {count} * {volume_factor:g} overflows")
     return total
 

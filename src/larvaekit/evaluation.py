@@ -5,9 +5,9 @@ and each grabs its best-overlapping unclaimed ground-truth box. It runs
 once per image, with the confidence threshold at 0: the flags of that
 sweep feed the PR curve, and the thresholded counts are the same flags
 restricted to the predictions at or above the threshold. IoU is computed
-in numpy, a block of predictions against every ground-truth box at a
-time. Counts feed precision/recall/F1 and two accuracy flavors that are
-deliberately kept apart:
+in plain Python, and only against the ground-truth boxes a sweep along x
+finds within reach of each prediction. Counts feed precision/recall/F1
+and two accuracy flavors that are deliberately kept apart:
 
 - ``confusion_accuracy``: (TP + TN) / (TP + TN + FP + FN), with TN fixed
   at 0 since "everything that is not an object" is uncountable.
@@ -24,12 +24,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import accumulate, chain
-from operator import add
+from itertools import accumulate, chain, starmap
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import AGGREGATIONS, AP_METHODS, GROUP_FIELDS
 from .annotations import (
@@ -37,15 +35,12 @@ from .annotations import (
     ManifestEntry,
     ScoredBox,
     _columns,
-    _corners,
     _csv_field,
     load_image_annotation,
 )
 from .errors import LarvaekitError, OutOfRange
 
-# Predictions per IoU block; a block holds this many rows against every
-# ground-truth box, which bounds the matcher's memory on crowded images.
-MATCH_BLOCK_ROWS = 64
+Corners = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -113,54 +108,69 @@ class MatchResult:
     scored_flags: tuple[tuple[float, bool], ...]
 
 
-def _iou_block(pred: np.ndarray, gt: np.ndarray, gt_area: np.ndarray) -> np.ndarray:
-    """IoU of each ``pred`` row against every ``gt`` row of ``x1, y1, x2, y2`` corners:
-    ``inter / (pred_area + gt_area - inter)``, and 0 where ``inter`` is not positive."""
-    # In-place steps keep a block to a few (rows, num_gt) buffers.
-    ix = np.minimum(pred[:, 2:3], gt[:, 2])
-    ix -= np.maximum(pred[:, 0:1], gt[:, 0])
-    iy = np.minimum(pred[:, 3:4], gt[:, 3])
-    iy -= np.maximum(pred[:, 1:2], gt[:, 1])
-    inter = np.multiply(ix, iy, out=np.zeros_like(ix), where=(ix > 0.0) & (iy > 0.0))
-    pred_area = (pred[:, 2] - pred[:, 0]) * (pred[:, 3] - pred[:, 1])
-    union = np.add(pred_area[:, None], gt_area, out=iy)
-    union -= inter
-    # Pairs without a positive intersection, an underflowed one included, keep IoU 0.
-    return np.divide(inter, union, out=inter, where=inter > 0.0)
+def _box_corners(cx: float, cy: float, w: float, h: float) -> Corners:
+    """Unit-square corners ``x1, y1, x2, y2`` of a ``cx, cy, w, h`` box."""
+    half_w, half_h = w / 2, h / 2
+    return cx - half_w, cy - half_h, cx + half_w, cy + half_h
 
 
 def _greedy_flags(
-    gt: np.ndarray,
-    pred: np.ndarray,
-    confidence: np.ndarray,
+    gt: Sequence[Corners],
+    pred: Sequence[Corners],
+    confidence: Sequence[float],
     iou_threshold: float,
 ) -> list[bool]:
     """TP flag per prediction, in input order, under the greedy rule.
 
-    ``gt`` and ``pred`` are (n, 4) unit-square corners (``_corners``);
+    ``gt`` and ``pred`` are unit-square corners (``_box_corners``);
     normalized coords are a uniform per-axis scaling, so IoU computed in
-    the unit square equals IoU in pixel space. A gt box below the
-    threshold can never be taken, so each prediction's candidates are the
-    boxes at or above it, ordered by (-IoU, index); it takes the first
-    unclaimed one, which is its best unclaimed box.
+    the unit square equals IoU in pixel space. Predictions are visited in
+    descending confidence, ties in input order, and each takes the
+    unclaimed gt box of highest IoU at or above the threshold, the lowest
+    index on a tie.
+
+    The unclaimed gt boxes are kept sorted by ``x1`` (the sort-and-sweep
+    broad phase of collision detection). Only those whose ``x1`` lies in
+    ``[px1 - widest, px2)``, ``widest`` being the widest gt box, can
+    overlap a prediction: any other at most touches it, so its IoU is 0,
+    which ``MatchConfig`` keeps below every threshold. Rounding cannot
+    push an overlapping box below the window: if ``x2 > px1``, then
+    ``px1`` lies at least one float step below ``x2``, and ``x2 - x1``
+    rounds down by at most that step, so ``px1 - widest`` rounds to
+    ``x1`` or below. Each IoU takes the same float operations in the
+    same order as a pairwise loop, so every match is the one that loop
+    gives.
     """
     flags = [False] * len(pred)
-    if not len(gt) or not len(pred):
+    if not gt or not pred:
         return flags
-    visit = np.argsort(-confidence, kind="stable")
-    gt_area = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
-    claimed = [False] * len(gt)
-    for start in range(0, len(visit), MATCH_BLOCK_ROWS):
-        rows = visit[start:start + MATCH_BLOCK_ROWS]
-        block = _iou_block(pred[rows], gt, gt_area)
-        r, k = np.nonzero(block >= iou_threshold)
-        ranked = np.lexsort((k, -block[r, k], r))
-        taken = -1
-        for row, col in zip(r[ranked].tolist(), k[ranked].tolist()):
-            if row != taken and not claimed[col]:
-                claimed[col] = True
-                flags[rows[row]] = True
-                taken = row
+    widest = max(x2 - x1 for x1, _, x2, _ in gt)
+    # (x1, y1, x2, y2, area, index) of the unclaimed boxes; a claimed box leaves both lists.
+    unclaimed = sorted(((x1, y1, x2, y2, (x2 - x1) * (y2 - y1), k)
+                        for k, (x1, y1, x2, y2) in enumerate(gt)), key=itemgetter(0))
+    starts = [box[0] for box in unclaimed]
+    for j in sorted(range(len(pred)), key=confidence.__getitem__, reverse=True):
+        px1, py1, px2, py2 = pred[j]
+        pred_area = (px2 - px1) * (py2 - py1)
+        best, best_iou, best_k = -1, iou_threshold, len(gt)
+        for at in range(bisect_left(starts, px1 - widest), bisect_left(starts, px2)):
+            gx1, gy1, gx2, gy2, gt_area, k = unclaimed[at]
+            # min and max as conditionals, which are faster than the builtins.
+            iy = (py2 if py2 < gy2 else gy2) - (py1 if py1 > gy1 else gy1)
+            if not iy > 0.0:
+                continue
+            ix = (px2 if px2 < gx2 else gx2) - (px1 if px1 > gx1 else gx1)
+            if not ix > 0.0:
+                continue
+            inter = ix * iy
+            # An intersection that underflows to 0 scores 0.
+            if inter > 0.0:
+                iou = inter / (pred_area + gt_area - inter)
+                if iou > best_iou or (iou == best_iou and k < best_k):
+                    best, best_iou, best_k = at, iou, k
+        if best >= 0:
+            del unclaimed[best], starts[best]
+            flags[j] = True
     return flags
 
 
@@ -183,18 +193,19 @@ def match_detections(
     Unclaimed gt boxes are FNs. Matching is class-blind: the datasets
     here are single-class.
 
-    IoU is computed in numpy for blocks of ``MATCH_BLOCK_ROWS``
-    predictions, in visiting order, against every gt box (``_iou_block``).
-    Each value takes the same float64 operations on one pair's corners
-    whatever block the pair falls in, so every match is the one a
-    pairwise loop over the boxes gives.
+    IoU is computed in plain Python, for each prediction only against the
+    gt boxes whose x-extent can reach it (``_greedy_flags``). Each value
+    takes the same float operations on one pair's corners as a pairwise
+    loop over the boxes, so every match is the one that loop gives.
     """
     gt, pred = _columns(ground_truth), _columns(predictions)
-    kept = pred.confidence >= config.confidence_threshold
-    confidence = pred.confidence[kept]
-    flags = _greedy_flags(_corners(gt.boxes), _corners(pred.boxes[kept]), confidence,
+    threshold = config.confidence_threshold
+    kept = [(score, box) for score, box in zip(pred.confidence, pred.boxes) if score >= threshold]
+    confidence = [score for score, _ in kept]
+    flags = _greedy_flags(list(starmap(_box_corners, gt.boxes)),
+                          [_box_corners(*box) for _, box in kept], confidence,
                           config.iou_threshold)
-    return MatchResult(_counts(flags, len(gt)), tuple(zip(confidence.tolist(), flags)))
+    return MatchResult(_counts(flags, len(gt)), tuple(zip(confidence, flags)))
 
 
 def confusion_metrics(counts: ConfusionCounts, num_gt: int) -> MetricSet:

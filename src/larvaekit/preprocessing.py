@@ -2,20 +2,22 @@
 
 Every operation is pure: it returns new objects and leaves its inputs
 untouched, so pipelines can be composed and re-run freely. Box
-operations work on columns (:class:`~larvaekit.annotations.BoxColumns`)
-and hand back boxes in the container they were given: columns for
-columns, a list for any other sequence.
+operations work on columns (:class:`~larvaekit.annotations.BoxColumns`),
+each building one array of their boxes, and hand back boxes in the
+container they were given: columns for columns, a list for any other
+sequence.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import ENLARGE_MODES
-from .annotations import AnyBox, Box2D, _box_array, _checked_boxes, _columns, _corners, _like
+from .annotations import AnyBox, Box2D, _box_fields, _columns, _like
 from .errors import LarvaekitError, OutOfRange
 from .raster import RasterImage
 
@@ -26,6 +28,40 @@ MIN_CLIPPED_AREA_FRACTION = 1e-6
 # Noise works on strips of at most this many samples, so its float64
 # buffer stays a fixed size whatever the frame.
 _STRIP_SAMPLES = 1 << 16
+
+# From this many rows, _checked_boxes first tests them as arrays, and checks
+# them one at a time only when a row fails; below it the per-row check alone
+# is faster.
+_ARRAY_CHECK_MIN_ROWS = 16
+
+
+def _box_array(boxes: Sequence[tuple[float, float, float, float]]) -> np.ndarray:
+    """``(n, 4)`` float64 array of ``cx, cy, w, h`` rows."""
+    return np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4)
+
+
+def _corners(boxes: np.ndarray) -> np.ndarray:
+    """(n, 4) unit-square corners ``cx - w/2, cy - h/2, cx + w/2, cy + h/2``
+    of ``cx, cy, w, h`` rows."""
+    center, half = boxes[:, :2], boxes[:, 2:] / 2
+    return np.concatenate((center - half, center + half), axis=1)
+
+
+def _checked_boxes(boxes: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """``cx, cy, w, h`` rows as :class:`Box2D` stores them, as column rows;
+    the first row ``Box2D`` refuses raises its error."""
+    if len(boxes) >= _ARRAY_CHECK_MIN_ROWS:
+        # The test of _box_fields's first branch, which keeps the fields as given.
+        # A NaN fails it: min and max pass a NaN on, and it fails every comparison.
+        # So does a corner that overflows to inf.
+        with np.errstate(over="ignore"):
+            half = boxes[:, 2:] / 2
+            low, high = boxes[:, :2] - half, boxes[:, :2] + half
+            in_square = (low.min(initial=0.0) >= 0.0 and high.max(initial=1.0) <= 1.0
+                         and (low < high).all() and (boxes[:, 2] * boxes[:, 3] != 0.0).all())
+        if in_square:
+            return list(zip(*boxes.T.tolist()))
+    return list(map(_box_fields, *boxes.T.tolist()))
 
 
 def center_crop(
@@ -58,7 +94,8 @@ def center_crop(
     # Pixel corners: the unit-square corners (cx -+ w/2, cy -+ h/2) times the
     # image size, shifted into the window and clipped to it.
     size = np.array([target_w, target_h] * 2, dtype=np.float64)
-    px = _corners(columns.boxes) * np.array([image.width, image.height] * 2, dtype=np.float64)
+    px = _corners(_box_array(columns.boxes)) * np.array([image.width, image.height] * 2,
+                                                         dtype=np.float64)
     px = np.clip(px - np.array([off_x, off_y] * 2, dtype=np.float64), 0.0, size)
     extent = px[:, 2:] - px[:, :2]  # never negative: clipping keeps x1 <= x2
     min_area = MIN_CLIPPED_AREA_FRACTION * target_w * target_h
@@ -67,7 +104,7 @@ def center_crop(
     # Back to centers and extents, as fractions of the crop size.
     moved = np.concatenate(((px[:, :2] + px[:, 2:]) / (2 * size[:2]),
                             (px[:, 2:] - px[:, :2]) / size[:2]), axis=1)
-    return cropped, _like(boxes, columns.derive(kept, _checked_boxes(moved)))
+    return cropped, _like(boxes, columns.derive(kept.tolist(), _checked_boxes(moved)))
 
 
 def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
@@ -122,11 +159,12 @@ def area_quantile(boxes: Iterable[Box2D] | np.ndarray, q: float) -> float:
     """Quantile of normalized box areas with linear interpolation.
 
     ``boxes`` are :class:`Box2D` objects or an ``(n, 4)`` array of
-    ``cx, cy, w, h`` rows (``BoxColumns.boxes``).
+    ``cx, cy, w, h`` rows (``BoxColumns.boxes`` as an array).
     """
     if not 0.0 <= q <= 1.0:
         raise OutOfRange(f"quantile rank must lie in [0, 1], got {q}")
-    rows = boxes if isinstance(boxes, np.ndarray) else _box_array(list(boxes))
+    rows = boxes if isinstance(boxes, np.ndarray) else _box_array(
+        [(b.cx, b.cy, b.w, b.h) for b in boxes])
     if not len(rows):
         raise LarvaekitError("no boxes to take a quantile over")
     return float(np.quantile(rows[:, 2] * rows[:, 3], q))
@@ -151,17 +189,19 @@ def enlarge_small_boxes(
     if mode not in ENLARGE_MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, ENLARGE_MODES))}, got {mode!r}")
     columns = _columns(boxes)
-    rows = columns.boxes.copy()
-    grown = rows[:, 2] * rows[:, 3] < area_threshold
-    cx, cy, w, h = rows[grown].T
+    changed = [w * h < area_threshold for _, _, w, h in columns.boxes]
+    grown = list(compress(range(len(changed)), changed))
+    cx, cy, w, h = _box_array([columns.boxes[i] for i in grown]).T
     with np.errstate(over="ignore"):
         scale = area_threshold / (w * h)
         if mode == "normalize":
             scale = np.sqrt(scale)
         w = np.minimum(w * scale, 2 * np.minimum(cx, 1.0 - cx))
         h = np.minimum(h * scale, 2 * np.minimum(cy, 1.0 - cy))
-    rows[grown] = _checked_boxes(np.stack((cx, cy, w, h), axis=1))
-    return _like(boxes, columns.derive(np.arange(len(rows)), rows, grown))
+    moved = list(columns.boxes)
+    for i, box in zip(grown, _checked_boxes(np.stack((cx, cy, w, h), axis=1))):
+        moved[i] = box
+    return _like(boxes, columns.derive(range(len(moved)), moved, changed))
 
 
 def _noise_sd(variance: float) -> float:
@@ -216,6 +256,6 @@ def rotate90(
     pixels = np.rot90(pixels.reshape(image.height, image.width), k=1)
     rotated = RasterImage(image.height, image.width, image.channels, pixels.tobytes())
     columns = _columns(boxes)
-    cx, cy, w, h = columns.boxes.T
+    cx, cy, w, h = _box_array(columns.boxes).T
     turned = _checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1))
-    return rotated, _like(boxes, columns.derive(np.arange(len(turned)), turned))
+    return rotated, _like(boxes, columns.derive(range(len(turned)), turned))

@@ -67,7 +67,7 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    # An intersection that underflows to 0 scores 0, as in evaluation._iou_block.
+    # An intersection that underflows to 0 scores 0, as in evaluation._greedy_flags.
     return inter / (a.area + b.area - inter) if inter > 0.0 else 0.0
 
 

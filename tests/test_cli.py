@@ -581,6 +581,22 @@ class TestReport:
         assert result.stdout.endswith("accuracy_strictly_decreasing=true\n")
         assert text in result.stdout
 
+    def test_equal_adjacent_means_are_not_strictly_decreasing(self, tmp_path):
+        gt = [LabeledBox(0, cell_box(0)), LabeledBox(0, cell_box(1))]
+        half = [ScoredBox(0, cell_box(0), 0.9)]
+        manifest = write_dataset(tmp_path, [
+            {"image_id": "lo", "gt": gt, "pred": half, "density": 50},
+            {"image_id": "hi", "gt": gt, "pred": half, "density": 100},
+        ])
+        result = run_cli("report", manifest, "--out-dir", tmp_path / "out")
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out" / "density_report.csv").read_text() == (
+            "density,num_images,mean_counting_accuracy,mean_ap\n"
+            "50,1,0.5000,0.5000\n"
+            "100,1,0.5000,0.5000\n"
+        )
+        assert result.stdout.endswith("accuracy_strictly_decreasing=false\n")
+
     def test_image_without_gt_is_left_out_as_eval_does(self, tmp_path):
         gt = [LabeledBox(0, cell_box(0))]
         manifest = write_dataset(tmp_path, [
@@ -651,6 +667,20 @@ class TestInputErrors:
         (tmp_path / "a_gt.txt").write_text("0 0.5 0.5 1e-20 0.1\n")
         line = single_error_line(run_cli(command, manifest, "--out-dir", tmp_path / "out"))
         assert line.startswith("error: image 'a': line 1: box (0.5, 0.5, 1e-20, 0.1) ")
+
+    @pytest.mark.parametrize("command", ["eval", "count", "preprocess"])
+    def test_long_file_with_a_corner_past_the_largest_float(self, tmp_path, command):
+        # 1.5e308 + 1e308 / 2 overflows; no warning may join the error line.
+        text = "0 0.5 0.5 0.1 0.1\n" * 20 + "0 1.5e308 0.5 1e308 0.1\n"
+        if command == "preprocess":
+            (tmp_path / "img.ppm").write_bytes(encode_raster(solid_image(8, 8)))
+            (tmp_path / "img.txt").write_text(text)
+            argv = ("preprocess", "rotate", tmp_path / "img.ppm")
+        else:
+            argv = (command, small_dataset(tmp_path))
+            (tmp_path / "a_gt.txt").write_text(text)
+        line = single_error_line(run_cli(*argv, "--out-dir", tmp_path / "out"))
+        assert "line 21: box (1.5e+308, 0.5, 1e+308, 0.1) lies outside the unit square" in line
 
     @pytest.mark.parametrize("command", ["eval", "count", "report", "fit", "preprocess"])
     def test_non_utf8_input_names_the_file(self, tmp_path, command):
@@ -1040,7 +1070,8 @@ class TestImportGraph:
         assert record["code"] == exit_code, result.stderr
         assert record["ran"] == sorted(["larvaekit", "larvaekit.cli", "larvaekit.errors",
                                         *(f"larvaekit.{name}" for name in library)])
-        assert record["numpy"] == bool(library)
+        # The label commands load no numpy; every other command that runs a module does.
+        assert record["numpy"] == (bool(library) and argv[0] not in ("eval", "report", "count"))
         if not library:
             assert record["stdlib"] == []
         # Only a command that returns from main reaches the freeze; --version,
@@ -1068,6 +1099,64 @@ class TestImportGraph:
                             "print(larvaekit.__version__, evaluation.evaluate_dataset.__name__)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "['larvaekit']\n0.1.0 evaluate_dataset\n"
+
+
+WITHOUT_NUMPY = """\
+import runpy, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+runpy.run_module("larvaekit", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestWithoutNumpy:
+    """``eval``, ``report`` and ``count`` run where numpy cannot be imported,
+    and write what a run with numpy writes."""
+
+    def dataset(self, root: Path) -> Path:
+        rng = np.random.default_rng(17)
+        images = []
+        for i, density in enumerate((50, 100, 150)):
+            gt, pred = crowded_instance(rng)
+            images.append({"image_id": f"i{i}", "gt": gt, "pred": pred, "density": density})
+        return write_dataset(root, images)
+
+    def runs(self, tmp_path, argv):
+        """The same command line with numpy blocked and as usual, each into its own --out-dir."""
+        blocked = run_python("-c", WITHOUT_NUMPY, *argv, "--out-dir", "blocked", cwd=tmp_path)
+        usual = run_cli(*argv, "--out-dir", "usual", cwd=tmp_path)
+        outputs = [{p.name: p.read_bytes() for p in (tmp_path / d).glob("*")}
+                   for d in ("blocked", "usual")]
+        return blocked, usual, outputs
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "manifest.csv", "--group-by", "density_group"],
+        ["report", "manifest.csv"],
+        ["count", "manifest.csv", "--conf-thr", "0.3"],
+    ], ids=["eval", "report", "count"])
+    def test_label_commands_write_the_same_bytes(self, tmp_path, argv):
+        self.dataset(tmp_path)
+        blocked, usual, outputs = self.runs(tmp_path, argv)
+        assert blocked.returncode == 0, blocked.stderr
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+            usual.returncode, usual.stdout, usual.stderr)
+        assert outputs[0] == outputs[1] and outputs[0]
+
+    @pytest.mark.parametrize("command, label_file, line", [
+        ("eval", "i1_pred.txt", "0 0.5 0.5 0.1 0.1 x\n"),
+        ("report", "i2_gt.txt", "0 0.5 0.5 0.1 2.5\n"),
+        ("count", "i0_pred.txt", "0 0.5 0.5 0.1 0.1\n"),
+    ], ids=["eval", "report", "count"])
+    def test_label_file_errors_give_the_same_line(self, tmp_path, command, label_file, line):
+        self.dataset(tmp_path)
+        with open(tmp_path / label_file, "a") as f:
+            f.write(line)
+        blocked, usual, outputs = self.runs(tmp_path, [command, "manifest.csv"])
+        assert blocked.returncode == 1 and blocked.stdout == ""
+        assert blocked.stderr.startswith("error: ") and blocked.stderr.count("\n") == 1
+        assert label_file in blocked.stderr
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+            usual.returncode, usual.stdout, usual.stderr)
+        assert outputs == [{}, {}]
 
 
 class TestExitPath:

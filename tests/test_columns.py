@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from larvaekit import annotations, evaluation
+from larvaekit import annotations, evaluation, preprocessing
 from larvaekit.annotations import (
     DENSITY_GROUPS,
     BOUNDS_TOLERANCE,
@@ -205,8 +205,20 @@ def reference_parse(text, kind):
 
 def column_rows(columns):
     """``reference_parse``'s rows for ``columns``."""
-    scores = [None] * len(columns) if columns.confidence is None else columns.confidence.tolist()
-    return list(zip(columns.class_ids.tolist(), map(tuple, columns.boxes.tolist()), scores))
+    scores = [None] * len(columns) if columns.confidence is None else columns.confidence
+    return list(zip(columns.class_ids, columns.boxes, scores))
+
+
+def plain_columns(columns):
+    """Whether ``columns`` hold one int, one ``(cx, cy, w, h)`` tuple of floats
+    and, when scored, one float per box."""
+    return (len(columns.class_ids) == len(columns.boxes) == len(columns)
+            and all(type(class_id) is int for class_id in columns.class_ids)
+            and all(type(box) is tuple and len(box) == 4 and all(type(v) is float for v in box)
+                    for box in columns.boxes)
+            and (columns.confidence is None
+                 or len(columns.confidence) == len(columns)
+                 and all(type(score) is float for score in columns.confidence)))
 
 
 class TestBoxFields:
@@ -239,7 +251,7 @@ class TestParse:
     def test_items_are_the_parsed_objects(self):
         text = f"3 0.5 0.5 0.2 0.2 0.25\n{2**64} 0.0000004 0.5 0.000001 0.1 1\n"
         boxes = parse_label_file(text, "pred")
-        assert boxes.class_ids.tolist() == [3, 2**64]
+        assert boxes.class_ids == [3, 2**64]
         assert boxes == [ScoredBox(3, Box2D(0.5, 0.5, 0.2, 0.2), 0.25),
                          ScoredBox(2**64, Box2D(0.0000004, 0.5, 0.000001, 0.1), 1.0)]
         assert boxes[1] is boxes[1]
@@ -287,47 +299,48 @@ def long_label_text(rng, kind, lines, odd_share):
 def array_check_from(rows):
     """``_checked_boxes`` with its size rule at ``rows``: 0 tests every size as arrays."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(annotations, "_ARRAY_CHECK_MIN_ROWS", rows)
+        patch.setattr(preprocessing, "_ARRAY_CHECK_MIN_ROWS", rows)
         yield
 
 
 class TestColumnarParse:
     """Every label file is converted a column at a time and its boxes are
-    checked by ``_checked_boxes``, as arrays from ``_ARRAY_CHECK_MIN_ROWS``
-    rows and one at a time below. Either way it gives what the per-line
-    parser gives: every value, or the same error on the same line."""
+    checked one row at a time by ``_box_fields``. That gives what the
+    per-line parser gives: every value, or the same error on the same line.
+    The boxes ``preprocessing`` moves are checked by ``_checked_boxes``,
+    as arrays from ``_ARRAY_CHECK_MIN_ROWS`` rows and one at a time below,
+    which gives what ``_box_fields`` gives."""
 
     @pytest.mark.parametrize("kind", ["gt", "pred"])
     def test_files_of_every_size_are_the_per_line_parser(self, kind):
         rng = np.random.default_rng(5 if kind == "gt" else 6)
-        size_rule = annotations._ARRAY_CHECK_MIN_ROWS
-        seen = {"array test": 0, "per-row check": 0, "refused": 0}
+        seen = {"16 boxes or more": 0, "fewer boxes": 0, "refused": 0}
         for _ in range(500):
-            lines = int(rng.integers(0, 3 * size_rule))
+            lines = int(rng.integers(0, 48))
             odd_share = float(rng.choice([0.0, 0.0, 0.01, 0.05, 0.3]))
             text = long_label_text(rng, kind, lines, odd_share)
             expected = outcome(lambda: reference_parse(text, kind))
             parsed = outcome(lambda: parse_label_file(text, kind))
             if not isinstance(parsed, tuple):
-                assert parsed.boxes.dtype == np.float64 and parsed.boxes.shape == (len(parsed), 4)
+                assert plain_columns(parsed)
                 parsed = column_rows(parsed)
             assert repr(parsed) == repr(expected), text
-            rows = list(map(str.split, text.splitlines()))
-            if annotations._parse_columns(rows, 5 if kind == "gt" else 6) is None:
+            if isinstance(expected, tuple):
                 seen["refused"] += 1
-            elif sum(map(bool, rows)) >= size_rule:
-                seen["array test"] += 1
+            elif len(expected) >= 16:
+                seen["16 boxes or more"] += 1
             else:
-                seen["per-row check"] += 1
+                seen["fewer boxes"] += 1
         assert min(seen.values()) >= 100, seen
 
     @settings(max_examples=300, deadline=None)
-    @given(st.tuples(st.sampled_from(["gt", "pred"]), texts("gt") | texts("pred")))
-    def test_array_test_at_every_size(self, case):
-        kind, text = case
-        expected = repr(outcome(lambda: reference_parse(text, kind)))
+    @given(st.lists(ROWS, max_size=40))
+    def test_array_test_at_every_size(self, rows):
+        expected = repr(outcome(lambda: [_box_fields(*row) for row in rows]))
         with array_check_from(0):
-            assert repr(outcome(lambda: column_rows(parse_label_file(text, kind)))) == expected
+            got = outcome(lambda: preprocessing._checked_boxes(
+                np.array(rows, dtype=np.float64).reshape(-1, 4)))
+        assert repr(got) == expected
 
     @pytest.mark.parametrize("kind", ["gt", "pred"])
     def test_a_long_file_with_a_row_to_clamp_stays_columnar(self, kind):
@@ -335,7 +348,6 @@ class TestColumnarParse:
         clamped = (CLAMPED_GT if kind == "gt" else CLAMPED_PRED).strip()
         text = "\n".join(plain[:9] + [clamped] + plain[9:]) + "\n"
         rows = list(map(str.split, text.splitlines()))
-        assert len(rows) >= annotations._ARRAY_CHECK_MIN_ROWS
         columns = annotations._parse_columns(rows, 5 if kind == "gt" else 6)
         assert columns is not None
         expected = reference_parse(text, kind)
@@ -343,20 +355,20 @@ class TestColumnarParse:
         assert repr(column_rows(columns)) == repr(expected)
         assert repr(column_rows(parse_label_file(text, kind))) == repr(expected)
 
-    @pytest.mark.parametrize("min_rows", [annotations._ARRAY_CHECK_MIN_ROWS, 0],
+    @pytest.mark.parametrize("min_rows", [preprocessing._ARRAY_CHECK_MIN_ROWS, 0],
                              ids=["per-row-check", "array-test"])
     @pytest.mark.parametrize("kind", ["gt", "pred"])
     @pytest.mark.parametrize("text", ["", "\n", " \t\n\r\n\x0c  "],
                              ids=["empty", "newline", "blanks"])
     def test_empty_and_blank_files_give_no_boxes(self, text, kind, min_rows):
+        boxes = parse_label_file(text, kind)
+        image = RasterImage(4, 4, 1, bytes(16))
         with array_check_from(min_rows):
-            boxes = parse_label_file(text, kind)
-        assert len(boxes) == 0 and boxes.class_ids.shape == (0,)
-        assert boxes.boxes.dtype == np.float64 and boxes.boxes.shape == (0, 4)
-        if kind == "gt":
-            assert boxes.confidence is None
-        else:
-            assert boxes.confidence.dtype == np.float64 and boxes.confidence.shape == (0,)
+            moved = [boxes, enlarge_small_boxes(boxes, 0.5), rotate90(image, boxes)[1],
+                     center_crop(image, boxes, 2, 2)[1]]
+        for columns in moved:
+            assert len(columns) == 0 and columns.class_ids == [] and columns.boxes == []
+            assert columns.confidence == (None if kind == "gt" else [])
 
 
 class TestColumns:
@@ -454,7 +466,7 @@ def containers(boxes):
 
 
 # label_boxes draws fewer boxes than the size rule; a rule of 0 puts them past it.
-MIN_ROWS = st.sampled_from([annotations._ARRAY_CHECK_MIN_ROWS, 0])
+MIN_ROWS = st.sampled_from([preprocessing._ARRAY_CHECK_MIN_ROWS, 0])
 
 
 class TestArrayOperations:
@@ -509,7 +521,8 @@ class TestArrayOperations:
     @given(label_boxes(), st.floats(0.0, 1.0))
     def test_area_quantile(self, boxes, q):
         expected = outcome(lambda: area_quantile([b.box for b in boxes], q))
-        assert outcome(lambda: area_quantile(_columns(boxes).boxes, q)) == expected
+        rows = np.array(_columns(boxes).boxes, dtype=np.float64).reshape(-1, 4)
+        assert outcome(lambda: area_quantile(rows, q)) == expected
 
 
 def run(argv) -> tuple[int, str, str]:

@@ -136,6 +136,13 @@ class TestDensitySummary:
         items = [(50, report(86, 14)), (100, report(70, 30)), (150, report(72, 28))]
         assert not density_summary(items).accuracy_decreases_with_density
 
+    def test_trend_flag_off_at_a_tie(self):
+        # a fall, then two adjacent densities with equal means: not strictly decreasing
+        items = [(50, report(9, 1)), (100, report(8, 2)), (150, report(8, 2))]
+        rows = density_summary(items).rows
+        assert rows[1].mean_counting_accuracy == rows[2].mean_counting_accuracy
+        assert not density_summary(items).accuracy_decreases_with_density
+
     def test_trend_flag_needs_at_least_two_rows(self):
         assert not density_summary([(50, report(9, 1))]).accuracy_decreases_with_density
 

@@ -44,6 +44,7 @@ from conftest import (
     corners_to_box,
     crowded_instance,
     grid_boxes,
+    jitter_corners,
     rand_corners,
     rect_sum_ap,
     reference_greedy_flags,
@@ -242,6 +243,94 @@ class TestCrowdedGreedyOracle:
             kept = [(c, f) for c, f in sweep if c >= conf_thr]
             c = match_detections(gt, preds, MatchConfig(confidence_threshold=conf_thr)).counts
             assert (c.tp, c.fp, c.fn) == counts_of(kept, len(gt))
+
+
+def gt_at(*corners):
+    return LabeledBox(0, corners_to_box(PixelBox(*corners)))
+
+
+def pred_at(confidence, *corners):
+    return ScoredBox(0, corners_to_box(PixelBox(*corners)), confidence)
+
+
+def mixed_width_instance(rng):
+    """Gt boxes 0.5 and 0.005 wide, 100-fold apart; predictions are jittered
+    copies, copies slid to overlap a box by a sliver at either x end, and strays."""
+    gts = []
+    for _ in range(int(rng.integers(1, 25))):
+        w = 0.5 if rng.random() < 0.25 else 0.005
+        h = float(rng.uniform(0.005, 0.5))
+        cx, cy = float(rng.uniform(w / 2, 1 - w / 2)), float(rng.uniform(h / 2, 1 - h / 2))
+        gts.append(PixelBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+    preds = []
+    for _ in range(int(rng.integers(0, 25))):
+        source = gts[int(rng.integers(len(gts)))]
+        roll = rng.random()
+        if roll < 0.4:
+            preds.append(jitter_corners(source, rng))
+        elif roll < 0.7:
+            # a box starting just inside the source's right end, or ending just inside its left
+            w = float(rng.choice([0.005, 0.05, 0.5]))
+            sliver = float(rng.choice([1e-9, 1e-6, 1e-3]))
+            x1 = source.x_max - sliver if rng.random() < 0.5 else source.x_min + sliver - w
+            x1 = min(max(x1, 0.0), 1.0 - w)
+            preds.append(PixelBox(x1, source.y_min, x1 + w, source.y_max))
+        else:
+            preds.append(rand_corners(rng))
+    scores = rng.choice([0.3, 0.6, 0.9], len(preds)) if rng.random() < 0.5 else rng.random(len(preds))
+    return ([LabeledBox(0, corners_to_box(g)) for g in gts],
+            [ScoredBox(0, corners_to_box(p), float(c)) for p, c in zip(preds, scores)])
+
+
+class TestSweepWindow:
+    """The matcher scores only the gt boxes whose x1 lies in [px1 - widest, px2)
+    of each prediction; none outside that window can be a candidate."""
+
+    def test_widest_box_just_inside_the_window_is_the_best_match(self):
+        widest = gt_at(0.125, 0.25, 0.625, 0.75)  # 0.5 wide
+        tiny = gt_at(0.7, 0.5, 0.7001, 0.5001)  # inside the predictions, lower IoU
+        # Two equal predictions whose x1 lies 2**-20 inside the widest box's
+        # right end, so that box's x1 lies 2**-20 inside px1 - widest.
+        sliver = (0.625 - 2**-20, 0.25, 0.75, 0.75)
+        preds = [pred_at(0.9, *sliver), pred_at(0.8, *sliver)]
+        config = MatchConfig(iou_threshold=1e-12, confidence_threshold=0.0)
+        for gt in ([widest, tiny], [tiny, widest]):
+            assert iou(to_absolute(preds[0].box, 1, 1), to_absolute(widest.box, 1, 1)) > iou(
+                to_absolute(preds[0].box, 1, 1), to_absolute(tiny.box, 1, 1)) > 0.0
+            expected = reference_greedy_flags(gt, preds, 1e-12)
+            assert expected == ((0.9, True), (0.8, True))
+            assert match_detections(gt, preds, config).scored_flags == expected
+
+    def test_box_starting_where_the_prediction_ends_only_touches(self):
+        pred = pred_at(0.9, 0.25, 0.25, 0.5, 0.5)
+        touching = [gt_at(0.5, 0.25, 0.75, 0.5), gt_at(0.0, 0.25, 0.25, 0.5),
+                    gt_at(0.5, 0.25, 0.5078125, 0.5)]
+        config = MatchConfig(iou_threshold=1e-12, confidence_threshold=0.0)
+        assert match_detections(touching, [pred], config).scored_flags == ((0.9, False),)
+        assert reference_greedy_flags(touching, [pred], 1e-12) == ((0.9, False),)
+        # Moved one step left, the first box overlaps and is taken.
+        overlapping = [gt_at(0.5 - 2**-20, 0.25, 0.75, 0.5), *touching[1:]]
+        assert match_detections(overlapping, [pred], config).scored_flags == ((0.9, True),)
+
+    @pytest.mark.parametrize("iou_thr", [1e-12, 0.1, 0.5])
+    def test_widths_a_hundred_fold_apart(self, iou_thr):
+        rng = np.random.default_rng(47)
+        config = MatchConfig(iou_threshold=iou_thr, confidence_threshold=0.0)
+        matched = 0
+        for _ in range(300):
+            gt, preds = mixed_width_instance(rng)
+            expected = reference_greedy_flags(gt, preds, iou_thr)
+            assert match_detections(gt, preds, config).scored_flags == expected
+            matched += sum(flag for _, flag in expected)
+        assert matched >= 300
+
+    def test_near_zero_threshold_on_crowded_images(self):
+        rng = np.random.default_rng(48)
+        config = MatchConfig(iou_threshold=1e-12, confidence_threshold=0.0)
+        for _ in range(400):
+            gt, preds = crowded_instance(rng)
+            expected = reference_greedy_flags(gt, preds, 1e-12)
+            assert match_detections(gt, preds, config).scored_flags == expected
 
 
 class TestConfusionMetrics:
