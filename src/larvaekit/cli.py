@@ -228,8 +228,8 @@ def _preprocess_enlarge(args, write) -> str:
     parsed = [(path, _read_labels(path)) for path in map(Path, args.inputs)]
     threshold = args.threshold
     if threshold is None:
-        rows = preprocessing._box_array([box for _, boxes in parsed for box in boxes.boxes])
-        if not len(rows):
+        rows = [box for _, boxes in parsed for box in boxes.boxes]
+        if not rows:
             files = "label file" if len(parsed) == 1 else "label files"
             raise LarvaekitError(f"--quantile: none of the {len(parsed)} {files} holds a box")
         threshold = preprocessing.area_quantile(rows, args.quantile)

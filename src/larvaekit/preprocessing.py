@@ -2,19 +2,19 @@
 
 Every operation is pure: it returns new objects and leaves its inputs
 untouched, so pipelines can be composed and re-run freely. Box
-operations work on columns (:class:`~larvaekit.annotations.BoxColumns`),
-each building one array of their boxes, and hand back boxes in the
-container they were given: columns for columns, a list for any other
-sequence.
+operations work on columns (:class:`~larvaekit.annotations.BoxColumns`)
+a row at a time, check each row they move as :class:`Box2D` would, and
+hand back boxes in the container they were given: columns for columns,
+a list for any other sequence. Crop, mask and rotate slice the pixel
+bytes; only noise imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from bisect import bisect_left
+from itertools import compress
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import ENLARGE_MODES
 from .annotations import AnyBox, Box2D, _box_fields, _columns, _like
@@ -28,40 +28,6 @@ MIN_CLIPPED_AREA_FRACTION = 1e-6
 # Noise works on strips of at most this many samples, so its float64
 # buffer stays a fixed size whatever the frame.
 _STRIP_SAMPLES = 1 << 16
-
-# From this many rows, _checked_boxes first tests them as arrays, and checks
-# them one at a time only when a row fails; below it the per-row check alone
-# is faster.
-_ARRAY_CHECK_MIN_ROWS = 16
-
-
-def _box_array(boxes: Sequence[tuple[float, float, float, float]]) -> np.ndarray:
-    """``(n, 4)`` float64 array of ``cx, cy, w, h`` rows."""
-    return np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4)
-
-
-def _corners(boxes: np.ndarray) -> np.ndarray:
-    """(n, 4) unit-square corners ``cx - w/2, cy - h/2, cx + w/2, cy + h/2``
-    of ``cx, cy, w, h`` rows."""
-    center, half = boxes[:, :2], boxes[:, 2:] / 2
-    return np.concatenate((center - half, center + half), axis=1)
-
-
-def _checked_boxes(boxes: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """``cx, cy, w, h`` rows as :class:`Box2D` stores them, as column rows;
-    the first row ``Box2D`` refuses raises its error."""
-    if len(boxes) >= _ARRAY_CHECK_MIN_ROWS:
-        # The test of _box_fields's first branch, which keeps the fields as given.
-        # A NaN fails it: min and max pass a NaN on, and it fails every comparison.
-        # So does a corner that overflows to inf.
-        with np.errstate(over="ignore"):
-            half = boxes[:, 2:] / 2
-            low, high = boxes[:, :2] - half, boxes[:, :2] + half
-            in_square = (low.min(initial=0.0) >= 0.0 and high.max(initial=1.0) <= 1.0
-                         and (low < high).all() and (boxes[:, 2] * boxes[:, 3] != 0.0).all())
-        if in_square:
-            return list(zip(*boxes.T.tolist()))
-    return list(map(_box_fields, *boxes.T.tolist()))
 
 
 def center_crop(
@@ -85,26 +51,32 @@ def center_crop(
         )
     off_x = (image.width - target_w) // 2
     off_y = (image.height - target_h) // 2
-    arr = image.to_array()[off_y : off_y + target_h, off_x : off_x + target_w]
-    cropped = RasterImage.from_array(arr)
+    row = image.width * image.channels
+    start = off_y * row + off_x * image.channels
+    span = target_w * image.channels
+    pixels = memoryview(image.pixels)
+    cropped = RasterImage(target_w, target_h, image.channels, b"".join(
+        pixels[i : i + span] for i in range(start, start + target_h * row, row)))
     columns = _columns(boxes)
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
         # Full-frame crop: hand the boxes back untouched.
         return cropped, _like(boxes, columns)
-    # Pixel corners: the unit-square corners (cx -+ w/2, cy -+ h/2) times the
-    # image size, shifted into the window and clipped to it.
-    size = np.array([target_w, target_h] * 2, dtype=np.float64)
-    px = _corners(_box_array(columns.boxes)) * np.array([image.width, image.height] * 2,
-                                                         dtype=np.float64)
-    px = np.clip(px - np.array([off_x, off_y] * 2, dtype=np.float64), 0.0, size)
-    extent = px[:, 2:] - px[:, :2]  # never negative: clipping keeps x1 <= x2
+    width, height = float(target_w), float(target_h)
     min_area = MIN_CLIPPED_AREA_FRACTION * target_w * target_h
-    kept = np.flatnonzero(~(extent[:, 0] * extent[:, 1] < min_area))
-    px = px[kept]
-    # Back to centers and extents, as fractions of the crop size.
-    moved = np.concatenate(((px[:, :2] + px[:, 2:]) / (2 * size[:2]),
-                            (px[:, 2:] - px[:, :2]) / size[:2]), axis=1)
-    return cropped, _like(boxes, columns.derive(kept.tolist(), _checked_boxes(moved)))
+    kept, moved = [], []
+    for i, (cx, cy, w, h) in enumerate(columns.boxes):
+        # Pixel corners: the unit-square corners (cx -+ w/2, cy -+ h/2) times
+        # the image size, shifted into the window and clipped to it.
+        x1 = min(max((cx - w / 2) * image.width - off_x, 0.0), width)
+        y1 = min(max((cy - h / 2) * image.height - off_y, 0.0), height)
+        x2 = min(max((cx + w / 2) * image.width - off_x, 0.0), width)
+        y2 = min(max((cy + h / 2) * image.height - off_y, 0.0), height)
+        if not (x2 - x1) * (y2 - y1) < min_area:
+            kept.append(i)
+            # Back to centers and extents, as fractions of the crop size.
+            moved.append(_box_fields((x1 + x2) / (2 * width), (y1 + y2) / (2 * height),
+                                     (x2 - x1) / width, (y2 - y1) / height))
+    return cropped, _like(boxes, columns.derive(kept, moved))
 
 
 def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
@@ -117,57 +89,59 @@ def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> Ra
         raise OutOfRange(f"circle ({cx}, {cy}, {radius}) is not finite")
     if radius < 0:
         raise OutOfRange(f"radius must be non-negative, got {radius}")
-    arr = image.to_array().copy()
-    r2 = radius * radius
-    # A square that overflows to inf still compares correctly.
-    with np.errstate(over="ignore"):
-        dx2 = (np.arange(image.width, dtype=np.float64) - cx) ** 2
-        dy2 = (np.arange(image.height, dtype=np.float64) - cy) ** 2
-        # Rounded subtraction, squaring and addition are monotone, so along a
-        # row dx2 + dy2 falls to column mid and rises after it: the pixels the
-        # test keeps form one run of columns lo..hi-1 around mid (lo > hi if none).
-        mid = int(np.argmin(dx2))
-        lo = mid + 1 - _kept_run(dx2[mid::-1], dy2, r2)
-        hi = mid + _kept_run(dx2[mid:], dy2, r2)
-    # In row-major order, zero from the end of each row's run to the start of
-    # the next row's run (these gaps overlap across a row that keeps nothing).
-    row_start = np.arange(image.height) * image.width
-    pixels = arr.reshape(-1, image.channels)
-    for gap_start, gap_stop in zip([0, *(row_start + hi).tolist()],
-                                   [*(row_start + lo).tolist(), len(pixels)]):
-        pixels[gap_start:gap_stop] = 0
-    arr.flags.writeable = False
-    return RasterImage(image.width, image.height, image.channels, arr)
+    width, channels = image.width, image.channels
+    # Float coordinates whatever the argument types, and squares by
+    # multiplication: one that overflows is inf, which still compares
+    # correctly, where ** would raise OverflowError.
+    cx, cy, r2 = float(cx), float(cy), radius * radius
+    dx2 = [(x - cx) * (x - cx) for x in range(width)]
+    # Rounded subtraction, squaring and addition are monotone, so along a row
+    # dx2 + dy2 falls to column mid and rises after it: the pixels the test
+    # keeps form one run of columns lo..hi-1 around mid (lo > hi if none),
+    # whose ends bisection with that test finds on either side of mid.
+    mid = dx2.index(min(dx2))
+    left, right = dx2[mid::-1], dx2[mid:]
+    pixels = bytearray(image.pixels)
+    gap_start = 0
+    for y in range(image.height):
+        dy2 = (y - cy) * (y - cy)
+
+        def outside(d: float) -> bool:
+            return d + dy2 > r2
+
+        # In row-major order, zero from the end of the previous row's run to the
+        # start of this one's (these gaps overlap across a row that keeps nothing).
+        lo = mid + 1 - bisect_left(left, True, key=outside)
+        start, stop = gap_start * channels, (y * width + lo) * channels
+        if start < stop:
+            pixels[start:stop] = bytes(stop - start)
+        gap_start = y * width + mid + bisect_left(right, True, key=outside)
+    pixels[gap_start * channels :] = bytes(len(pixels) - gap_start * channels)
+    return RasterImage(width, image.height, channels, memoryview(pixels).toreadonly())
 
 
-def _kept_run(dx2: np.ndarray, dy2: np.ndarray, r2: float) -> np.ndarray:
-    """For each row ``y``, how many leading columns of the non-decreasing
-    ``dx2`` pass ``circular_mask``'s test, found by bisection with that test."""
-    kept = np.zeros(len(dy2), dtype=np.intp)
-    step = 1 << (len(dx2).bit_length() - 1)
-    while step:
-        # Columns below kept pass; extend the run by step where the last of
-        # them exists and passes too.
-        probe = kept + step
-        passes = ~(dx2[np.minimum(probe, len(dx2)) - 1] + dy2 > r2)
-        kept = np.where((probe <= len(dx2)) & passes, probe, kept)
-        step >>= 1
-    return kept
+def area_quantile(boxes: Iterable[Box2D | tuple[float, float, float, float]], q: float) -> float:
+    """Quantile of normalized box areas, interpolated as ``numpy.quantile``'s
+    default (linear) method does it.
 
-
-def area_quantile(boxes: Iterable[Box2D] | np.ndarray, q: float) -> float:
-    """Quantile of normalized box areas with linear interpolation.
-
-    ``boxes`` are :class:`Box2D` objects or an ``(n, 4)`` array of
-    ``cx, cy, w, h`` rows (``BoxColumns.boxes`` as an array).
+    ``boxes`` are :class:`Box2D` objects or ``(cx, cy, w, h)`` rows, such
+    as ``BoxColumns.boxes``.
     """
     if not 0.0 <= q <= 1.0:
         raise OutOfRange(f"quantile rank must lie in [0, 1], got {q}")
-    rows = boxes if isinstance(boxes, np.ndarray) else _box_array(
-        [(b.cx, b.cy, b.w, b.h) for b in boxes])
-    if not len(rows):
+    areas = sorted(box.area if isinstance(box, Box2D) else box[2] * box[3] for box in boxes)
+    if not areas:
         raise LarvaekitError("no boxes to take a quantile over")
-    return float(np.quantile(rows[:, 2] * rows[:, 3], q))
+    # The rank (n - 1) * q falls between two sorted areas; the weight t of the
+    # upper one is its fraction, and numpy interpolates from the nearer end.
+    last = len(areas) - 1
+    rank = last * q
+    if rank >= last:
+        return float(areas[-1])
+    below = math.floor(rank)
+    t = rank - below
+    a, b = areas[below], areas[below + 1]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def enlarge_small_boxes(
@@ -190,17 +164,14 @@ def enlarge_small_boxes(
         raise ValueError(f"mode must be {' or '.join(map(repr, ENLARGE_MODES))}, got {mode!r}")
     columns = _columns(boxes)
     changed = [w * h < area_threshold for _, _, w, h in columns.boxes]
-    grown = list(compress(range(len(changed)), changed))
-    cx, cy, w, h = _box_array([columns.boxes[i] for i in grown]).T
-    with np.errstate(over="ignore"):
+    moved = list(columns.boxes)
+    for i in compress(range(len(changed)), changed):
+        cx, cy, w, h = moved[i]
         scale = area_threshold / (w * h)
         if mode == "normalize":
-            scale = np.sqrt(scale)
-        w = np.minimum(w * scale, 2 * np.minimum(cx, 1.0 - cx))
-        h = np.minimum(h * scale, 2 * np.minimum(cy, 1.0 - cy))
-    moved = list(columns.boxes)
-    for i, box in zip(grown, _checked_boxes(np.stack((cx, cy, w, h), axis=1))):
-        moved[i] = box
+            scale = math.sqrt(scale)
+        moved[i] = _box_fields(cx, cy, min(w * scale, 2 * min(cx, 1.0 - cx)),
+                               min(h * scale, 2 * min(cy, 1.0 - cy)))
     return _like(boxes, columns.derive(range(len(moved)), moved, changed))
 
 
@@ -222,6 +193,8 @@ def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> Raster
     sd = _noise_sd(variance)
     if variance == 0:
         return image
+    import numpy as np
+
     samples = np.frombuffer(image.pixels, dtype=np.uint8)
     noisy = np.empty_like(samples)
     rng = np.random.default_rng(seed)
@@ -251,11 +224,17 @@ def rotate90(
     maps to ``(cy, 1 - cx, h, w)``. Four applications restore the original
     scene (up to float rounding in the box centers).
     """
-    # Each pixel as one opaque item, so the turn moves whole pixels.
-    pixels = np.frombuffer(image.pixels, dtype=f"V{image.channels}")
-    pixels = np.rot90(pixels.reshape(image.height, image.width), k=1)
-    rotated = RasterImage(image.height, image.width, image.channels, pixels.tobytes())
+    width, height, channels = image.width, image.height, image.channels
+    # Strided slices of bytes copy fastest; output row r is source column
+    # width - 1 - r read top to bottom, one channel at a time.
+    source = bytes(image.pixels)
+    pixels = bytearray(len(source))
+    row, column = width * channels, height * channels
+    for r in range(width):
+        x = (width - 1 - r) * channels
+        for c in range(channels):
+            pixels[r * column + c : (r + 1) * column : channels] = source[x + c :: row]
+    rotated = RasterImage(height, width, channels, memoryview(pixels).toreadonly())
     columns = _columns(boxes)
-    cx, cy, w, h = _box_array(columns.boxes).T
-    turned = _checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1))
+    turned = [_box_fields(cy, 1.0 - cx, h, w) for cx, cy, w, h in columns.boxes]
     return rotated, _like(boxes, columns.derive(range(len(turned)), turned))

@@ -11,10 +11,12 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import LarvaekitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
@@ -48,12 +50,16 @@ class RasterImage:
 
     def to_array(self) -> np.ndarray:
         """View the pixels as a (height, width, channels) uint8 array."""
+        import numpy as np
+
         arr = np.frombuffer(self.pixels, dtype=np.uint8)
         return arr.reshape(self.height, self.width, self.channels)
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "RasterImage":
         """Build an image from a (h, w) or (h, w, c) uint8 array."""
+        import numpy as np
+
         if arr.dtype != np.uint8:
             raise LarvaekitError(f"expected uint8 samples, got {arr.dtype}")
         if arr.ndim == 2:

@@ -1,22 +1,26 @@
 """One-at-a-time reference forms the tests compare the package against.
 
-The package computes these quantities in bulk: IoU over blocks of box
-columns in numpy, corners and crops over ``(n, 4)`` arrays, noise in
-strips, the Jacobian inside the solver and R² from a fit's SSE. No
-subcommand calls the forms here; they live with the tests, which require
-the bulk forms to give the same values.
+The package computes these quantities its own way: IoU in a sweep over
+box columns, crops, masks, turns and box moves in plain Python a row at a
+time, noise in strips, the Jacobian inside the solver and R² from a fit's
+SSE. No subcommand calls the forms here; they live with the tests, which
+require the package's forms to give the same values. The numpy forms of
+the frame and box operations are kept here whole, as the package had
+them before it dropped numpy from them.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from larvaekit.annotations import Box2D
+from larvaekit.annotations import Box2D, _box_fields, _columns, _like
 from larvaekit.errors import DegenerateBox, LarvaekitError
 from larvaekit.growth import GrowthModelKind, GrowthObservation, _model, _total_sum_of_squares
-from larvaekit.preprocessing import _noise_sd
+from larvaekit.preprocessing import MIN_CLIPPED_AREA_FRACTION, _noise_sd
+from larvaekit.raster import RasterImage
 
 
 class PixelBox(NamedTuple):
@@ -103,3 +107,131 @@ def r_squared(
     sst = _total_sum_of_squares(lengths)
     residuals = lengths - np.asarray(predictions, dtype=float)
     return 1.0 - float(residuals @ residuals) / sst
+
+
+# The numpy forms of the frame and box operations. From ``min_rows`` rows,
+# checked_boxes first tests the moved rows as arrays and checks them one at
+# a time only when a row fails; a ``min_rows`` of 0 tests every size so.
+
+ARRAY_CHECK_MIN_ROWS = 16
+
+
+def box_array(boxes: Sequence[tuple[float, float, float, float]]) -> np.ndarray:
+    """``(n, 4)`` float64 array of ``cx, cy, w, h`` rows."""
+    return np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4)
+
+
+def corners(boxes: np.ndarray) -> np.ndarray:
+    """(n, 4) unit-square corners ``cx - w/2, cy - h/2, cx + w/2, cy + h/2``
+    of ``cx, cy, w, h`` rows."""
+    center, half = boxes[:, :2], boxes[:, 2:] / 2
+    return np.concatenate((center - half, center + half), axis=1)
+
+
+def checked_boxes(boxes: np.ndarray, min_rows: int = ARRAY_CHECK_MIN_ROWS):
+    """``cx, cy, w, h`` rows as :class:`Box2D` stores them, as column rows;
+    the first row ``Box2D`` refuses raises its error."""
+    if len(boxes) >= min_rows:
+        # The test of _box_fields's first branch, which keeps the fields as given.
+        # A NaN fails it: min and max pass a NaN on, and it fails every comparison.
+        # So does a corner that overflows to inf, or is inf - inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = boxes[:, 2:] / 2
+            low, high = boxes[:, :2] - half, boxes[:, :2] + half
+            in_square = (low.min(initial=0.0) >= 0.0 and high.max(initial=1.0) <= 1.0
+                         and (low < high).all() and (boxes[:, 2] * boxes[:, 3] != 0.0).all())
+        if in_square:
+            return list(zip(*boxes.T.tolist()))
+    return list(map(_box_fields, *boxes.T.tolist()))
+
+
+def array_center_crop(image: RasterImage, boxes, target_w: int, target_h: int,
+                      min_rows: int = ARRAY_CHECK_MIN_ROWS):
+    """``preprocessing.center_crop`` on a numpy view of the frame and an array of the boxes."""
+    off_x = (image.width - target_w) // 2
+    off_y = (image.height - target_h) // 2
+    arr = image.to_array()[off_y : off_y + target_h, off_x : off_x + target_w]
+    cropped = RasterImage.from_array(arr)
+    columns = _columns(boxes)
+    if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
+        return cropped, _like(boxes, columns)
+    size = np.array([target_w, target_h] * 2, dtype=np.float64)
+    px = corners(box_array(columns.boxes)) * np.array([image.width, image.height] * 2,
+                                                      dtype=np.float64)
+    px = np.clip(px - np.array([off_x, off_y] * 2, dtype=np.float64), 0.0, size)
+    extent = px[:, 2:] - px[:, :2]
+    min_area = MIN_CLIPPED_AREA_FRACTION * target_w * target_h
+    kept = np.flatnonzero(~(extent[:, 0] * extent[:, 1] < min_area))
+    px = px[kept]
+    moved = np.concatenate(((px[:, :2] + px[:, 2:]) / (2 * size[:2]),
+                            (px[:, 2:] - px[:, :2]) / size[:2]), axis=1)
+    return cropped, _like(boxes, columns.derive(kept.tolist(), checked_boxes(moved, min_rows)))
+
+
+def array_circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
+    """``preprocessing.circular_mask`` with the kept runs found over numpy rows."""
+    arr = image.to_array().copy()
+    r2 = radius * radius
+    with np.errstate(over="ignore"):
+        dx2 = (np.arange(image.width, dtype=np.float64) - cx) ** 2
+        dy2 = (np.arange(image.height, dtype=np.float64) - cy) ** 2
+        mid = int(np.argmin(dx2))
+        lo = mid + 1 - _kept_run(dx2[mid::-1], dy2, r2)
+        hi = mid + _kept_run(dx2[mid:], dy2, r2)
+    row_start = np.arange(image.height) * image.width
+    pixels = arr.reshape(-1, image.channels)
+    for gap_start, gap_stop in zip([0, *(row_start + hi).tolist()],
+                                   [*(row_start + lo).tolist(), len(pixels)]):
+        pixels[gap_start:gap_stop] = 0
+    return RasterImage.from_array(arr)
+
+
+def _kept_run(dx2: np.ndarray, dy2: np.ndarray, r2: float) -> np.ndarray:
+    """For each row ``y``, how many leading columns of the non-decreasing
+    ``dx2`` pass the mask's test, found by bisection with that test."""
+    kept = np.zeros(len(dy2), dtype=np.intp)
+    step = 1 << (len(dx2).bit_length() - 1)
+    while step:
+        probe = kept + step
+        passes = ~(dx2[np.minimum(probe, len(dx2)) - 1] + dy2 > r2)
+        kept = np.where((probe <= len(dx2)) & passes, probe, kept)
+        step >>= 1
+    return kept
+
+
+def array_rotate90(image: RasterImage, boxes, min_rows: int = ARRAY_CHECK_MIN_ROWS):
+    """``preprocessing.rotate90`` by ``np.rot90`` over whole pixels and an array of the boxes."""
+    pixels = np.frombuffer(image.pixels, dtype=f"V{image.channels}")
+    pixels = np.rot90(pixels.reshape(image.height, image.width), k=1)
+    rotated = RasterImage(image.height, image.width, image.channels, pixels.tobytes())
+    columns = _columns(boxes)
+    cx, cy, w, h = box_array(columns.boxes).T
+    turned = checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1), min_rows)
+    return rotated, _like(boxes, columns.derive(range(len(turned)), turned))
+
+
+def array_area_quantile(boxes, q: float) -> float:
+    """``np.quantile`` of the areas of :class:`Box2D` objects or ``cx, cy, w, h`` rows."""
+    rows = box_array([(b.cx, b.cy, b.w, b.h) if isinstance(b, Box2D) else b for b in boxes])
+    if not len(rows):
+        raise LarvaekitError("no boxes to take a quantile over")
+    return float(np.quantile(rows[:, 2] * rows[:, 3], q))
+
+
+def array_enlarge_small_boxes(boxes, area_threshold: float, mode: str = "literal",
+                              min_rows: int = ARRAY_CHECK_MIN_ROWS):
+    """``preprocessing.enlarge_small_boxes`` over an array of the rows it grows."""
+    columns = _columns(boxes)
+    changed = [w * h < area_threshold for _, _, w, h in columns.boxes]
+    grown = list(compress(range(len(changed)), changed))
+    cx, cy, w, h = box_array([columns.boxes[i] for i in grown]).T
+    with np.errstate(over="ignore"):
+        scale = area_threshold / (w * h)
+        if mode == "normalize":
+            scale = np.sqrt(scale)
+        w = np.minimum(w * scale, 2 * np.minimum(cx, 1.0 - cx))
+        h = np.minimum(h * scale, 2 * np.minimum(cy, 1.0 - cy))
+    moved = list(columns.boxes)
+    for i, box in zip(grown, checked_boxes(np.stack((cx, cy, w, h), axis=1), min_rows)):
+        moved[i] = box
+    return _like(boxes, columns.derive(range(len(moved)), moved, changed))

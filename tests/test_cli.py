@@ -27,7 +27,7 @@ from larvaekit.annotations import (
     parse_label_file,
     serialize_label_file,
 )
-from larvaekit.raster import decode_raster, encode_raster
+from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 from conftest import (
     cell_box,
@@ -1044,20 +1044,33 @@ def unloaded_submodules():
         setattr(larvaekit, name, module)
 
 
+PREPROCESS_MODULES = ["annotations", "preprocessing", "raster"]
+
+
 class TestImportGraph:
-    @pytest.mark.parametrize("argv, library, exit_code", [
-        (["--version"], [], 0),
-        (["eval", "--help"], [], 0),
-        (["count"], [], 2),
-        (["eval", "{manifest}", "--out-dir", "out"], ["annotations", "evaluation"], 0),
+    # Only noise, fit and the chart load numpy.
+    @pytest.mark.parametrize("argv, library, exit_code, numpy", [
+        (["--version"], [], 0, False),
+        (["eval", "--help"], [], 0, False),
+        (["count"], [], 2, False),
+        (["eval", "{manifest}", "--out-dir", "out"], ["annotations", "evaluation"], 0, False),
         (["report", "{manifest}", "--out-dir", "out"],
-         ["annotations", "counting", "evaluation"], 0),
-        (["count", "{manifest}", "--out-dir", "out"], ["annotations", "counting"], 0),
-        (["fit", "--svg", "chart.svg", "--out-dir", "out"], ["annotations", "chart", "growth"], 0),
-        (["preprocess", "rotate", "img.ppm", "--out-dir", "out"],
-         ["annotations", "preprocessing", "raster"], 0),
-    ], ids=["version", "help", "usage-error", "eval", "report", "count", "fit", "rotate"])
-    def test_each_command_runs_only_its_modules(self, tmp_path, argv, library, exit_code):
+         ["annotations", "counting", "evaluation"], 0, False),
+        (["count", "{manifest}", "--out-dir", "out"], ["annotations", "counting"], 0, False),
+        (["fit", "--svg", "chart.svg", "--out-dir", "out"], ["annotations", "chart", "growth"], 0,
+         True),
+        (["preprocess", "rotate", "img.ppm", "--out-dir", "out"], PREPROCESS_MODULES, 0, False),
+        (["preprocess", "crop", "img.ppm", "--width", "9", "--height", "8", "--out-dir", "out"],
+         PREPROCESS_MODULES, 0, False),
+        (["preprocess", "mask", "img.ppm", "--cx", "9", "--cy", "8", "--radius", "7",
+          "--out-dir", "out"], PREPROCESS_MODULES, 0, False),
+        (["preprocess", "enlarge", "img.txt", "--quantile", "0.5", "--out-dir", "out"],
+         PREPROCESS_MODULES, 0, False),
+        (["preprocess", "noise", "img.ppm", "--variance", "4", "--seed", "1", "--out-dir", "out"],
+         PREPROCESS_MODULES, 0, True),
+    ], ids=["version", "help", "usage-error", "eval", "report", "count", "fit", "rotate", "crop",
+            "mask", "enlarge", "noise"])
+    def test_each_command_runs_only_its_modules(self, tmp_path, argv, library, exit_code, numpy):
         manifest = TestReport().dataset(tmp_path)
         (tmp_path / "img.ppm").write_bytes(encode_raster(solid_image(30, 20)))
         (tmp_path / "img.txt").write_text(
@@ -1070,8 +1083,7 @@ class TestImportGraph:
         assert record["code"] == exit_code, result.stderr
         assert record["ran"] == sorted(["larvaekit", "larvaekit.cli", "larvaekit.errors",
                                         *(f"larvaekit.{name}" for name in library)])
-        # The label commands load no numpy; every other command that runs a module does.
-        assert record["numpy"] == (bool(library) and argv[0] not in ("eval", "report", "count"))
+        assert record["numpy"] == numpy
         if not library:
             assert record["stdlib"] == []
         # Only a command that returns from main reaches the freeze; --version,
@@ -1109,8 +1121,9 @@ runpy.run_module("larvaekit", run_name="__main__", alter_sys=True)
 
 
 class TestWithoutNumpy:
-    """``eval``, ``report`` and ``count`` run where numpy cannot be imported,
-    and write what a run with numpy writes."""
+    """``eval``, ``report``, ``count`` and ``preprocess crop``, ``mask``,
+    ``rotate`` and ``enlarge`` run where numpy cannot be imported, and write
+    what a run with numpy writes."""
 
     def dataset(self, root: Path) -> Path:
         rng = np.random.default_rng(17)
@@ -1140,6 +1153,30 @@ class TestWithoutNumpy:
         assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
             usual.returncode, usual.stdout, usual.stderr)
         assert outputs[0] == outputs[1] and outputs[0]
+
+    def frames(self, root: Path) -> None:
+        """Two frames, gray and RGB, with label files of crowded boxes."""
+        rng = np.random.default_rng(18)
+        for name, shape in (("gray", (31, 40, 1)), ("rgb", (24, 35, 3))):
+            image = RasterImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
+            (root / f"{name}.ppm").write_bytes(encode_raster(image))
+            (root / f"{name}.txt").write_text(serialize_label_file(crowded_instance(rng)[0]))
+
+    @pytest.mark.parametrize("argv", [
+        ["crop", "--width", "25", "--height", "19"],
+        ["mask", "--cx", "14.5", "--cy", "11", "--radius", "10"],
+        ["rotate"],
+        ["enlarge", "--quantile", "0.3", "--mode", "normalize"],
+    ], ids=["crop", "mask", "rotate", "enlarge"])
+    def test_frame_actions_write_the_same_bytes(self, tmp_path, argv):
+        self.frames(tmp_path)
+        inputs = ["gray.txt", "rgb.txt"] if argv[0] == "enlarge" else ["gray.ppm", "rgb.ppm"]
+        blocked, usual, outputs = self.runs(tmp_path, ["preprocess", argv[0], *inputs, *argv[1:]])
+        assert blocked.returncode == 0, blocked.stderr
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+            usual.returncode, usual.stdout, usual.stderr)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == (2 if argv[0] == "enlarge" else 4)
 
     @pytest.mark.parametrize("command, label_file, line", [
         ("eval", "i1_pred.txt", "0 0.5 0.5 0.1 0.1 x\n"),

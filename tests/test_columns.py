@@ -10,13 +10,14 @@ import contextlib
 import io
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from larvaekit import annotations, evaluation, preprocessing
+from larvaekit import annotations, evaluation
 from larvaekit.annotations import (
     DENSITY_GROUPS,
     BOUNDS_TOLERANCE,
@@ -57,7 +58,17 @@ from larvaekit.preprocessing import (
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 from conftest import crowded_instance, reference_greedy_flags, write_dataset
-from oracles import PixelBox, to_absolute, to_normalized
+from oracles import (
+    ARRAY_CHECK_MIN_ROWS,
+    PixelBox,
+    array_area_quantile,
+    array_center_crop,
+    array_enlarge_small_boxes,
+    array_rotate90,
+    checked_boxes,
+    to_absolute,
+    to_normalized,
+)
 
 MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label\n"
 
@@ -295,21 +306,14 @@ def long_label_text(rng, kind, lines, odd_share):
     return "".join(line + rng.choice(["\n", "\r\n", "\n", "\r"]) for line in out)
 
 
-@contextlib.contextmanager
-def array_check_from(rows):
-    """``_checked_boxes`` with its size rule at ``rows``: 0 tests every size as arrays."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(preprocessing, "_ARRAY_CHECK_MIN_ROWS", rows)
-        yield
-
-
 class TestColumnarParse:
     """Every label file is converted a column at a time and its boxes are
     checked one row at a time by ``_box_fields``. That gives what the
     per-line parser gives: every value, or the same error on the same line.
-    The boxes ``preprocessing`` moves are checked by ``_checked_boxes``,
-    as arrays from ``_ARRAY_CHECK_MIN_ROWS`` rows and one at a time below,
-    which gives what ``_box_fields`` gives."""
+    The boxes ``preprocessing`` moves are checked one row at a time by
+    ``_box_fields`` too, which gives what the array forms in ``oracles`` give:
+    they test the rows as arrays from ``ARRAY_CHECK_MIN_ROWS`` rows, and one
+    at a time below."""
 
     @pytest.mark.parametrize("kind", ["gt", "pred"])
     def test_files_of_every_size_are_the_per_line_parser(self, kind):
@@ -337,10 +341,15 @@ class TestColumnarParse:
     @given(st.lists(ROWS, max_size=40))
     def test_array_test_at_every_size(self, rows):
         expected = repr(outcome(lambda: [_box_fields(*row) for row in rows]))
-        with array_check_from(0):
-            got = outcome(lambda: preprocessing._checked_boxes(
-                np.array(rows, dtype=np.float64).reshape(-1, 4)))
+        got = outcome(lambda: checked_boxes(np.array(rows, dtype=np.float64).reshape(-1, 4), 0))
         assert repr(got) == expected
+        # rotate90 checks each turned row, on columns no check has seen, as
+        # the array form's test does at every size.
+        columns, image = BoxColumns([0] * len(rows), list(rows)), RasterImage(1, 1, 1, b"\0")
+        turned = repr(outcome(lambda: rotate90(image, columns)[1].boxes))
+        assert turned == repr(outcome(lambda: [_box_fields(cy, 1.0 - cx, h, w)
+                                               for cx, cy, w, h in rows]))
+        assert turned == repr(outcome(lambda: array_rotate90(image, columns, 0)[1].boxes))
 
     @pytest.mark.parametrize("kind", ["gt", "pred"])
     def test_a_long_file_with_a_row_to_clamp_stays_columnar(self, kind):
@@ -355,17 +364,19 @@ class TestColumnarParse:
         assert repr(column_rows(columns)) == repr(expected)
         assert repr(column_rows(parse_label_file(text, kind))) == repr(expected)
 
-    @pytest.mark.parametrize("min_rows", [preprocessing._ARRAY_CHECK_MIN_ROWS, 0],
-                             ids=["per-row-check", "array-test"])
+    @pytest.mark.parametrize("forms", [
+        (enlarge_small_boxes, rotate90, center_crop),
+        (partial(array_enlarge_small_boxes, min_rows=0), partial(array_rotate90, min_rows=0),
+         partial(array_center_crop, min_rows=0)),
+    ], ids=["per-row-check", "array-test"])
     @pytest.mark.parametrize("kind", ["gt", "pred"])
     @pytest.mark.parametrize("text", ["", "\n", " \t\n\r\n\x0c  "],
                              ids=["empty", "newline", "blanks"])
-    def test_empty_and_blank_files_give_no_boxes(self, text, kind, min_rows):
+    def test_empty_and_blank_files_give_no_boxes(self, text, kind, forms):
         boxes = parse_label_file(text, kind)
         image = RasterImage(4, 4, 1, bytes(16))
-        with array_check_from(min_rows):
-            moved = [boxes, enlarge_small_boxes(boxes, 0.5), rotate90(image, boxes)[1],
-                     center_crop(image, boxes, 2, 2)[1]]
+        enlarge, rotate, crop = forms
+        moved = [boxes, enlarge(boxes, 0.5), rotate(image, boxes)[1], crop(image, boxes, 2, 2)[1]]
         for columns in moved:
             assert len(columns) == 0 and columns.class_ids == [] and columns.boxes == []
             assert columns.confidence == (None if kind == "gt" else [])
@@ -465,13 +476,15 @@ def containers(boxes):
     return boxes, BoxColumns(columns.class_ids, columns.boxes, columns.confidence)
 
 
-# label_boxes draws fewer boxes than the size rule; a rule of 0 puts them past it.
-MIN_ROWS = st.sampled_from([preprocessing._ARRAY_CHECK_MIN_ROWS, 0])
+# label_boxes draws fewer boxes than the array forms' size rule; a rule of 0
+# puts them past it.
+MIN_ROWS = st.sampled_from([ARRAY_CHECK_MIN_ROWS, 0])
 
 
 class TestArrayOperations:
-    """Each array operation gives the replaced per-box loop's boxes bit for bit,
-    on either side of ``_checked_boxes``'s size rule."""
+    """Each box operation, checking a row at a time, gives the replaced per-box
+    loop's boxes bit for bit, as its array form in ``oracles`` does on either
+    side of that form's size rule."""
 
     @settings(max_examples=150, deadline=None)
     @given(label_boxes(), st.integers(1, 40), st.integers(1, 40), MIN_ROWS, st.data())
@@ -480,9 +493,9 @@ class TestArrayOperations:
         image = RasterImage(width, height, 1, bytes(width * height))
         expected = outcome(lambda: repr(scalar_crop(boxes, width, height, target_w, target_h)))
         for given_boxes in containers(boxes):
-            with array_check_from(min_rows):
-                got = outcome(lambda: repr(list(center_crop(image, given_boxes, target_w, target_h)[1])))
-            assert got == expected
+            for crop in (center_crop, partial(array_center_crop, min_rows=min_rows)):
+                got = outcome(lambda: repr(list(crop(image, given_boxes, target_w, target_h)[1])))
+                assert got == expected
 
     def test_crop_keeps_a_box_of_exactly_the_sliver_floor(self):
         # A 1000x1000 window's floor is 1.0 px^2; these pixel corners are exact.
@@ -503,9 +516,10 @@ class TestArrayOperations:
     def test_enlarge(self, boxes, threshold, mode, min_rows):
         expected = outcome(lambda: repr(scalar_enlarge(boxes, threshold, mode)))
         for given_boxes in containers(boxes):
-            with array_check_from(min_rows):
-                got = outcome(lambda: repr(list(enlarge_small_boxes(given_boxes, threshold, mode))))
-            assert got == expected
+            for enlarge in (enlarge_small_boxes,
+                            partial(array_enlarge_small_boxes, min_rows=min_rows)):
+                got = outcome(lambda: repr(list(enlarge(given_boxes, threshold, mode))))
+                assert got == expected
 
     @settings(max_examples=150, deadline=None)
     @given(label_boxes(), MIN_ROWS)
@@ -513,15 +527,17 @@ class TestArrayOperations:
         image = RasterImage(3, 2, 1, bytes(6))
         expected = outcome(lambda: repr(scalar_rotate(boxes)))
         for given_boxes in containers(boxes):
-            with array_check_from(min_rows):
-                got = outcome(lambda: repr(list(rotate90(image, given_boxes)[1])))
-            assert got == expected
+            for rotate in (rotate90, partial(array_rotate90, min_rows=min_rows)):
+                got = outcome(lambda: repr(list(rotate(image, given_boxes)[1])))
+                assert got == expected
 
     @settings(max_examples=100, deadline=None)
     @given(label_boxes(), st.floats(0.0, 1.0))
     def test_area_quantile(self, boxes, q):
-        expected = outcome(lambda: area_quantile([b.box for b in boxes], q))
-        rows = np.array(_columns(boxes).boxes, dtype=np.float64).reshape(-1, 4)
+        expected = outcome(lambda: array_area_quantile([b.box for b in boxes], q))
+        rows = _columns(boxes).boxes
+        assert outcome(lambda: array_area_quantile(rows, q)) == expected
+        assert outcome(lambda: area_quantile([b.box for b in boxes], q)) == expected
         assert outcome(lambda: area_quantile(rows, q)) == expected
 
 

@@ -1,5 +1,6 @@
 """Crop, mask, box enlargement, noise, and rotation transforms."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,14 @@ from larvaekit.preprocessing import (
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 from conftest import solid_image
-from oracles import gaussian_noise_stream
+from oracles import (
+    array_area_quantile,
+    array_center_crop,
+    array_circular_mask,
+    array_enlarge_small_boxes,
+    array_rotate90,
+    gaussian_noise_stream,
+)
 
 
 class TestCenterCrop:
@@ -444,6 +452,102 @@ class TestStripsChangeNoBytes:
             stop = min(start + chunk, count)
             drawn[start:stop] = rng.normal(0.0, 5.0, size=stop - start)
         assert np.array_equal(drawn, gaussian_noise_stream(25.0, 2024, count))
+
+
+def random_boxes(seed, count):
+    """Valid labels of every size up to 0.6 of a side, a third of them flush
+    with an edge of the unit square."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for i in range(count):
+        w, h = (float(v) for v in rng.uniform(1e-4, 0.6, 2))
+        cx, cy = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+        cx = min(max(cx, w / 2), 1 - w / 2) if i % 3 else w / 2
+        cy = min(max(cy, h / 2), 1 - h / 2) if i % 3 != 1 else 1 - h / 2
+        with contextlib.suppress(LarvaekitError):
+            boxes.append(LabeledBox(i % 4, Box2D(cx, cy, w, h)))
+    return boxes
+
+
+def frame_and_boxes(image, boxes):
+    """What an operation returned, in a form that compares bytes and bits."""
+    return (image.width, image.height, image.channels, bytes(image.pixels), repr(list(boxes)))
+
+
+FRAME_SHAPES = [(1, 1, 1), (1, 1, 3), (1, 9, 3), (9, 1, 1), (5, 7, 1), (6, 4, 3), (33, 20, 3)]
+
+
+class TestAgainstArrayForms:
+    """Crop, mask, rotate, quantile and enlarge give the bytes and boxes of
+    their numpy forms, kept in ``oracles``."""
+
+    @pytest.mark.parametrize("shape", FRAME_SHAPES)
+    def test_crop(self, shape):
+        image = random_image(shape, seed=sum(shape))
+        h, w = shape[0], shape[1]
+        boxes = random_boxes(sum(shape), 60)
+        # Every window size, so odd and even margins on each side, the full
+        # frame and a single pixel.
+        for target_h in range(1, h + 1):
+            for target_w in range(1, w + 1):
+                got = center_crop(image, boxes, target_w, target_h)
+                expected = array_center_crop(image, boxes, target_w, target_h)
+                assert frame_and_boxes(*got) == frame_and_boxes(*expected), (target_w, target_h)
+
+    @pytest.mark.parametrize("shape", FRAME_SHAPES)
+    def test_mask(self, shape):
+        image = random_image(shape, seed=sum(shape) + 2)
+        h, w = shape[0], shape[1]
+        circles = [(w / 2, h / 2, 0.0), (0, 0, 0), (-50.0, -50.0, 10.0), (w + 40.0, h / 2, 3.0),
+                   (1e308, h / 2, 5.0), (-1e308, h / 2, 5.0), (w / 2, 1e308, 1e308),
+                   (-1e308, -1e308, 1e308), (w / 2, h / 2, 1e200), (w / 3, h - 1, 2.0)]
+        for cx, cy, radius in circles:
+            assert (circular_mask(image, cx, cy, radius).pixels
+                    == array_circular_mask(image, cx, cy, radius).pixels), (cx, cy, radius)
+
+    @pytest.mark.parametrize("shape", FRAME_SHAPES)
+    def test_rotate(self, shape):
+        image = random_image(shape, seed=sum(shape) + 3)
+        boxes = random_boxes(sum(shape) + 3, 60)
+        assert frame_and_boxes(*rotate90(image, boxes)) == frame_and_boxes(
+            *array_rotate90(image, boxes))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 100, 60_000])
+    def test_area_quantile(self, count):
+        rng = np.random.default_rng(count)
+        # Half the areas tied to a few values, the others all different.
+        sides = rng.uniform(1e-3, 1.0, (count, 2))
+        sides[::2] = rng.choice([0.1, 0.2, 0.5], (len(sides[::2]), 2))
+        rows = [(0.5, 0.5, w, h) for w, h in sides.tolist()]
+        ranks = [0, 1, 0.0, 1.0, 0.5, 0.25, *rng.uniform(0, 1, 20).tolist()]
+        # Ranks k / (n - 1) land on an area, or one rounding step off it.
+        ranks += [k / (count - 1) for k in range(1, count - 1, max(1, count // 7))]
+        for q in ranks:
+            assert repr(area_quantile(rows, q)) == repr(array_area_quantile(rows, q)), q
+        boxes = [Box2D(*row) for row in rows[:50]]
+        for q in ranks:
+            assert area_quantile(boxes, q) == array_area_quantile(boxes, q), q
+
+    def test_halfway_rank_interpolates_from_the_upper_area(self):
+        # At t = 0.5 numpy takes b - (b - a) * 0.5, which for these pairs
+        # differs from a + (b - a) * 0.5 in the last bit.
+        for a, b in [(0.1, 0.7), (0.02, 0.3), (0.1, 0.5)]:
+            rows = [(0.5, 0.5, b, 1.0), (0.5, 0.5, a, 1.0)]
+            assert a + (b - a) * 0.5 != b - (b - a) * 0.5
+            assert area_quantile(rows, 0.5) == array_area_quantile(rows, 0.5) == b - (b - a) * 0.5
+
+    @pytest.mark.parametrize("mode", ["literal", "normalize"])
+    def test_enlarge(self, mode):
+        boxes = random_boxes(7, 300)
+        shrunk = 0
+        for threshold in (1e-6, 0.001, 0.01, 0.2, 1.0):
+            got = enlarge_small_boxes(boxes, threshold, mode)
+            assert repr(got) == repr(array_enlarge_small_boxes(boxes, threshold, mode))
+            assert [a is b for a, b in zip(boxes, got)] == [a.box.area >= threshold for a in boxes]
+            # Grown boxes that reach an edge are shrunk to fit at it.
+            shrunk += sum(a is not b and b.box.w == 2 * min(b.box.cx, 1.0 - b.box.cx)
+                          for a, b in zip(boxes, got))
+        assert shrunk >= 50
 
 
 def traced_peak(fn, *args):
