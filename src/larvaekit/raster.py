@@ -11,12 +11,8 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import LarvaekitError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
