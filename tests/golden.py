@@ -3,14 +3,16 @@
 ``build_inputs`` writes a manifest with label files, frames, label files
 for ``enlarge`` and an observations CSV, all from fixed seeds and literal
 text (nothing is downloaded), label files each refused at one line,
-observation CSVs on which ``fit`` fails, and manifests, frames and a label
-file that other commands refuse.
+observation CSVs on which ``fit`` fails, manifests, frames and a label
+file that other commands refuse, and label files read through other
+spellings of their paths or with other line endings and encodings.
 Each entry of ``CASES`` is one command line; ``run_case`` runs it in
 process through ``cli.main`` and returns the sha256 of its stdout and of
 every file it wrote to its ``--out-dir``. A case named in ``FAILING``
 must exit non-zero instead: it gives its exit code, the sha256 of its
 stderr (the input directory written as ``{root}``) and whether its
-``--out-dir`` was created.
+``--out-dir`` was created. A case named in ``IN_ROOT`` runs with the
+input directory as its working directory.
 ``tests/test_golden.py`` re-runs every case and requires the digests
 recorded in ``data/golden_digests.json``.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -123,6 +126,34 @@ REFUSED_INPUTS = {
     "empty.txt": b"",
 }
 
+# Label files written byte for byte: a byte-order mark with CRLF endings,
+# lone-CR endings, and invalid UTF-8 at byte 0, right after a byte-order
+# mark and past the first 8192 bytes.
+BOM = b"\xef\xbb\xbf"
+RAW_LABELS = {
+    "bom_crlf_gt.txt": BOM + FRAME_GT.replace("\n", "\r\n").encode(),
+    "cr_pred.txt": FRAME_PRED.replace("\n", "\r").encode(),
+    "utf8_start.txt": b"\xff" + FRAME_GT.encode(),
+    "utf8_after_bom.txt": BOM + b"\xff" + FRAME_GT.encode(),
+    "utf8_late.txt": b"0 0.500000 0.500000 0.100000 0.100000\n" * 240 + b"0 0.5\xff 0.5 0.1 0.1\n",
+}
+# Manifests naming label files through other spellings of their paths: "./"
+# and "//" inside a path, a trailing "/", a directory, and the files above.
+PATH_MANIFESTS = {
+    "newlines.csv": "a,,bom_crlf_gt.txt,cr_pred.txt,640,480,50,\nb,,frame.txt,gray.txt,640,480,100,\n",
+    "dotted.csv": ("a,,./img0_gt.txt,.//img0_pred.txt,640,480,50,\n"
+                   "b,,img1_gt.txt,./img1_pred.txt,640,480,50,\n"
+                   "c,,frame.txt/,gray.txt,640,480,100,\n"),
+    "dotted_missing.csv": "larva_é,,frame.txt,.//gone.txt,640,480,50,\n",
+    "dotted_refused.csv": "larva_é,,./refused_gt_short_nan.txt,gray.txt,640,480,50,\n",
+    "directory_label.csv": "larva_é,,labels_dir,gray.txt,640,480,50,\n",
+    "utf8_start.csv": "larva_é,,utf8_start.txt,gray.txt,640,480,50,\n",
+    "utf8_after_bom.csv": "larva_é,,frame.txt,utf8_after_bom.txt,640,480,50,\n",
+    "utf8_late.csv": "larva_é,,utf8_late.txt,gray.txt,640,480,50,\n",
+}
+# Cases run with the input directory as the working directory.
+IN_ROOT = frozenset({"missing-label-file-cwd"})
+
 
 def refused_label_text(kind: str, refused: str, lines: int) -> str:
     """``lines`` label lines: the clamped row on line 2, ``refused`` on line
@@ -186,6 +217,11 @@ def build_inputs(root: Path) -> None:
             f"{a!r},{v!r}\n" for a, v in rows)).encode())
     for name, data in REFUSED_INPUTS.items():
         (root / name).write_bytes(data)
+    for name, data in RAW_LABELS.items():
+        (root / name).write_bytes(data)
+    for name, rows in PATH_MANIFESTS.items():
+        (root / name).write_bytes((MANIFEST_HEADER + rows).encode())
+    (root / "labels_dir").mkdir()
 
 
 def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
@@ -221,6 +257,11 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
             "preprocess", "enlarge", *labels, "--threshold", "0.0004", "--mode", mode]
         cases[f"enlarge-quantile-{mode}"] = [
             "preprocess", "enlarge", *labels, "--quantile", "0.5", "--mode", mode]
+    cases.update({
+        "eval-newlines": ["eval", "{root}/newlines.csv", "--aggregation", "per_image_mean"],
+        "count-newlines": ["count", "{root}/newlines.csv"],
+        "eval-dotted-paths": ["eval", "{root}/dotted.csv", "--group-by", "density_group"],
+    })
     failing = {}
     for kind, size, name, stem, _ in _refused_files():
         failing[f"refused-eval-{kind}-{size}-{name}"] = ["eval", f"{{root}}/{stem}.csv"]
@@ -228,6 +269,15 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
             "preprocess", "enlarge", "{root}/small_gt.txt", f"{{root}}/{stem}.txt",
             "--threshold", "0.0004"]
     failing["missing-label-file"] = ["count", "{root}/missing.csv"]
+    failing.update({
+        "missing-label-file-cwd": ["eval", "missing.csv"],
+        "missing-label-file-dotted": ["eval", "{root}/dotted_missing.csv"],
+        "refused-eval-dotted-path": ["eval", "{root}/dotted_refused.csv"],
+        "directory-label-file": ["count", "{root}/directory_label.csv"],
+        "undecodable-label-start": ["eval", "{root}/utf8_start.csv"],
+        "undecodable-label-after-bom": ["eval", "{root}/utf8_after_bom.csv"],
+        "undecodable-label-late": ["count", "{root}/utf8_late.csv"],
+    })
     failing.update({
         "fit-error-3-rows": ["fit", "{root}/obs_3_rows.csv", "--models", "gompertz,vbgm"],
         "fit-error-3-rows-reordered": ["fit", "{root}/obs_3_rows.csv", "--models", "vbgm,gompertz"],
@@ -265,8 +315,14 @@ def run_case(root: Path, name: str) -> dict[str, str]:
     out = root / "out" / name
     argv = [arg.format(root=root) for arg in CASES[name]] + ["--out-dir", str(out)]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        status = cli.main(argv)
+    cwd = os.getcwd()
+    if name in IN_ROOT:
+        os.chdir(root)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            status = cli.main(argv)
+    finally:
+        os.chdir(cwd)
     if name in FAILING:
         return {"exit": str(status),
                 "stderr": _sha256(stderr.getvalue().replace(str(root), "{root}").encode()),
