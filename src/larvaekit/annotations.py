@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, starmap
@@ -461,14 +462,25 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
     An empty path yields an empty box list. I/O, decoding and parse
     failures are re-raised as :class:`AnnotationLoadError` naming the image
     and, when the failure does not already name it, the label file.
+
+    Each file is read in binary and decoded as UTF-8 with an optional
+    byte-order mark; ``parse_label_file`` ends lines at LF, CRLF and CR,
+    as a text-mode read would. A file that cannot be opened or decoded is
+    read again through ``Path.read_text``, so the failure names the
+    normalized path and words the error as that read does.
     """
-    root = Path(root)
     sides = []
     for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred")):
-        path = root / name
+        if not name:
+            sides.append(())
+            continue
         try:
-            sides.append(parse_label_file(path.read_text(encoding="utf-8-sig"), kind=kind)
-                         if name else ())
+            try:
+                with open(os.path.join(root, name), "rb") as file:
+                    text = file.read().decode("utf-8-sig")
+            except (OSError, UnicodeDecodeError):
+                text = Path(root, name).read_text(encoding="utf-8-sig")
+            sides.append(parse_label_file(text, kind=kind))
         except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:
-            raise AnnotationLoadError(entry.image_id, err, path) from err
+            raise AnnotationLoadError(entry.image_id, err, Path(root, name)) from err
     return ImageAnnotation(entry.image_id, *sides)

@@ -16,18 +16,25 @@ and two accuracy flavors that are deliberately kept apart:
 
 Average precision integrates the monotone envelope of the PR curve over
 recall (all-point interpolation); 101-point sampling is available for
-comparison with other toolkits.
+comparison with other toolkits. ``pr_curve``, ``average_precision`` and
+the per-image APs behind ``mean_image_ap`` share one curve arithmetic on
+plain float columns.
+
+A dataset evaluation keeps each image's ground-truth count, sweep flags
+and AP, as the COCO evaluator's ``accumulate`` keeps each image's scores
+and flags (Lin et al., 2014). The pooled reports, overall and per group,
+are built from them; a per-image report is built only when it is read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import accumulate, chain, starmap
-from operator import add, itemgetter
+from operator import add, itemgetter, truediv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from . import AGGREGATIONS, AP_METHODS, GROUP_FIELDS
 from .annotations import (
@@ -226,6 +233,40 @@ def confusion_metrics(counts: ConfusionCounts, num_gt: int) -> MetricSet:
     return MetricSet(precision, recall, f1, confusion_accuracy, counting_accuracy)
 
 
+def _curve_columns(scored_flags: Iterable[tuple[float, bool]],
+                   total_gt: int) -> tuple[list[float], list[float], list[float]]:
+    """Confidence, precision and recall after each prediction, in descending confidence."""
+    ordered = sorted(scored_flags, key=lambda t: -t[0])
+    # Running TP counts; bool() takes any truthy flag, numpy's included, as one.
+    tps = list(accumulate(map(bool, map(itemgetter(1), ordered))))
+    precisions = list(map(truediv, tps, range(1, len(tps) + 1)))
+    recalls = [tp / total_gt for tp in tps]
+    return list(map(itemgetter(0), ordered)), precisions, recalls
+
+
+def _integrate(recalls: Sequence[float], precisions: Sequence[float], method: str) -> float:
+    """AP of the curve through these points (see :func:`average_precision`)."""
+    if not recalls:
+        return 0.0
+    envelope = list(accumulate(reversed(precisions), max))
+    envelope.reverse()
+    if method == "101point":
+        # Recalls never decrease, so the first point at recall >= r is a bisection.
+        picks = (bisect_left(recalls, i / 100) for i in range(101))
+        samples = (envelope[k] if k < len(recalls) else 0.0 for k in picks)
+        return reduce(add, samples, 0.0) / 101
+    # Added left to right: builtin sum() compensates from Python 3.12 on.
+    steps = zip(chain([0.0], recalls), recalls, envelope)
+    return reduce(add, ((r - previous) * e for previous, r, e in steps))
+
+
+def _point(confidence: float, precision: float, recall: float) -> PRPoint:
+    """A :class:`PRPoint`, set up without the frozen dataclass's ``__init__``."""
+    point = object.__new__(PRPoint)
+    point.__dict__.update(confidence=confidence, precision=precision, recall=recall)
+    return point
+
+
 def pr_curve(scored_flags: Iterable[tuple[float, bool]], total_gt: int) -> list[PRPoint]:
     """Precision/recall after each prediction, in descending confidence.
 
@@ -234,14 +275,7 @@ def pr_curve(scored_flags: Iterable[tuple[float, bool]], total_gt: int) -> list[
     """
     if total_gt <= 0:
         raise LarvaekitError("a PR curve needs at least one ground-truth box")
-    ordered = sorted(scored_flags, key=lambda t: -t[0])
-    points = []
-    tp = 0
-    for seen, (confidence, is_tp) in enumerate(ordered, 1):
-        if is_tp:
-            tp += 1
-        points.append(PRPoint(confidence, tp / seen, tp / total_gt))
-    return points
+    return list(map(_point, *_curve_columns(scored_flags, total_gt)))
 
 
 def average_precision(curve: Sequence[PRPoint], method: str = "envelope") -> float:
@@ -254,28 +288,18 @@ def average_precision(curve: Sequence[PRPoint], method: str = "envelope") -> flo
     """
     if method not in AP_METHODS:
         raise ValueError(f"method must be one of {AP_METHODS}")
-    if not curve:
-        return 0.0
-    recalls = [p.recall for p in curve]
-    envelope = list(accumulate((p.precision for p in reversed(curve)), max))
-    envelope.reverse()
-    if method == "101point":
-        # Recalls never decrease, so the first point at recall >= r is a bisection.
-        picks = (bisect_left(recalls, i / 100) for i in range(101))
-        samples = (envelope[k] if k < len(curve) else 0.0 for k in picks)
-        return reduce(add, samples, 0.0) / 101
-    # Added left to right: builtin sum() compensates from Python 3.12 on.
-    steps = zip(chain([0.0], recalls), recalls, envelope)
-    return reduce(add, ((r - previous) * e for previous, r, e in steps))
+    return _integrate([p.recall for p in curve], [p.precision for p in curve], method)
 
 
 @dataclass(frozen=True)
 class EvalReport:
     """Metrics bundle for one image, one group, or a whole dataset.
 
-    ``ap`` always integrates the stored ``curve``; ``mean_image_ap`` is the
+    ``ap`` always integrates the stored ``curve``. ``mean_image_ap`` is the
     mean of per-image APs over the images that have ground truth (0.0 when
-    none has) and is only populated on reports built from several images.
+    none has). It is set on the pooled reports of ``evaluate_dataset``, the
+    overall one and each group's, whatever their number of images, and is
+    None on a per-image report.
     """
 
     num_images: int
@@ -338,11 +362,17 @@ class DatasetEvaluation:
         return report.ap
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Mean of ``values`` added left to right, 0.0 for none.
+
+    Builtin sum() compensates from Python 3.12 on, so it is not used.
+    """
+    return reduce(add, values, 0.0) / len(values) if values else 0.0
+
+
 def _image_mean(reports: Iterable[EvalReport], name: str) -> float:
     """Mean of ``name`` over the per-image reports with ground truth, 0.0 if none has any."""
-    values = [getattr(report, name) for report in reports if report.num_gt > 0]
-    # Added left to right: builtin sum() compensates from Python 3.12 on.
-    return reduce(add, values, 0.0) / len(values) if values else 0.0
+    return _mean([getattr(report, name) for report in reports if report.num_gt > 0])
 
 
 def _report(sweeps, config: MatchConfig, mean_image_ap: float | None = None) -> EvalReport:
@@ -357,6 +387,34 @@ def _report(sweeps, config: MatchConfig, mean_image_ap: float | None = None) -> 
     return EvalReport.build(counts, num_gt, len(sweeps), flags, config.ap_method, mean_image_ap)
 
 
+class _ImageReports(Mapping):
+    """Read-only per-image reports, each built from its image's sweep when first read."""
+
+    __slots__ = ("_sweeps", "_config", "_built")
+
+    def __init__(self, sweeps: dict[str, tuple], config: MatchConfig):
+        self._sweeps, self._config, self._built = sweeps, config, {}
+
+    def __getitem__(self, image_id: str) -> EvalReport:
+        report = self._built.get(image_id)
+        if report is None:
+            report = self._built[image_id] = _report([self._sweeps[image_id]], self._config)
+        return report
+
+    def __contains__(self, image_id: object) -> bool:
+        # Mapping's own test reads the item, which would build its report.
+        return image_id in self._sweeps
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sweeps)
+
+    def __len__(self) -> int:
+        return len(self._sweeps)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 def evaluate_dataset(
     manifest: Sequence[ManifestEntry],
     config: MatchConfig = MatchConfig(),
@@ -369,7 +427,8 @@ def evaluate_dataset(
     ``"day_label"`` or ``"density_group"`` to add per-group pooled
     reports; entries missing the field, or whose field reads
     ``"unlabeled"``, fall into one ``"unlabeled"`` group. Pooled reports
-    take their images in manifest order.
+    take their images in manifest order. ``per_image`` builds each
+    image's report when it is first read.
     """
     if group_by is not None and group_by not in GROUP_FIELDS:
         raise ValueError(f"group_by must be one of {GROUP_FIELDS} or None")
@@ -378,15 +437,21 @@ def evaluate_dataset(
     # order and against the same claimed boxes as in a thresholded match,
     # so their flags are exactly that match's.
     sweep_config = replace(config, confidence_threshold=0.0)
+    # (entry, (num_gt, sweep flags), AP of the image's own curve or None without gt)
     images = []
     for entry in manifest:
         annotation = load_image_annotation(entry, root)
         match = match_detections(annotation.ground_truth, annotation.predictions, sweep_config)
-        sweep = (len(annotation.ground_truth), match.scored_flags)
-        images.append((entry, sweep, _report([sweep], config)))
+        num_gt = len(annotation.ground_truth)
+        ap = None
+        if num_gt > 0:
+            # The float operations of average_precision(pr_curve(...)), without the points.
+            _, precisions, recalls = _curve_columns(match.scored_flags, num_gt)
+            ap = _integrate(recalls, precisions, config.ap_method)
+        images.append((entry, (num_gt, match.scored_flags), ap))
 
     def pooled(members) -> EvalReport:
-        mean_ap = _image_mean([report for _, _, report in members], "ap")
+        mean_ap = _mean([ap for _, _, ap in members if ap is not None])
         return _report([sweep for _, sweep, _ in members], config, mean_ap)
 
     groups: dict[str, EvalReport] = {}
@@ -400,7 +465,7 @@ def evaluate_dataset(
             groups["unlabeled" if value is None else str(value)] = pooled(buckets[value])
     return DatasetEvaluation(
         overall=pooled(images),
-        per_image={entry.image_id: report for entry, _, report in images},
+        per_image=_ImageReports({entry.image_id: sweep for entry, sweep, _ in images}, config),
         config=config,
         group_by=group_by,
         groups=groups,

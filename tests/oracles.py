@@ -6,18 +6,34 @@ time, noise in strips, the Jacobian inside the solver and R² from a fit's
 SSE. No subcommand calls the forms here; they live with the tests, which
 require the package's forms to give the same values. The numpy forms of
 the frame and box operations are kept here whole, as the package had
-them before it dropped numpy from them.
+them before it dropped numpy from them, and so is the text-mode read of
+a manifest entry's label files.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from larvaekit.annotations import Box2D, _box_fields, _columns, _like
-from larvaekit.errors import DegenerateBox, LarvaekitError
+from larvaekit.annotations import (
+    Box2D,
+    ImageAnnotation,
+    ManifestEntry,
+    _box_fields,
+    _columns,
+    _like,
+    parse_label_file,
+)
+from larvaekit.errors import (
+    AnnotationLoadError,
+    DegenerateBox,
+    LarvaekitError,
+    MalformedLine,
+    OutOfRange,
+)
 from larvaekit.growth import GrowthModelKind, GrowthObservation, _model, _total_sum_of_squares
 from larvaekit.preprocessing import MIN_CLIPPED_AREA_FRACTION, _noise_sd
 from larvaekit.raster import RasterImage
@@ -235,3 +251,17 @@ def array_enlarge_small_boxes(boxes, area_threshold: float, mode: str = "literal
     for i, box in zip(grown, checked_boxes(np.stack((cx, cy, w, h), axis=1), min_rows)):
         moved[i] = box
     return _like(boxes, columns.derive(range(len(moved)), moved, changed))
+
+
+def text_mode_annotation(entry: ManifestEntry, root: Path | str = ".") -> ImageAnnotation:
+    """``load_image_annotation`` as a text-mode read of each normalized ``Path``."""
+    root = Path(root)
+    sides = []
+    for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred")):
+        path = root / name
+        try:
+            sides.append(parse_label_file(path.read_text(encoding="utf-8-sig"), kind=kind)
+                         if name else ())
+        except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:
+            raise AnnotationLoadError(entry.image_id, err, path) from err
+    return ImageAnnotation(entry.image_id, *sides)

@@ -1,5 +1,7 @@
 """Label parsing, box geometry, and manifest loading."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -22,7 +24,7 @@ from larvaekit.errors import (
     OutOfRange,
 )
 
-from oracles import PixelBox, to_absolute, to_normalized
+from oracles import PixelBox, text_mode_annotation, to_absolute, to_normalized
 
 MANIFEST_HEADER = "image_id,image_path,gt_path,pred_path,width_px,height_px,density_group,day_label"
 
@@ -370,3 +372,106 @@ class TestManifest:
         ann = load_image_annotation(load_manifest(text)[0], tmp_path)
         assert len(ann.ground_truth) == 1 and len(ann.predictions) == 1
         assert ann.predictions[0].confidence == 0.9
+
+
+GT_LINES = ["0 0.5 0.5 0.2 0.2", "1 0.25 0.3 0.1 0.15", "0 0.8 0.7 0.05 0.3"]
+PRED_LINES = ["0 0.5 0.5 0.2 0.2 0.9", "0 0.3 0.3 0.1 0.1 0.5"]
+BOM = b"\xef\xbb\xbf"
+# Bytes of a label file: a line ending between the lines and one at the end.
+LABEL_BYTES = {
+    "g.txt": "\n".join(GT_LINES).encode() + b"\n",
+    "p.txt": "\n".join(PRED_LINES).encode() + b"\n",
+    "bom.txt": BOM + "\n".join(GT_LINES).encode() + b"\n",
+    "crlf.txt": "\r\n".join(GT_LINES).encode() + b"\r\n",
+    "bom_crlf.txt": BOM + "\r\n".join(GT_LINES).encode() + b"\r\n",
+    "cr.txt": "\r".join(PRED_LINES).encode() + b"\r",
+    "mixed.txt": b"\r\n\r".join(line.encode() for line in GT_LINES) + b"\n\r",
+    "bom_only.txt": BOM,
+    "empty.txt": b"",
+    "bad.txt": b"0 0.5 0.5 0.2 0.2\r\n0 0.5 0.5 0.2\r\n",
+    "invalid_start.txt": b"\xff" + "\n".join(GT_LINES).encode(),
+    "invalid_after_bom.txt": BOM + b"\xff\n",
+    "invalid_late.txt": b"0 0.500000 0.500000 0.100000 0.100000\n" * 240 + b"0 0.5\xff\n",
+    "invalid_at_8192.txt": b"0 0.5 0.5 0.2 0.2\n" * 455 + b"0 0\xc3",
+    "truncated_late.txt": b"0 0.5 0.5 0.2 0.2\n" * 600 + b"0 0.5 \xe2\x82",
+    "surrogate.txt": b"0 0.5 0.5 0.2 0.2 \xed\xa0\x80\n",
+    "bom_then_bom.txt": BOM + BOM + b"0 0.5 0.5 0.2 0.2\n",
+}
+
+
+class TestLabelFileRead:
+    """``load_image_annotation`` reads label files in binary; every outcome,
+    boxes or error line, is that of a text-mode read of the normalized path."""
+
+    @staticmethod
+    def outcome(load, entry, root):
+        try:
+            annotation = load(entry, root)
+        except AnnotationLoadError as err:
+            return ("error", str(err), type(err.cause), str(err.path))
+        return ("ok", annotation)
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        for name, data in LABEL_BYTES.items():
+            (tmp_path / name).write_bytes(data)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "g.txt").write_bytes(LABEL_BYTES["g.txt"])
+        return tmp_path
+
+    @pytest.mark.parametrize("gt, pred", [
+        ("g.txt", "p.txt"),
+        ("./g.txt", ".//p.txt"),
+        ("sub//g.txt", "./sub/../p.txt"),
+        ("sub/./g.txt", ""),
+        ("g.txt/", "p.txt//"),
+        ("g.txt/.", "p.txt"),
+        ("gone.txt", "p.txt"),
+        ("./gone.txt", "p.txt"),
+        ("g.txt", "sub//gone.txt"),
+        ("gone/g.txt", "p.txt"),
+        ("g.txt/x", "p.txt"),
+        ("sub", "p.txt"),
+        ("sub/", "p.txt"),
+        (".", "p.txt"),
+        ("./bad.txt", "p.txt"),
+        ("sub//../bad.txt", "p.txt"),
+    ])
+    @pytest.mark.parametrize("root_form", ["plain", "dotted", "slashes"])
+    def test_path_spellings(self, root, gt, pred, root_form):
+        base = {"plain": str(root), "dotted": f"{root}/./", "slashes": f"{root}//"}[root_form]
+        entry = load_manifest(f"{MANIFEST_HEADER}\nimg,,{gt},{pred},100,100,,\n")[0]
+        want = self.outcome(text_mode_annotation, entry, base)
+        assert self.outcome(load_image_annotation, entry, base) == want
+        assert self.outcome(load_image_annotation, entry, Path(base)) == want
+
+    @pytest.mark.parametrize("gt", ["gone.txt", "./gone.txt", "g.txt", "sub", "./bad.txt"])
+    def test_manifest_in_the_working_directory(self, root, gt, monkeypatch):
+        monkeypatch.chdir(root)
+        entry = load_manifest(f"{MANIFEST_HEADER}\nimg,,{gt},p.txt,100,100,,\n")[0]
+        manifest_dir = Path("manifest.csv").parent
+        assert str(manifest_dir) == "."
+        want = self.outcome(text_mode_annotation, entry, manifest_dir)
+        assert self.outcome(load_image_annotation, entry, manifest_dir) == want
+        if gt == "gone.txt":
+            assert want[1] == "image 'img': [Errno 2] No such file or directory: 'gone.txt'"
+
+    @pytest.mark.parametrize("name", sorted(LABEL_BYTES))
+    def test_line_endings_and_encodings(self, root, name):
+        kind_of = {"cr.txt": "pred", "p.txt": "pred"}
+        gt, pred = (name, "p.txt") if kind_of.get(name) != "pred" else ("g.txt", name)
+        entry = load_manifest(f"{MANIFEST_HEADER}\nimg,,{gt},{pred},100,100,,\n")[0]
+        want = self.outcome(text_mode_annotation, entry, root)
+        assert self.outcome(load_image_annotation, entry, root) == want
+        if name.startswith(("invalid", "truncated", "surrogate")):
+            assert want[0] == "error" and want[2] is UnicodeDecodeError
+        elif name in ("bom.txt", "crlf.txt", "bom_crlf.txt", "mixed.txt"):
+            assert want[0] == "ok" and want[1].ground_truth == parse_label_file(
+                "\n".join(GT_LINES), "gt")
+
+    def test_late_decode_error_names_its_byte(self, root):
+        entry = load_manifest(f"{MANIFEST_HEADER}\nimg,,invalid_late.txt,,100,100,,\n")[0]
+        with pytest.raises(AnnotationLoadError) as err:
+            load_image_annotation(entry, root)
+        assert "can't decode byte 0xff in position 9125: invalid start byte" in str(err.value)
+        assert err.value.path == root / "invalid_late.txt"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from larvaekit import AP_METHODS, GROUP_FIELDS
 from larvaekit.annotations import (
     MANIFEST_COLUMNS,
     Box2D,
@@ -771,6 +772,146 @@ class TestEvaluateDataset:
         )
         with pytest.raises(ValueError):
             evaluate_dataset(manifest, group_by="camera")
+
+
+@pytest.fixture(scope="module")
+def crowded_sweeps(tmp_path_factory):
+    """A crowded manifest on disk and each image's ``(num_gt, sweep flags)``.
+
+    Confidences tie within and across images, every fifth image has no
+    ground truth, and the density and day fields leave some images
+    unlabeled, one of them through a day label that reads "unlabeled".
+    """
+    root = tmp_path_factory.mktemp("crowded")
+    rng = np.random.default_rng(53)
+    images = []
+    for i in range(25):
+        gt, preds = crowded_instance(rng)
+        item = {"image_id": f"c{i}", "pred": preds, "day": ("d1", "d2", "unlabeled", "")[i % 4]}
+        if i % 5:
+            item["gt"] = gt
+        if i % 3:
+            item["density"] = (100, 300)[i % 3 - 1]
+        images.append(item)
+    manifest = load_manifest(write_dataset(root, images).read_text())
+    sweeps = {}
+    for entry in manifest:
+        ann = load_image_annotation(entry, root)
+        sweep = match_detections(ann.ground_truth, ann.predictions, SWEEP).scored_flags
+        sweeps[entry.image_id] = (len(ann.ground_truth), sweep)
+    assert any(n == 0 for n, _ in sweeps.values())
+    assert any(len({c for c, _ in s}) < len(s) for n, s in sweeps.values() if n)
+    return root, manifest, sweeps
+
+
+def left_to_right_mean(values):
+    return reduce(add, values, 0.0) / len(values) if values else 0.0
+
+
+class TestImageAPIdentity:
+    """The per-image APs behind ``mean_image_ap``, and the per-image reports,
+    are those of the public per-image forms, to the bit."""
+
+    @pytest.mark.parametrize("method", AP_METHODS)
+    @pytest.mark.parametrize("group_by", [None, *GROUP_FIELDS])
+    def test_mean_image_ap_is_the_mean_of_the_public_forms(self, crowded_sweeps, method,
+                                                            group_by):
+        root, manifest, sweeps = crowded_sweeps
+        config = MatchConfig(confidence_threshold=0.5, ap_method=method)
+        ev = evaluate_dataset(manifest, config, root=root, group_by=group_by)
+
+        def mean_ap(entries):
+            return left_to_right_mean([
+                average_precision(pr_curve(sweeps[e.image_id][1], sweeps[e.image_id][0]), method)
+                for e in entries if sweeps[e.image_id][0] > 0])
+
+        members: dict[str, list] = {}
+        for entry in manifest:
+            value = None if group_by is None else getattr(entry, group_by)
+            members.setdefault("unlabeled" if value in (None, "unlabeled") else str(value),
+                               []).append(entry)
+        assert bits(ev.overall.mean_image_ap) == bits(mean_ap(manifest))
+        assert sorted(ev.groups) == ([] if group_by is None else sorted(members))
+        for label, report in ev.groups.items():
+            assert bits(report.mean_image_ap) == bits(mean_ap(members[label]))
+
+    @pytest.mark.parametrize("method", AP_METHODS)
+    def test_per_image_reports_are_built_from_each_sweep(self, crowded_sweeps, method):
+        root, manifest, sweeps = crowded_sweeps
+        config = MatchConfig(confidence_threshold=0.5, ap_method=method)
+        ev = evaluate_dataset(manifest, config, root=root, group_by="density_group")
+        expected = {}
+        for entry in manifest:
+            ann = load_image_annotation(entry, root)
+            counts = match_detections(ann.ground_truth, ann.predictions, config).counts
+            num_gt, sweep = sweeps[entry.image_id]
+            expected[entry.image_id] = EvalReport.build(counts, num_gt, 1, sweep, method)
+        got = dict(ev.per_image)
+        assert list(got) == [entry.image_id for entry in manifest]
+        assert got == expected
+        assert all(bits(got[k].ap) == bits(expected[k].ap) for k in got)
+        assert ev.per_image == expected and len(ev.per_image) == len(manifest)
+
+    def test_one_image_group_has_its_own_ap_as_mean(self, crowded_sweeps):
+        root, manifest, sweeps = crowded_sweeps
+        ev = evaluate_dataset(manifest[1:2], MatchConfig(), root=root, group_by="day_label")
+        ((label, report),) = ev.groups.items()
+        assert report.num_images == 1
+        assert bits(report.mean_image_ap) == bits(ev.per_image[manifest[1].image_id].ap)
+        assert ev.per_image[manifest[1].image_id].mean_image_ap is None
+
+    def test_per_image_is_read_only(self, crowded_sweeps):
+        root, manifest, _ = crowded_sweeps
+        ev = evaluate_dataset(manifest, MatchConfig(), root=root)
+        with pytest.raises(TypeError):
+            ev.per_image["c1"] = ev.overall
+        with pytest.raises(KeyError):
+            ev.per_image["nope"]
+        assert "c1" in ev.per_image and "nope" not in ev.per_image
+
+
+class TestReportsOnRead:
+    """Per-image reports are built when read, never for the pooled reports."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = EvalReport.build
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])  # num_images
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(EvalReport, "build", staticmethod(counted))
+        return calls
+
+    @pytest.mark.parametrize("group_by", [None, *GROUP_FIELDS])
+    def test_one_build_per_pooled_report(self, crowded_sweeps, builds, group_by):
+        root, manifest, _ = crowded_sweeps
+        ev = evaluate_dataset(manifest, MatchConfig(), root=root, group_by=group_by)
+        assert len(builds) == 1 + len(ev.groups)
+        assert builds[-1] == len(manifest)
+        assert list(ev.per_image) == [entry.image_id for entry in manifest]
+        assert "c3" in ev.per_image and "nope" not in ev.per_image
+        assert len(ev.per_image) == len(manifest)
+        assert len(builds) == 1 + len(ev.groups)
+        builds.clear()
+        report = ev.per_image["c3"]
+        assert ev.per_image["c3"] is report
+        assert builds == [1]
+        assert len(dict(ev.per_image)) == len(manifest)
+        assert len(builds) == len(manifest)
+
+    @pytest.mark.parametrize("group_by", ["none", *GROUP_FIELDS])
+    def test_eval_builds_no_per_image_report(self, crowded_sweeps, builds, group_by, tmp_path):
+        from larvaekit import cli
+
+        root, manifest, _ = crowded_sweeps
+        status = cli.main(["eval", str(root / "manifest.csv"), "--group-by", group_by,
+                           "--out-dir", str(tmp_path / "out")])
+        assert status == 0
+        groups = len((tmp_path / "out" / "eval.csv").read_text().splitlines()) - 1
+        assert len(builds) == 1 + (0 if group_by == "none" else groups)
 
 
 class TestCsvRendering:
