@@ -465,9 +465,8 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
 
     Each file is read in binary and decoded as UTF-8 with an optional
     byte-order mark; ``parse_label_file`` ends lines at LF, CRLF and CR,
-    as a text-mode read would. A file that cannot be opened or decoded is
-    read again through ``Path.read_text``, so the failure names the
-    normalized path and words the error as that read does.
+    as a text-mode read would. A file that cannot be opened is read again
+    through ``Path.read_text``, whose error names the normalized path.
     """
     sides = []
     for name, kind in ((entry.gt_path, "gt"), (entry.pred_path, "pred")):
@@ -478,7 +477,7 @@ def load_image_annotation(entry: ManifestEntry, root: Path | str = ".") -> Image
             try:
                 with open(os.path.join(root, name), "rb") as file:
                     text = file.read().decode("utf-8-sig")
-            except (OSError, UnicodeDecodeError):
+            except OSError:
                 text = Path(root, name).read_text(encoding="utf-8-sig")
             sides.append(parse_label_file(text, kind=kind))
         except (OSError, UnicodeDecodeError, MalformedLine, OutOfRange) as err:

@@ -170,11 +170,11 @@ def _greedy_flags(
             if not ix > 0.0:
                 continue
             inter = ix * iy
-            # An intersection that underflows to 0 scores 0.
-            if inter > 0.0:
-                iou = inter / (pred_area + gt_area - inter)
-                if iou > best_iou or (iou == best_iou and k < best_k):
-                    best, best_iou, best_k = at, iou, k
+            if not inter > 0.0:  # underflowed, and both areas may have too
+                continue
+            iou = inter / (pred_area + gt_area - inter)
+            if iou > best_iou or (iou == best_iou and k < best_k):
+                best, best_iou, best_k = at, iou, k
         if best >= 0:
             del unclaimed[best], starts[best]
             flags[j] = True

@@ -27,7 +27,7 @@ from larvaekit.annotations import (
     parse_label_file,
     serialize_label_file,
 )
-from larvaekit.raster import RasterImage, decode_raster, encode_raster
+from larvaekit.raster import decode_raster, encode_raster
 
 from conftest import (
     cell_box,
@@ -1111,89 +1111,6 @@ class TestImportGraph:
                             "print(larvaekit.__version__, evaluation.evaluate_dataset.__name__)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "['larvaekit']\n0.1.0 evaluate_dataset\n"
-
-
-WITHOUT_NUMPY = """\
-import runpy, sys
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-runpy.run_module("larvaekit", run_name="__main__", alter_sys=True)
-"""
-
-
-class TestWithoutNumpy:
-    """``eval``, ``report``, ``count`` and ``preprocess crop``, ``mask``,
-    ``rotate`` and ``enlarge`` run where numpy cannot be imported, and write
-    what a run with numpy writes."""
-
-    def dataset(self, root: Path) -> Path:
-        rng = np.random.default_rng(17)
-        images = []
-        for i, density in enumerate((50, 100, 150)):
-            gt, pred = crowded_instance(rng)
-            images.append({"image_id": f"i{i}", "gt": gt, "pred": pred, "density": density})
-        return write_dataset(root, images)
-
-    def runs(self, tmp_path, argv):
-        """The same command line with numpy blocked and as usual, each into its own --out-dir."""
-        blocked = run_python("-c", WITHOUT_NUMPY, *argv, "--out-dir", "blocked", cwd=tmp_path)
-        usual = run_cli(*argv, "--out-dir", "usual", cwd=tmp_path)
-        outputs = [{p.name: p.read_bytes() for p in (tmp_path / d).glob("*")}
-                   for d in ("blocked", "usual")]
-        return blocked, usual, outputs
-
-    @pytest.mark.parametrize("argv", [
-        ["eval", "manifest.csv", "--group-by", "density_group"],
-        ["report", "manifest.csv"],
-        ["count", "manifest.csv", "--conf-thr", "0.3"],
-    ], ids=["eval", "report", "count"])
-    def test_label_commands_write_the_same_bytes(self, tmp_path, argv):
-        self.dataset(tmp_path)
-        blocked, usual, outputs = self.runs(tmp_path, argv)
-        assert blocked.returncode == 0, blocked.stderr
-        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
-            usual.returncode, usual.stdout, usual.stderr)
-        assert outputs[0] == outputs[1] and outputs[0]
-
-    def frames(self, root: Path) -> None:
-        """Two frames, gray and RGB, with label files of crowded boxes."""
-        rng = np.random.default_rng(18)
-        for name, shape in (("gray", (31, 40, 1)), ("rgb", (24, 35, 3))):
-            image = RasterImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
-            (root / f"{name}.ppm").write_bytes(encode_raster(image))
-            (root / f"{name}.txt").write_text(serialize_label_file(crowded_instance(rng)[0]))
-
-    @pytest.mark.parametrize("argv", [
-        ["crop", "--width", "25", "--height", "19"],
-        ["mask", "--cx", "14.5", "--cy", "11", "--radius", "10"],
-        ["rotate"],
-        ["enlarge", "--quantile", "0.3", "--mode", "normalize"],
-    ], ids=["crop", "mask", "rotate", "enlarge"])
-    def test_frame_actions_write_the_same_bytes(self, tmp_path, argv):
-        self.frames(tmp_path)
-        inputs = ["gray.txt", "rgb.txt"] if argv[0] == "enlarge" else ["gray.ppm", "rgb.ppm"]
-        blocked, usual, outputs = self.runs(tmp_path, ["preprocess", argv[0], *inputs, *argv[1:]])
-        assert blocked.returncode == 0, blocked.stderr
-        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
-            usual.returncode, usual.stdout, usual.stderr)
-        assert outputs[0] == outputs[1]
-        assert len(outputs[0]) == (2 if argv[0] == "enlarge" else 4)
-
-    @pytest.mark.parametrize("command, label_file, line", [
-        ("eval", "i1_pred.txt", "0 0.5 0.5 0.1 0.1 x\n"),
-        ("report", "i2_gt.txt", "0 0.5 0.5 0.1 2.5\n"),
-        ("count", "i0_pred.txt", "0 0.5 0.5 0.1 0.1\n"),
-    ], ids=["eval", "report", "count"])
-    def test_label_file_errors_give_the_same_line(self, tmp_path, command, label_file, line):
-        self.dataset(tmp_path)
-        with open(tmp_path / label_file, "a") as f:
-            f.write(line)
-        blocked, usual, outputs = self.runs(tmp_path, [command, "manifest.csv"])
-        assert blocked.returncode == 1 and blocked.stdout == ""
-        assert blocked.stderr.startswith("error: ") and blocked.stderr.count("\n") == 1
-        assert label_file in blocked.stderr
-        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
-            usual.returncode, usual.stdout, usual.stderr)
-        assert outputs == [{}, {}]
 
 
 class TestExitPath:

@@ -126,6 +126,15 @@ class TestMatchDetections:
         assert (result.counts.tp, result.counts.fp, result.counts.fn) == (1, 1, 0)
         assert result.scored_flags == ((0.9, True), (0.8, False))
 
+    def test_underflowing_intersection_and_areas_do_not_match(self):
+        # Box2D accepts it (w * h rounds up to the least subnormal), but the
+        # corners round so that each area, like the intersection, is 2**-1075,
+        # which rounds to 0: the IoU would be 0 / 0.
+        box = Box2D(float.fromhex("0x1p-536"), float.fromhex("0x1p-538"),
+                    float.fromhex("0x1.0000000000001p-537"), float.fromhex("0x1p-538"))
+        counts = match_detections([LabeledBox(0, box)], [ScoredBox(0, box, 0.9)]).counts
+        assert (counts.tp, counts.fp, counts.fn) == (0, 1, 1)
+
     def test_no_predictions(self):
         gt = [LabeledBox(0, Box2D(0.2 * i + 0.1, 0.5, 0.05, 0.05)) for i in range(3)]
         counts = match_detections(gt, []).counts
