@@ -19,7 +19,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, starmap
+from itertools import starmap
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -253,19 +253,18 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
     ``"pred"`` expects 6 (trailing confidence). Lines end at LF, CRLF or CR
     only, and fields are separated by any whitespace. Blank lines are
     skipped; every other line must parse, so the result has exactly one
-    entry per non-empty input line. The boxes come back as
+    entry per non-empty input line. The first line that does not parse
+    raises the error of the first check it fails: field count, integer
+    class, class sign, numeric fields, box, confidence. The boxes come back as
     :class:`BoxColumns`, a sequence of :class:`LabeledBox` or :class:`ScoredBox`.
     """
     if kind not in LABEL_KINDS:
         raise ValueError(f"kind must be {' or '.join(map(repr, LABEL_KINDS))}, got {kind!r}")
     want = 5 if kind == "gt" else 6
-    lines = _lines(text)
-    rows = list(map(str.split, lines))
-    columns = _parse_columns(rows, want)
-    if columns is not None:
-        return columns
-    # Some line is refused: word the first refusal as these per-line checks meet it.
-    for line_no, (raw, fields) in enumerate(zip(lines, rows), start=1):
+    class_ids, boxes = [], []
+    confidence = [] if kind == "pred" else None
+    for line_no, raw in enumerate(_lines(text), start=1):
+        fields = raw.split()
         if not fields:
             continue
         if len(fields) != want:
@@ -277,44 +276,18 @@ def parse_label_file(text: str, kind: str = "gt") -> BoxColumns:
         if class_id < 0:
             raise MalformedLine(line_no, f"class id must be non-negative, got {class_id}")
         try:
-            values = list(map(float, fields[1:]))
+            cx, cy, w, h = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+            if confidence is not None:
+                score = float(fields[5])
         except ValueError:
             raise MalformedLine(line_no, f"non-numeric field in {raw!r}") from None
         try:
-            _box_fields(*values[:4])
-            if kind == "pred":
-                _checked_confidence(values[4])
+            boxes.append(_box_fields(cx, cy, w, h))
+            if confidence is not None:
+                confidence.append(_checked_confidence(score))
         except (DegenerateBox, OutOfRange) as err:
             raise OutOfRange(str(err), line_no) from None
-    raise AssertionError("_parse_columns refused a label file whose every line parses")
-
-
-def _parse_columns(rows: list[list[str]], want: int) -> BoxColumns | None:
-    """The boxes of a label file's split lines, converted a column at a time
-    and checked a row at a time by :func:`_box_fields`, or None when a line
-    is refused: a wrong field count, a field that does not convert, a
-    negative class, a box ``_box_fields`` refuses, or a confidence outside
-    [0, 1]."""
-    if not set(map(len, rows)) <= {0, want}:
-        return None
-    tokens = list(chain.from_iterable(rows))
-    classes = tokens[::want]
-    del tokens[::want]
-    try:
-        class_ids = list(map(int, classes))
-        values = list(map(float, tokens))
-        columns = [values[field::want - 1] for field in range(want - 1)]
-        boxes = list(map(_box_fields, *columns[:4]))
-    except (ValueError, DegenerateBox, OutOfRange):
-        return None
-    confidence = None
-    if want == 6:
-        confidence = columns[4]
-        # A NaN fails both comparisons, as it fails _checked_confidence.
-        if not all(0.0 <= score <= 1.0 for score in confidence):
-            return None
-    if min(class_ids, default=0) < 0:
-        return None
+        class_ids.append(class_id)
     return BoxColumns(class_ids, boxes, confidence)
 
 
@@ -346,12 +319,10 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
 
 def detect_kind(text: str) -> str | None:
     """Guess 'gt' or 'pred' from the first non-empty line; None if empty."""
-    for raw in _lines(text):
-        n = len(raw.split())
-        if n == 0:
-            continue
-        return "pred" if n == 6 else "gt"
-    return None
+    first = text.lstrip().split("\n", 1)[0].split("\r", 1)[0].split()
+    if not first:
+        return None
+    return "pred" if len(first) == 6 else "gt"
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from larvaekit.annotations import (
     Box2D,
@@ -155,6 +155,30 @@ class TestParseLabelFile:
         with pytest.raises(ValueError):
             parse_label_file("", kind="boxes")
 
+    # Lines that fail two checks: the first check in the order field count,
+    # integer class, class sign, numeric fields, box, confidence words the error.
+    @pytest.mark.parametrize("before, after", [(1, 0), (22, 1)], ids=["line-2-of-2", "line-23-of-24"])
+    @pytest.mark.parametrize("kind, line, error, message", [
+        ("pred", "0 1.5 0.5 0.2 0.2 x", MalformedLine, "non-numeric field in '0 1.5 0.5 0.2 0.2 x'"),
+        ("pred", "0 nan 0.5 0.2 0.2 1.5", OutOfRange, "cx is not finite"),
+        ("gt", "-1 0.5 zz 0.2 0.2", MalformedLine, "class id must be non-negative, got -1"),
+        ("gt", "a 0.5 0.5", MalformedLine, "expected 5 fields, got 3"),
+        ("gt", "1.0 0.5 0.5 0.2 nan", MalformedLine, "class id '1.0' is not an integer"),
+        ("pred", "0 0.5 0.5 0.2 1e-17 -1", OutOfRange,
+         "box (0.5, 0.5, 0.2, 1e-17) has no extent in float64"),
+    ], ids=["numeric-before-box", "box-before-confidence", "sign-before-numeric",
+            "count-before-class", "class-before-numeric", "box-before-negative-confidence"])
+    def test_the_first_check_a_line_fails_words_the_error(self, kind, line, error, message,
+                                                          before, after):
+        good = "0 0.5 0.5 0.2 0.2" + (" 0.5" if kind == "pred" else "")
+        text = "\n".join([good] * before + [line] + [good] * after) + "\n"
+        with pytest.raises(LarvaekitError) as err:
+            parse_label_file(text, kind)
+        line_no = before + 1
+        assert type(err.value) is error
+        assert str(err.value) == f"line {line_no}: {message}"
+        assert err.value.line_no == line_no
+
 
 class TestSerializeLabelFile:
     def test_six_decimals_lf(self):
@@ -258,6 +282,21 @@ class TestDetectKind:
     @pytest.mark.parametrize("separator", LINE_BREAKS_INSIDE_A_LINE)
     def test_other_line_breaks_stay_inside_the_first_line(self, separator):
         assert detect_kind(f"0 0.5 0.5{separator}0.1 0.2 0.9\n") == "pred"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 7),
+                              st.sampled_from([" ", "\t", "\u3000", *LINE_BREAKS_INSIDE_A_LINE]),
+                              st.sampled_from(["\n", "\r", "\r\n", ""])), max_size=5))
+    def test_the_first_non_empty_line_decides(self, lines):
+        text = "".join(sep + sep.join(["0"] * fields) + end for fields, sep, end in lines)
+        # The field count of the first line that holds a field, lines ended
+        # only by LF, CRLF or CR.
+        expected = None
+        for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+            if line.split():
+                expected = "pred" if len(line.split()) == 6 else "gt"
+                break
+        assert detect_kind(text) == expected
 
 
 class TestPixelConversion:

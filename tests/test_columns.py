@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from larvaekit import annotations, evaluation
+from larvaekit import evaluation
 from larvaekit.annotations import (
     DENSITY_GROUPS,
     BOUNDS_TOLERANCE,
@@ -240,6 +240,14 @@ class TestBoxFields:
     @example((0.95, 0.5, 0.1 + 1e-6, 0.2))  # clamps
     @example((1.0 + 2**-52, 0.5, 3 * 2**-52, 0.1))  # collapses once clamped and recomputed
     @example((-0.0, 0.5, 0.0, 0.1))
+    # Each edge exactly BOUNDS_TOLERANCE outside the square: clamped.
+    @example((0.0, 0.5, 2e-6, 0.1))
+    @example((1.0, 0.5, 2e-6, 0.1))
+    @example((0.5, 0.0, 0.1, 2e-6))
+    @example((0.5, 1.0, 0.1, 2e-6))
+    # Corners 2**-54 either side of the centre: both round to it, at a tie.
+    @example((0.75, 0.5, 2**-53, 0.1))
+    @example((0.5, 0.75, 0.1, 2**-53))
     def test_box_fields_are_the_per_box_check(self, row):
         # repr tells -0.0 from 0.0 and round-trips every float.
         assert repr(outcome(lambda: _box_fields(*row))) == repr(outcome(lambda: reference_fields(*row)))
@@ -307,9 +315,9 @@ def long_label_text(rng, kind, lines, odd_share):
 
 
 class TestColumnarParse:
-    """Every label file is converted a column at a time and its boxes are
-    checked one row at a time by ``_box_fields``. That gives what the
-    per-line parser gives: every value, or the same error on the same line.
+    """Every label file is parsed in one loop over its lines, each box
+    checked by ``_box_fields``. That gives what the per-line object parser
+    gave: every value, or the same error on the same line.
     The boxes ``preprocessing`` moves are checked one row at a time by
     ``_box_fields`` too, which gives what the array forms in ``oracles`` give:
     they test the rows as arrays from ``ARRAY_CHECK_MIN_ROWS`` rows, and one
@@ -357,11 +365,8 @@ class TestColumnarParse:
         clamped = (CLAMPED_GT if kind == "gt" else CLAMPED_PRED).strip()
         text = "\n".join(plain[:9] + [clamped] + plain[9:]) + "\n"
         rows = list(map(str.split, text.splitlines()))
-        columns = annotations._parse_columns(rows, 5 if kind == "gt" else 6)
-        assert columns is not None
         expected = reference_parse(text, kind)
         assert expected[9][1] != tuple(map(float, rows[9][1:5]))  # the row was clamped
-        assert repr(column_rows(columns)) == repr(expected)
         assert repr(column_rows(parse_label_file(text, kind))) == repr(expected)
 
     @pytest.mark.parametrize("forms", [
