@@ -20,6 +20,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import starmap
+from numbers import Integral
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -234,11 +235,6 @@ def _columns(boxes: Sequence[AnyBox]) -> BoxColumns:
                        for b in (item.box for item in items)], confidence, items)
 
 
-def _like(boxes: Sequence[AnyBox], columns: BoxColumns) -> Sequence[AnyBox]:
-    """``columns`` in the container ``boxes`` came in: columns for columns, else a list."""
-    return columns if isinstance(boxes, BoxColumns) else list(columns)
-
-
 def _lines(text: str) -> list[str]:
     """The lines of ``text``, ended only by LF, CRLF or CR as universal-newline
     reading counts them; any other line break ``str.splitlines`` knows, such
@@ -295,15 +291,24 @@ def serialize_label_file(boxes: Sequence[AnyBox]) -> str:
     """Render boxes back to label-file text, six decimals, LF endings.
 
     Raises :class:`DegenerateBox` for a box whose width or height rounds to
-    ``0.000000``, since that line could not be parsed back, and
-    ``ValueError`` for a sequence that mixes :class:`LabeledBox` and
-    :class:`ScoredBox` items, since no kind parses such a file.
+    ``0.000000``, and ``ValueError`` for a class id that is not a
+    non-negative integer (a ``bool`` is not one), since no such line could
+    be parsed back; ``ValueError`` too for a sequence that mixes
+    :class:`LabeledBox` and :class:`ScoredBox` items, since no kind parses
+    such a file.
     """
     if not isinstance(boxes, BoxColumns):
         items = list(boxes)
         if len({isinstance(item, ScoredBox) for item in items}) > 1:
             raise ValueError("boxes mix ground truth and predictions; a label file holds one kind")
         boxes = _columns(items)
+    ids = boxes.class_ids
+    # Plain ints, as every parse gives, are checked without a per-id loop.
+    if not (set(map(type, ids)) <= {int} and min(ids, default=0) >= 0):
+        for class_id in ids:
+            if isinstance(class_id, bool) or not isinstance(class_id, Integral) or class_id < 0:
+                raise ValueError(f"class id {class_id!r} is not a non-negative integer; "
+                                 "a label file could not hold it")
     # Only an extent below 1e-6 can print as 0.000000.
     for cx, cy, w, h in boxes.boxes:
         if (w < 1e-6 or h < 1e-6) and "0.000000" in (f"{w:.6f}", f"{h:.6f}"):

@@ -23,18 +23,20 @@ plain float columns.
 A dataset evaluation keeps each image's ground-truth count, sweep flags
 and AP, as the COCO evaluator's ``accumulate`` keeps each image's scores
 and flags (Lin et al., 2014). The pooled reports, overall and per group,
-are built from them; a per-image report is built only when it is read.
+are built from them, and the per-image reports all at once, the first
+time they are read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, starmap
 from operator import add, itemgetter, truediv
 from pathlib import Path
+from types import MappingProxyType
 
 from . import AGGREGATIONS, AP_METHODS, GROUP_FIELDS
 from .annotations import (
@@ -346,13 +348,25 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class DatasetEvaluation:
-    """Pooled, per-image and per-group reports of one evaluation run."""
+    """Pooled, per-image and per-group reports of one evaluation run.
+
+    ``sweeps`` maps each image id, in manifest order, to its
+    ``(num_gt, sweep flags)`` pair, from which ``per_image`` builds every
+    image's report the first time it is read. Equality compares the
+    sweeps, so it builds no per-image report.
+    """
 
     overall: EvalReport
-    per_image: Mapping[str, EvalReport]
+    sweeps: Mapping[str, tuple[int, tuple[tuple[float, bool], ...]]]
     config: MatchConfig
     group_by: str | None = None
     groups: Mapping[str, EvalReport] = field(default_factory=dict)
+
+    @cached_property
+    def per_image(self) -> Mapping[str, EvalReport]:
+        """Read-only reports of every image, in manifest order."""
+        return MappingProxyType({image_id: _report([sweep], self.config)
+                                 for image_id, sweep in self.sweeps.items()})
 
     def summary_ap(self, report: EvalReport | None = None) -> float:
         """The AP value the configured aggregation reports."""
@@ -387,34 +401,6 @@ def _report(sweeps, config: MatchConfig, mean_image_ap: float | None = None) -> 
     return EvalReport.build(counts, num_gt, len(sweeps), flags, config.ap_method, mean_image_ap)
 
 
-class _ImageReports(Mapping):
-    """Read-only per-image reports, each built from its image's sweep when first read."""
-
-    __slots__ = ("_sweeps", "_config", "_built")
-
-    def __init__(self, sweeps: dict[str, tuple], config: MatchConfig):
-        self._sweeps, self._config, self._built = sweeps, config, {}
-
-    def __getitem__(self, image_id: str) -> EvalReport:
-        report = self._built.get(image_id)
-        if report is None:
-            report = self._built[image_id] = _report([self._sweeps[image_id]], self._config)
-        return report
-
-    def __contains__(self, image_id: object) -> bool:
-        # Mapping's own test reads the item, which would build its report.
-        return image_id in self._sweeps
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._sweeps)
-
-    def __len__(self) -> int:
-        return len(self._sweeps)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
 def evaluate_dataset(
     manifest: Sequence[ManifestEntry],
     config: MatchConfig = MatchConfig(),
@@ -427,7 +413,7 @@ def evaluate_dataset(
     ``"day_label"`` or ``"density_group"`` to add per-group pooled
     reports; entries missing the field, or whose field reads
     ``"unlabeled"``, fall into one ``"unlabeled"`` group. Pooled reports
-    take their images in manifest order. ``per_image`` builds each
+    take their images in manifest order. ``per_image`` builds every
     image's report when it is first read.
     """
     if group_by is not None and group_by not in GROUP_FIELDS:
@@ -465,7 +451,7 @@ def evaluate_dataset(
             groups["unlabeled" if value is None else str(value)] = pooled(buckets[value])
     return DatasetEvaluation(
         overall=pooled(images),
-        per_image=_ImageReports({entry.image_id: sweep for entry, sweep, _ in images}, config),
+        sweeps={entry.image_id: sweep for entry, sweep, _ in images},
         config=config,
         group_by=group_by,
         groups=groups,

@@ -2,11 +2,10 @@
 
 Every operation is pure: it returns new objects and leaves its inputs
 untouched, so pipelines can be composed and re-run freely. Box
-operations work on columns (:class:`~larvaekit.annotations.BoxColumns`)
-a row at a time, check each row they move as :class:`Box2D` would, and
-hand back boxes in the container they were given: columns for columns,
-a list for any other sequence. Crop, mask and rotate slice the pixel
-bytes; only noise imports numpy.
+operations take columns (:class:`~larvaekit.annotations.BoxColumns`) or
+any sequence of boxes, work on the columns a row at a time, check each
+row they move as :class:`Box2D` would, and always hand back columns.
+Crop, mask and rotate slice the pixel bytes; only noise imports numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from . import ENLARGE_MODES
-from .annotations import AnyBox, Box2D, _box_fields, _columns, _like
+from .annotations import AnyBox, BoxColumns, _box_fields, _columns
 from .errors import LarvaekitError, OutOfRange
 from .raster import RasterImage
 
@@ -35,7 +34,7 @@ def center_crop(
     boxes: Sequence[AnyBox],
     target_w: int,
     target_h: int,
-) -> tuple[RasterImage, Sequence[AnyBox]]:
+) -> tuple[RasterImage, BoxColumns]:
     """Crop the central ``target_w x target_h`` window and remap boxes.
 
     Offsets are floored so odd margins favor the top-left, matching how the
@@ -60,7 +59,7 @@ def center_crop(
     columns = _columns(boxes)
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
         # Full-frame crop: hand the boxes back untouched.
-        return cropped, _like(boxes, columns)
+        return cropped, columns
     width, height = float(target_w), float(target_h)
     min_area = MIN_CLIPPED_AREA_FRACTION * target_w * target_h
     kept, moved = [], []
@@ -76,7 +75,7 @@ def center_crop(
             # Back to centers and extents, as fractions of the crop size.
             moved.append(_box_fields((x1 + x2) / (2 * width), (y1 + y2) / (2 * height),
                                      (x2 - x1) / width, (y2 - y1) / height))
-    return cropped, _like(boxes, columns.derive(kept, moved))
+    return cropped, columns.derive(kept, moved)
 
 
 def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
@@ -120,16 +119,15 @@ def circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> Ra
     return RasterImage(width, image.height, channels, memoryview(pixels).toreadonly())
 
 
-def area_quantile(boxes: Iterable[Box2D | tuple[float, float, float, float]], q: float) -> float:
+def area_quantile(boxes: Iterable[tuple[float, float, float, float]], q: float) -> float:
     """Quantile of normalized box areas, interpolated as ``numpy.quantile``'s
     default (linear) method does it.
 
-    ``boxes`` are :class:`Box2D` objects or ``(cx, cy, w, h)`` rows, such
-    as ``BoxColumns.boxes``.
+    ``boxes`` are ``(cx, cy, w, h)`` rows, such as ``BoxColumns.boxes``.
     """
     if not 0.0 <= q <= 1.0:
         raise OutOfRange(f"quantile rank must lie in [0, 1], got {q}")
-    areas = sorted(box.area if isinstance(box, Box2D) else box[2] * box[3] for box in boxes)
+    areas = sorted(w * h for _, _, w, h in boxes)
     if not areas:
         raise LarvaekitError("no boxes to take a quantile over")
     # The rank (n - 1) * q falls between two sorted areas; the weight t of the
@@ -148,7 +146,7 @@ def enlarge_small_boxes(
     boxes: Sequence[AnyBox],
     area_threshold: float,
     mode: str = "literal",
-) -> Sequence[AnyBox]:
+) -> BoxColumns:
     """Grow boxes whose area falls below ``area_threshold``.
 
     With ``mode="literal"`` both extents are multiplied by the full area
@@ -172,7 +170,7 @@ def enlarge_small_boxes(
             scale = math.sqrt(scale)
         moved[i] = _box_fields(cx, cy, min(w * scale, 2 * min(cx, 1.0 - cx)),
                                min(h * scale, 2 * min(cy, 1.0 - cy)))
-    return _like(boxes, columns.derive(range(len(moved)), moved, changed))
+    return columns.derive(range(len(moved)), moved, changed)
 
 
 def _noise_sd(variance: float) -> float:
@@ -217,7 +215,7 @@ def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> Raster
 
 def rotate90(
     image: RasterImage, boxes: Sequence[AnyBox]
-) -> tuple[RasterImage, Sequence[AnyBox]]:
+) -> tuple[RasterImage, BoxColumns]:
     """Rotate a quarter turn counter-clockwise, remapping boxes with it.
 
     A ``W x H`` image becomes ``H x W``; a normalized box ``(cx, cy, w, h)``
@@ -237,4 +235,4 @@ def rotate90(
     rotated = RasterImage(height, width, channels, memoryview(pixels).toreadonly())
     columns = _columns(boxes)
     turned = [_box_fields(cy, 1.0 - cx, h, w) for cx, cy, w, h in columns.boxes]
-    return rotated, _like(boxes, columns.derive(range(len(turned)), turned))
+    return rotated, columns.derive(range(len(turned)), turned)

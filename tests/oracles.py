@@ -24,7 +24,6 @@ from larvaekit.annotations import (
     ManifestEntry,
     _box_fields,
     _columns,
-    _like,
     parse_label_file,
 )
 from larvaekit.errors import (
@@ -170,7 +169,7 @@ def array_center_crop(image: RasterImage, boxes, target_w: int, target_h: int,
     cropped = RasterImage.from_array(arr)
     columns = _columns(boxes)
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
-        return cropped, _like(boxes, columns)
+        return cropped, columns
     size = np.array([target_w, target_h] * 2, dtype=np.float64)
     px = corners(box_array(columns.boxes)) * np.array([image.width, image.height] * 2,
                                                       dtype=np.float64)
@@ -181,7 +180,7 @@ def array_center_crop(image: RasterImage, boxes, target_w: int, target_h: int,
     px = px[kept]
     moved = np.concatenate(((px[:, :2] + px[:, 2:]) / (2 * size[:2]),
                             (px[:, 2:] - px[:, :2]) / size[:2]), axis=1)
-    return cropped, _like(boxes, columns.derive(kept.tolist(), checked_boxes(moved, min_rows)))
+    return cropped, columns.derive(kept.tolist(), checked_boxes(moved, min_rows))
 
 
 def array_circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
@@ -223,12 +222,12 @@ def array_rotate90(image: RasterImage, boxes, min_rows: int = ARRAY_CHECK_MIN_RO
     columns = _columns(boxes)
     cx, cy, w, h = box_array(columns.boxes).T
     turned = checked_boxes(np.stack((cy, 1.0 - cx, h, w), axis=1), min_rows)
-    return rotated, _like(boxes, columns.derive(range(len(turned)), turned))
+    return rotated, columns.derive(range(len(turned)), turned)
 
 
 def array_area_quantile(boxes, q: float) -> float:
-    """``np.quantile`` of the areas of :class:`Box2D` objects or ``cx, cy, w, h`` rows."""
-    rows = box_array([(b.cx, b.cy, b.w, b.h) if isinstance(b, Box2D) else b for b in boxes])
+    """``np.quantile`` of the areas of ``cx, cy, w, h`` rows."""
+    rows = box_array(boxes)
     if not len(rows):
         raise LarvaekitError("no boxes to take a quantile over")
     return float(np.quantile(rows[:, 2] * rows[:, 3], q))
@@ -250,7 +249,7 @@ def array_enlarge_small_boxes(boxes, area_threshold: float, mode: str = "literal
     moved = list(columns.boxes)
     for i, box in zip(grown, checked_boxes(np.stack((cx, cy, w, h), axis=1), min_rows)):
         moved[i] = box
-    return _like(boxes, columns.derive(range(len(moved)), moved, changed))
+    return columns.derive(range(len(moved)), moved, changed)
 
 
 def text_mode_annotation(entry: ManifestEntry, root: Path | str = ".") -> ImageAnnotation:

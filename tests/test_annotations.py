@@ -1,10 +1,11 @@
 """Label parsing, box geometry, and manifest loading."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from larvaekit.annotations import (
     Box2D,
@@ -258,6 +259,13 @@ def edge_hugging_boxes(draw):
     return LabeledBox(draw(st.integers(0, 9)), box)
 
 
+# Class ids as a caller may hold them: ints and numpy ints of either sign,
+# floats (integral ones included), and bools of both kinds.
+CLASS_IDS = (st.integers(-3, 2**70) | st.floats() | st.integers(-3, 3).map(float)
+             | st.booleans() | st.booleans().map(np.bool_)
+             | st.integers(-3, 2**40).map(np.int64) | st.integers(0, 255).map(np.uint8))
+
+
 class TestSerializeRoundTrip:
     @given(st.lists(edge_hugging_boxes(), max_size=6))
     def test_serialized_text_parses_back_or_is_refused(self, boxes):
@@ -267,6 +275,23 @@ class TestSerializeRoundTrip:
             assert min(min(b.box.w, b.box.h) for b in boxes) < 1e-6
             return
         assert len(parse_label_file(text, kind="gt")) == len(boxes)
+
+    @given(st.lists(CLASS_IDS, max_size=4), st.booleans())
+    @example([-1], False)
+    @example([1.5], True)
+    @example([True], False)
+    @example([np.int64(3), 0], True)
+    def test_class_ids_parse_back_or_are_refused(self, ids, scored):
+        box = Box2D(0.5, 0.5, 0.1, 0.1)
+        boxes = [ScoredBox(i, box, 0.5) if scored else LabeledBox(i, box) for i in ids]
+        refused = [i for i in ids if isinstance(i, (bool, np.bool_))
+                   or not isinstance(i, (int, np.integer)) or i < 0]
+        if refused:
+            with pytest.raises(ValueError, match=f"^class id {re.escape(repr(refused[0]))} "):
+                serialize_label_file(boxes)
+        else:
+            text = serialize_label_file(boxes)
+            assert parse_label_file(text, "pred" if scored else "gt").class_ids == ids
 
 
 class TestDetectKind:

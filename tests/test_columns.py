@@ -402,13 +402,18 @@ class TestColumns:
         assert grown == scalar_enlarge(list(boxes), 0.02, "literal")
 
     def test_operations_return_the_container_they_were_given(self):
-        boxes = parse_label_file("0 0.5 0.5 0.2 0.2\n")
+        """Columns, whatever container was given; a list's unchanged items stay its own."""
+        boxes = parse_label_file("0 0.5 0.5 0.2 0.2\n1 0.5 0.5 0.01 0.01\n")
         image = RasterImage(4, 4, 1, bytes(16))
-        assert isinstance(rotate90(image, boxes)[1], BoxColumns)
-        assert isinstance(center_crop(image, boxes, 2, 2)[1], BoxColumns)
+        for given in (boxes, list(boxes), tuple(boxes)):
+            assert type(rotate90(image, given)[1]) is BoxColumns
+            assert type(center_crop(image, given, 2, 2)[1]) is BoxColumns
+            assert type(center_crop(image, given, 4, 4)[1]) is BoxColumns
+            assert type(enlarge_small_boxes(given, 0.02)) is BoxColumns
         assert center_crop(image, boxes, 4, 4)[1] is boxes
-        assert type(rotate90(image, list(boxes))[1]) is list
-        assert type(center_crop(image, tuple(boxes), 4, 4)[1]) is list
+        items = list(boxes)
+        assert [a is b for a, b in zip(center_crop(image, items, 4, 4)[1], items)] == [True, True]
+        assert [a is b for a, b in zip(enlarge_small_boxes(items, 0.02), items)] == [True, False]
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -539,10 +544,8 @@ class TestArrayOperations:
     @settings(max_examples=100, deadline=None)
     @given(label_boxes(), st.floats(0.0, 1.0))
     def test_area_quantile(self, boxes, q):
-        expected = outcome(lambda: array_area_quantile([b.box for b in boxes], q))
         rows = _columns(boxes).boxes
-        assert outcome(lambda: array_area_quantile(rows, q)) == expected
-        assert outcome(lambda: area_quantile([b.box for b in boxes], q)) == expected
+        expected = outcome(lambda: array_area_quantile(rows, q))
         assert outcome(lambda: area_quantile(rows, q)) == expected
 
 
@@ -676,7 +679,8 @@ class TestParity:
         code, stdout, stderr = run(["preprocess", "enlarge", *labels, "--quantile", 0.3,
                                     "--mode", "normalize", "--out-dir", tmp_path / "enlarge"])
         assert code == 0, stderr
-        threshold = area_quantile([b.box for boxes in parsed for b in boxes], 0.3)
+        threshold = area_quantile([(b.box.cx, b.box.cy, b.box.w, b.box.h)
+                                   for boxes in parsed for b in boxes], 0.3)
         assert stdout == f"area_threshold={threshold:.9g}\n"
         assert read_outputs(tmp_path / "enlarge") == {
             p.name: serialize_label_file(enlarge_small_boxes(b, threshold, "normalize")).encode()

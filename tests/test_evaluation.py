@@ -880,7 +880,7 @@ class TestImageAPIdentity:
 
 
 class TestReportsOnRead:
-    """Per-image reports are built when read, never for the pooled reports."""
+    """Per-image reports are built together when first read, never for the pooled reports."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -900,16 +900,24 @@ class TestReportsOnRead:
         ev = evaluate_dataset(manifest, MatchConfig(), root=root, group_by=group_by)
         assert len(builds) == 1 + len(ev.groups)
         assert builds[-1] == len(manifest)
+        builds.clear()
         assert list(ev.per_image) == [entry.image_id for entry in manifest]
+        assert builds == [1] * len(manifest)
+        builds.clear()
         assert "c3" in ev.per_image and "nope" not in ev.per_image
         assert len(ev.per_image) == len(manifest)
-        assert len(builds) == 1 + len(ev.groups)
-        builds.clear()
         report = ev.per_image["c3"]
         assert ev.per_image["c3"] is report
-        assert builds == [1]
         assert len(dict(ev.per_image)) == len(manifest)
-        assert len(builds) == len(manifest)
+        assert builds == []
+
+    def test_equality_builds_no_per_image_report(self, crowded_sweeps, builds):
+        root, manifest, _ = crowded_sweeps
+        first, second = (evaluate_dataset(manifest, MatchConfig(), root=root) for _ in range(2))
+        fewer = evaluate_dataset(manifest[1:], MatchConfig(), root=root)
+        builds.clear()
+        assert first == second and first != fewer
+        assert builds == []
 
     @pytest.mark.parametrize("group_by", ["none", *GROUP_FIELDS])
     def test_eval_builds_no_per_image_report(self, crowded_sweeps, builds, group_by, tmp_path):
