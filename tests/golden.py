@@ -127,6 +127,20 @@ REFUSED_INPUTS = {
     "empty.txt": b"",
 }
 
+# Gray frames for noise whose sample counts cross noise-strip edges (2 strips
+# and 3 samples, exactly one strip, and a third of one), by file name:
+# (width, height, sibling label text or None).
+STRIP = 1 << 16
+STRIP_FRAMES = {
+    "strip_long.pgm": (535, 245, FRAME_GT),  # 2 * STRIP + 3 samples
+    "strip_even.pgm": (256, 256, None),  # STRIP samples
+    "strip_even_wide.pgm": (512, 128, FRAME_PRED),  # STRIP samples
+    "strip_short.pgm": (3121, 7, None),  # STRIP // 3 + 2 samples
+}
+# The noise case whose first frame lies in its own --out-dir, so writing it
+# would overwrite an input.
+OVERWRITE_CASE = "noise-error-overwrite-then-truncated"
+
 # Label files written byte for byte: a byte-order mark with CRLF endings,
 # lone-CR endings, and invalid UTF-8 at byte 0, right after a byte-order
 # mark and past the first 8192 bytes.
@@ -228,6 +242,15 @@ def build_inputs(root: Path) -> None:
     for name, rows in PATH_MANIFESTS.items():
         (root / name).write_bytes((MANIFEST_HEADER + rows).encode())
     (root / "labels_dir").mkdir()
+    for name, (width, height, labels) in STRIP_FRAMES.items():
+        pixels = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        (root / name).write_bytes(encode_raster(RasterImage.from_array(pixels)))
+        if labels is not None:
+            (root / name).with_suffix(".txt").write_bytes(labels.encode())
+    (root / "refused_frame.pgm").write_bytes(REFUSED_INPUTS["small.pgm"])
+    (root / "refused_frame.txt").write_bytes(b"0 0.5 0.5 0.2\n")
+    (root / "out" / OVERWRITE_CASE).mkdir(parents=True)
+    (root / "out" / OVERWRITE_CASE / "small.pgm").write_bytes(REFUSED_INPUTS["small.pgm"])
 
 
 def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
@@ -257,6 +280,15 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
         "rotate": ["preprocess", "rotate", *frames],
         "noise-seed-1": ["preprocess", "noise", *frames, "--variance", "16", "--seed", "1"],
         "noise-seed-2": ["preprocess", "noise", *frames, "--variance", "16", "--seed", "2"],
+    })
+    strips = [f"{{root}}/strip_{name}.pgm" for name in ("long", "even", "short")]
+    cases.update({
+        "noise-strips-longest-first": ["preprocess", "noise", *strips,
+                                       "--variance", "900", "--seed", "7"],
+        "noise-strips-longest-last": ["preprocess", "noise", *strips[::-1],
+                                      "--variance", "900", "--seed", "7"],
+        "noise-strips-mixed": ["preprocess", "noise", strips[1], "{root}/strip_even_wide.pgm",
+                               strips[2], strips[0], *frames, "--variance", "0.3", "--seed", "8"],
     })
     for mode in ("literal", "normalize"):
         cases[f"enlarge-threshold-{mode}"] = [
@@ -305,6 +337,13 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
         "rotate-error-magic": ["preprocess", "rotate", "{root}/plain.pgm"],
         "enlarge-error-quantile-empty": ["preprocess", "enlarge", "{root}/empty.txt",
                                          "--quantile", "0.5"],
+        "noise-error-truncated-second": ["preprocess", "noise", "{root}/frame.ppm",
+                                         "{root}/truncated.pgm", "--variance", "4", "--seed", "1"],
+        "noise-error-label-beside-later": ["preprocess", "noise", "{root}/frame.ppm",
+                                           "{root}/refused_frame.pgm", "--variance", "4",
+                                           "--seed", "1"],
+        OVERWRITE_CASE: ["preprocess", "noise", f"{{root}}/out/{OVERWRITE_CASE}/small.pgm",
+                         "{root}/truncated.pgm", "--variance", "4", "--seed", "1"],
     })
     failing["usage-error"] = ["eval", manifest, "--iou-thr", "1.5"]
     cases.update(failing)
