@@ -94,6 +94,9 @@ def _staged_outputs(out_dir: Path, inputs: list[Path]):
     renamed onto it when the block succeeds. On any exception the staging
     files, and the directories this run created, are removed. A target that
     is one of ``inputs`` (the same file, through any path) is refused.
+    ``write`` returns ``fill(data)``, which stages other bytes for the same
+    output: ``write(name)`` claims an output, with every check and an empty
+    staging file, before its bytes exist.
     """
     staged: dict[Path, Path] = {}
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
@@ -103,7 +106,7 @@ def _staged_outputs(out_dir: Path, inputs: list[Path]):
             status = source.stat()
             protected[status.st_dev, status.st_ino] = source
 
-    def write(name: str, data: str | bytes) -> None:
+    def write(name: str, data: str | bytes = b""):
         path = Path(name)
         _require(path.parts and not path.is_absolute() and ".." not in path.parts,
                  f"output name {name!r} would escape --out-dir")
@@ -117,10 +120,15 @@ def _staged_outputs(out_dir: Path, inputs: list[Path]):
         if not staged:
             out_dir.mkdir(parents=True, exist_ok=True)
         staged[target] = staging = target.with_name(f".{target.name}.partial")
-        try:
-            staging.write_bytes(data.encode() if isinstance(data, str) else data)
-        except OSError as err:
-            raise OSError(err.errno, err.strerror, str(target)) from None
+
+        def fill(data: str | bytes) -> None:
+            try:
+                staging.write_bytes(data.encode() if isinstance(data, str) else data)
+            except OSError as err:
+                raise OSError(err.errno, err.strerror, str(target)) from None
+
+        fill(data)
+        return fill
 
     try:
         yield write
@@ -194,8 +202,33 @@ def cmd_preprocess(args, write) -> str:
         _require(args.variance is not None and args.seed is not None,
                  "noise requires --variance and --seed (seeds are never defaulted)")
         _require(args.variance >= 0, f"--variance must be non-negative, got {args.variance}")
-    for input_name in args.inputs:
-        image_path = Path(input_name)
+    # Noise takes frames a run at a time, so each run draws the seeded stream once.
+    runs = _runs(args.inputs) if action == "noise" else ([name] for name in args.inputs)
+    for run in runs:
+        _preprocess_run(args, run, write)
+    return ""
+
+
+def _preprocess_run(args, paths: list[str], write) -> None:
+    """Transform the frames of ``paths`` and stage them; no frame outlives the call."""
+    fills = []
+    images = _frames(args, paths, write, fills)
+    if args.action == "noise":
+        images = preprocessing.add_gaussian_noise(images, args.variance, args.seed)
+    for fill, image in zip(fills, list(images)):
+        fill(raster.encode_raster(image))
+
+
+def _frames(args, paths: list[str], write, fills: list):
+    """Yield each frame of ``paths`` after ``args.action``'s crop, mask or rotation.
+
+    A frame's sibling ``.txt`` label file, when there is one, is read first and
+    written with the frame's boxes. The frame's own output is claimed before
+    it is yielded, its ``fill`` appended to ``fills``; so a run refuses what a
+    loop that wrote each frame before reading the next would, in its order.
+    """
+    action = args.action
+    for image_path in map(Path, paths):
         label_path = image_path.with_suffix(".txt")
         labelled = label_path.exists()
         boxes = _read_labels(label_path) if labelled else []
@@ -205,15 +238,37 @@ def cmd_preprocess(args, write) -> str:
                 image, boxes = preprocessing.center_crop(image, boxes, args.width, args.height)
             elif action == "mask":
                 image = preprocessing.circular_mask(image, args.cx, args.cy, args.radius)
-            elif action == "noise":
-                image = preprocessing.add_gaussian_noise(image, args.variance, args.seed)
             elif action == "rotate":
                 image, boxes = preprocessing.rotate90(image, boxes)
-        write(image_path.name, raster.encode_raster(image))
+        fills.append(write(image_path.name))
         if labelled:
             with _reading(label_path):
                 write(label_path.name, annotations.serialize_label_file(boxes))
-    return ""
+        yield image
+
+
+def _runs(paths: list[str]):
+    """Split ``paths`` into runs of consecutive files whose sizes total at most
+    twice the largest of the run.
+
+    A size is read from the file system before its file is, so a run is noised
+    and written before the next run's first frame is read: noise holds at most
+    three frames. A file whose size cannot be read counts as empty; reading it
+    gives the error.
+    """
+    run, total, largest = [], 0, 0
+    for path in paths:
+        size = 0
+        with suppress(OSError):
+            size = os.stat(path).st_size
+        if run and total + size > 2 * max(largest, size):
+            yield run
+            run, total, largest = [], 0, 0
+        run.append(path)
+        total += size
+        largest = max(largest, size)
+    if run:
+        yield run
 
 
 def _preprocess_enlarge(args, write) -> str:

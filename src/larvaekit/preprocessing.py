@@ -24,8 +24,8 @@ from .raster import RasterImage
 # discarded rather than kept as slivers.
 MIN_CLIPPED_AREA_FRACTION = 1e-6
 
-# Noise works on strips of at most this many samples, so its float64
-# buffer stays a fixed size whatever the frame.
+# Noise works on strips of at most this many samples, so its two float64
+# buffers stay a fixed size whatever the frames.
 _STRIP_SAMPLES = 1 << 16
 
 
@@ -179,38 +179,51 @@ def _noise_sd(variance: float) -> float:
     return math.sqrt(variance)
 
 
-def add_gaussian_noise(image: RasterImage, variance: float, seed: int) -> RasterImage:
-    """Add i.i.d. Gaussian noise per sample, then round and clamp to 8 bits.
+def add_gaussian_noise(
+    images: Iterable[RasterImage], variance: float, seed: int
+) -> list[RasterImage]:
+    """Add i.i.d. Gaussian noise per sample to each image, then round and
+    clamp to 8 bits.
 
-    The same ``(variance, seed)`` pair always produces the same bytes for
-    the same input: the noise is ``np.random.default_rng(seed).normal(0.0,
-    sqrt(variance), n)`` over the ``n`` samples in storage order, drawn in
-    strips that continue one stream. ``variance=0`` returns the image
-    unchanged.
+    Every image gets the same noise: over its ``n`` samples in storage order
+    it is ``np.random.default_rng(seed).normal(0.0, sqrt(variance), n)``, so
+    the same ``(variance, seed)`` pair always produces the same bytes for the
+    same image, whatever images share the call. That stream is drawn once,
+    in strips that continue it, and each strip is added to every image long
+    enough to reach it. Each image is copied as it is taken from ``images``,
+    so the call holds a copy of each image, and one input while copying it.
+    ``variance=0`` returns the images unchanged.
     """
     sd = _noise_sd(variance)
     if variance == 0:
-        return image
+        return list(images)
     import numpy as np
 
-    samples = np.frombuffer(image.pixels, dtype=np.uint8)
-    noisy = np.empty_like(samples)
+    # No input outlives its copy: the copies are noised in place.
+    copies = [((image.width, image.height, image.channels),
+               np.frombuffer(image.pixels, dtype=np.uint8).copy()) for image in images]
+    reaching = [samples for _, samples in copies]
+    longest = max((samples.size for samples in reaching), default=0)
     rng = np.random.default_rng(seed)
-    buffer = np.empty(min(_STRIP_SAMPLES, samples.size))
-    for start in range(0, samples.size, _STRIP_SAMPLES):
-        stop = min(start + _STRIP_SAMPLES, samples.size)
-        strip = buffer[: stop - start]
+    noise, buffer = np.empty((2, min(_STRIP_SAMPLES, longest)))
+    for start in range(0, longest, _STRIP_SAMPLES):
+        scaled = noise[: min(_STRIP_SAMPLES, longest - start)]
         # normal(0.0, sd) draws these standard normals and returns 0.0 + sd * z,
         # which differs from sd * z only in the sign of a zero; adding the
         # sample erases it.
-        rng.standard_normal(out=strip)
-        strip *= sd
-        strip += samples[start:stop]
-        np.rint(strip, out=strip)
-        np.clip(strip, 0, 255, out=strip)
-        noisy[start:stop] = strip
-    noisy.flags.writeable = False
-    return RasterImage(image.width, image.height, image.channels, noisy)
+        rng.standard_normal(out=scaled)
+        scaled *= sd
+        reaching = [samples for samples in reaching if samples.size > start]
+        for samples in reaching:
+            # A shorter image takes a prefix of the strip.
+            span = samples[start : start + scaled.size]
+            strip = np.add(scaled[: span.size], span, out=buffer[: span.size])
+            np.rint(strip, out=strip)
+            np.clip(strip, 0, 255, out=strip)
+            span[:] = strip
+    for _, samples in copies:
+        samples.flags.writeable = False
+    return [RasterImage(*shape, samples) for shape, samples in copies]
 
 
 def rotate90(

@@ -1,6 +1,7 @@
 """Golden output digests: the bytes every subcommand writes, on small seeded inputs.
 
-``build_inputs`` writes a manifest with label files, frames, label files
+``build_inputs`` writes a manifest with label files, frames (some whose
+lengths end before, on and past noise-strip edges), label files
 for ``enlarge`` and an observations CSV, all from fixed seeds and literal
 text (nothing is downloaded), label files each refused at one line,
 observation CSVs on which ``fit`` fails, manifests, frames and a label
@@ -127,15 +128,14 @@ REFUSED_INPUTS = {
     "empty.txt": b"",
 }
 
-# Gray frames for noise whose sample counts cross noise-strip edges (2 strips
-# and 3 samples, exactly one strip, and a third of one), by file name:
+# Gray frames for noise whose sample counts end before, on and past the edges
+# of preprocessing._STRIP_SAMPLES = 65536-sample strips, by file name:
 # (width, height, sibling label text or None).
-STRIP = 1 << 16
 STRIP_FRAMES = {
-    "strip_long.pgm": (535, 245, FRAME_GT),  # 2 * STRIP + 3 samples
-    "strip_even.pgm": (256, 256, None),  # STRIP samples
-    "strip_even_wide.pgm": (512, 128, FRAME_PRED),  # STRIP samples
-    "strip_short.pgm": (3121, 7, None),  # STRIP // 3 + 2 samples
+    "strip_long.pgm": (535, 245, FRAME_GT),  # 2 * 65536 + 3 samples
+    "strip_even.pgm": (256, 256, None),  # 65536 samples
+    "strip_even_wide.pgm": (512, 128, FRAME_PRED),  # 65536 samples
+    "strip_short.pgm": (3121, 7, None),  # 65536 // 3 + 2 samples
 }
 # The noise case whose first frame lies in its own --out-dir, so writing it
 # would overwrite an input.

@@ -96,6 +96,9 @@ def gaussian_noise_stream(variance: float, seed: int, count: int) -> np.ndarray:
     Samples are generated sequentially, so the first ``k`` values do not
     depend on ``count``. ``add_gaussian_noise`` draws this same stream in
     strips: consecutive draws from one generator continue the sequence.
+    The frames of one call, and of one ``preprocess noise`` run, share the
+    stream: a frame of ``k`` samples gets its first ``k`` values, drawn
+    once for every frame that reaches them.
     """
     sd = _noise_sd(variance)
     rng = np.random.default_rng(seed)

@@ -205,8 +205,9 @@ def test_criterion_7_property_suites():
 
     # seeded noise is reproducible and has the advertised moments
     base = solid_image(1000, 1000, value=128)
-    noisy = add_gaussian_noise(base, 25.0, seed=11)
-    assert noisy.pixels == add_gaussian_noise(base, 25.0, seed=11).pixels
+    [noisy] = add_gaussian_noise([base], 25.0, seed=11)
+    [again] = add_gaussian_noise([base], 25.0, seed=11)
+    assert noisy.pixels == again.pixels
     delta = noisy.to_array().astype(np.float64) - 128.0
     assert abs(float(delta.mean())) <= 0.05
     assert abs(float(delta.var()) - 25.0) <= 0.5

@@ -120,3 +120,22 @@ def test_numpy_free_cases_match_under_each_python(request, inputs_without_site_p
     else:
         digests = digests_under(interpreter(version), inputs_without_site_packages)
     assert [name for name in NUMPY_FREE if digests[name] != RECORDED.get(name)] == []
+
+
+# Sums the golden cases cannot see: builtin sum() compensates from 3.12 on,
+# and on these inputs math.fsum gives 1/3, 0.10000000000000002 and 0.1.
+LEFT_TO_RIGHT_SUMS = """\
+from larvaekit.evaluation import _integrate, _mean
+print(repr((_mean([1e16, 1.0, -1e16]), _integrate([1.0], [0.1], "101point"),
+            _integrate([i / 10 for i in range(1, 11)], [0.1] * 10, "envelope"))))
+"""
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_sums_run_left_to_right_under_each_python(version):
+    python = sys.executable if version == "%d.%d" % sys.version_info[:2] else interpreter(version)
+    src = Path(larvaekit.__file__).resolve().parent.parent
+    child = subprocess.run([python, "-S", "-c", LEFT_TO_RIGHT_SUMS], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "(0.0, 0.0999999999999998, 0.09999999999999999)\n"

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from larvaekit import preprocessing
+from larvaekit import cli, preprocessing
 from larvaekit.annotations import Box2D, LabeledBox, ScoredBox
 from larvaekit.errors import LarvaekitError, OutOfRange
 from larvaekit.preprocessing import (
@@ -234,19 +234,29 @@ class TestEnlargeSmallBoxes:
 class TestGaussianNoise:
     def test_variance_zero_is_identity(self):
         image = solid_image(8, 8)
-        assert add_gaussian_noise(image, 0.0, seed=1) is image
+        [out] = add_gaussian_noise([image], 0.0, seed=1)
+        assert out is image
+
+    @pytest.mark.parametrize("variance", [0.0, 4.0])
+    def test_batch_keeps_order_and_takes_any_iterable(self, variance):
+        images = [solid_image(8, 8), solid_image(3, 5, value=7), solid_image(8, 8)]
+        out = add_gaussian_noise(iter(images), variance, seed=1)
+        assert [(o.width, o.height) for o in out] == [(8, 8), (3, 5), (8, 8)]
+        assert [o is i for o, i in zip(out, images)] == [variance == 0.0] * 3
+        assert out[0].pixels == out[2].pixels
+        assert add_gaussian_noise([], variance, seed=1) == []
 
     def test_deterministic_per_seed(self):
         image = solid_image(32, 32)
-        a = add_gaussian_noise(image, 10.0, seed=42)
-        b = add_gaussian_noise(image, 10.0, seed=42)
-        c = add_gaussian_noise(image, 10.0, seed=43)
+        [a] = add_gaussian_noise([image], 10.0, seed=42)
+        [b] = add_gaussian_noise([image], 10.0, seed=42)
+        [c] = add_gaussian_noise([image], 10.0, seed=43)
         assert a.pixels == b.pixels
         assert a.pixels != c.pixels
 
     def test_matches_documented_stream(self):
         image = solid_image(16, 16, value=100)
-        out = add_gaussian_noise(image, 25.0, seed=5)
+        [out] = add_gaussian_noise([image], 25.0, seed=5)
         samples = np.frombuffer(image.pixels, dtype=np.uint8).astype(np.float64)
         noise = gaussian_noise_stream(25.0, 5, samples.size)
         expect = np.clip(np.rint(samples + noise), 0, 255).astype(np.uint8)
@@ -263,12 +273,12 @@ class TestGaussianNoise:
 
     def test_negative_variance(self):
         with pytest.raises(OutOfRange):
-            add_gaussian_noise(solid_image(4, 4), -1.0, seed=0)
+            add_gaussian_noise([solid_image(4, 4)], -1.0, seed=0)
 
     @pytest.mark.parametrize("variance", [float("nan"), float("inf")])
     def test_non_finite_variance(self, variance):
         with pytest.raises(OutOfRange, match="finite"):
-            add_gaussian_noise(solid_image(4, 4), variance, seed=1)
+            add_gaussian_noise([solid_image(4, 4)], variance, seed=1)
         with pytest.raises(OutOfRange, match="finite"):
             gaussian_noise_stream(variance, seed=1, count=5)
 
@@ -363,12 +373,45 @@ class TestStripsChangeNoBytes:
     @pytest.mark.parametrize("variance", [1e-3, 25.0, 1e5])
     def test_noise(self, shape, variance):
         image = random_image(shape, seed=sum(shape))
-        out = add_gaussian_noise(image, variance, seed=11)
+        [out] = add_gaussian_noise([image], variance, seed=11)
         assert out.pixels == whole_frame_noise(image, variance, 11)
+
+    @pytest.mark.parametrize("order", ["listed", "reversed", "shuffled"])
+    def test_noise_batch(self, order):
+        # One call noises frames of every length: each takes its prefix of
+        # the shared strips, whichever frame is the longest.
+        images = [random_image(shape, seed=sum(shape) + 2) for shape in STRIP_SHAPES]
+        if order == "reversed":
+            images.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(6).shuffle(images)
+        out = add_gaussian_noise(iter(images), 25.0, seed=11)
+        assert [(o.width, o.height, o.channels) for o in out] == [
+            (i.width, i.height, i.channels) for i in images]
+        assert [o.pixels for o in out] == [whole_frame_noise(i, 25.0, 11) for i in images]
+
+    def test_noise_batch_draws_the_longest_frame_once(self, monkeypatch):
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, out):
+                drawn.append(out.size)
+                return self.rng.standard_normal(out=out)
+
+        images = [random_image(shape, seed=1) for shape in STRIP_SHAPES]
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        add_gaussian_noise(images, 25.0, seed=3)
+        assert sum(drawn) == max(len(image.pixels) for image in images)
+        assert max(drawn) == preprocessing._STRIP_SAMPLES
 
     def test_large_variance_saturates_both_ends(self):
         image = random_image((65, STRIP_W, 3), seed=3)
-        out = np.frombuffer(add_gaussian_noise(image, 1e5, seed=4).pixels, dtype=np.uint8)
+        [noisy] = add_gaussian_noise([image], 1e5, seed=4)
+        out = np.frombuffer(noisy.pixels, dtype=np.uint8)
         assert out.min() == 0 and out.max() == 255
 
     @pytest.mark.parametrize("shape", STRIP_SHAPES)
@@ -391,15 +434,23 @@ class TestStripsChangeNoBytes:
     def test_tiny_strips(self, monkeypatch, budget):
         # Tiles of a handful of samples cross every row and column edge.
         monkeypatch.setattr(preprocessing, "_STRIP_SAMPLES", budget)
+        images = []
         for shape in [(1, 1, 1), (5, 9, 3), (13, 4, 1), (1, 17, 3), (17, 1, 1)]:
             image = random_image(shape, seed=budget + sum(shape))
+            images.append(image)
             h, w = shape[0], shape[1]
             for cx, cy, r in [(w / 2, h / 2, 2.5), (3, 4, 5), (-9, 2, 4), (0, 0, 0)]:
                 out = circular_mask(image, cx, cy, r)
                 assert out.pixels == whole_frame_mask(image, cx, cy, r)
             for variance in (0.01, 400.0, 1e5):
-                out = add_gaussian_noise(image, variance, seed=budget)
+                [out] = add_gaussian_noise([image], variance, seed=budget)
                 assert out.pixels == whole_frame_noise(image, variance, budget)
+        # Batches of these unequal frames end inside, on and past strip edges.
+        for batch in (images, images[::-1], images[1::2] + images[::2]):
+            for variance in (0.01, 400.0, 1e5):
+                out = add_gaussian_noise(batch, variance, seed=budget)
+                assert [o.pixels for o in out] == [
+                    whole_frame_noise(image, variance, budget) for image in batch]
 
     @pytest.mark.parametrize("shape", [(37, 41, 3), (3, preprocessing._STRIP_SAMPLES + 9, 1),
                                        (preprocessing._STRIP_SAMPLES + 9, 1, 1), (1, 1, 3)])
@@ -558,15 +609,32 @@ def traced_peak(fn, *args):
 
 
 class TestWorkingMemory:
-    """Noise and mask hold their input and one output frame, and decoding
-    holds no copy of the payload."""
+    """Noise and mask hold their input and one output frame, a noise command
+    at most three frames, and decoding holds no copy of the payload."""
 
     def frame(self):
         return random_image((1000, 1200, 3), seed=8)
 
     def test_noise_peak(self):
         image = self.frame()
-        assert traced_peak(add_gaussian_noise, image, 25.0, 7) <= 1.5 * len(image.pixels)
+        assert traced_peak(add_gaussian_noise, [image], 25.0, 7) <= 1.5 * len(image.pixels)
+
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_noise_command_peak(self, tmp_path, count):
+        # A run of frames is noised and written before the next run is read,
+        # so the command holds at most three frames and two float64 strips.
+        image = self.frame()
+        paths = [tmp_path / f"frame{n}.ppm" for n in range(count)]
+        for path in paths:
+            path.write_bytes(encode_raster(image))
+        out = tmp_path / "out"
+        argv = ["preprocess", "noise", *map(str, paths), "--variance", "25", "--seed", "3",
+                "--out-dir", str(out)]
+        strips = 2 * 8 * preprocessing._STRIP_SAMPLES
+        assert traced_peak(cli.main, argv) <= 3 * len(image.pixels) + strips + 65536
+        expected = encode_raster(RasterImage(image.width, image.height, image.channels,
+                                             whole_frame_noise(image, 25.0, 3)))
+        assert all((out / path.name).read_bytes() == expected for path in paths)
 
     def test_mask_peak(self):
         image = self.frame()
