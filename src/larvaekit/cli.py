@@ -215,6 +215,7 @@ def _preprocess_run(args, paths: list[str], write) -> None:
     images = _frames(args, paths, write, fills)
     if args.action == "noise":
         images = preprocessing.add_gaussian_noise(images, args.variance, args.seed)
+    # list() reads the whole run, claiming every output, before the first fill.
     for fill, image in zip(fills, list(images)):
         fill(raster.encode_raster(image))
 
