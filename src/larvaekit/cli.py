@@ -202,20 +202,20 @@ def cmd_preprocess(args, write) -> str:
         _require(args.variance is not None and args.seed is not None,
                  "noise requires --variance and --seed (seeds are never defaulted)")
         _require(args.variance >= 0, f"--variance must be non-negative, got {args.variance}")
-    # Noise takes frames a run at a time, so each run draws the seeded stream once.
-    runs = _runs(args.inputs) if action == "noise" else ([name] for name in args.inputs)
-    for run in runs:
-        _preprocess_run(args, run, write)
+    # Noise takes frames in pairs, so each pair draws the seeded stream once.
+    step = 2 if action == "noise" else 1
+    for start in range(0, len(args.inputs), step):
+        _preprocess_run(args, args.inputs[start:start + step], write)
     return ""
 
 
 def _preprocess_run(args, paths: list[str], write) -> None:
-    """Transform the frames of ``paths`` and stage them; no frame outlives the call."""
+    """Transform and stage the frames of ``paths``, a noise pair or one frame; none outlives the call."""
     fills = []
     images = _frames(args, paths, write, fills)
     if args.action == "noise":
         images = preprocessing.add_gaussian_noise(images, args.variance, args.seed)
-    # list() reads the whole run, claiming every output, before the first fill.
+    # list() reads the whole pair, claiming every output, before the first fill.
     for fill, image in zip(fills, list(images)):
         fill(raster.encode_raster(image))
 
@@ -225,7 +225,7 @@ def _frames(args, paths: list[str], write, fills: list):
 
     A frame's sibling ``.txt`` label file, when there is one, is read first and
     written with the frame's boxes. The frame's own output is claimed before
-    it is yielded, its ``fill`` appended to ``fills``; so a run refuses what a
+    it is yielded, its ``fill`` appended to ``fills``; so a pair refuses what a
     loop that wrote each frame before reading the next would, in its order.
     """
     action = args.action
@@ -246,30 +246,6 @@ def _frames(args, paths: list[str], write, fills: list):
             with _reading(label_path):
                 write(label_path.name, annotations.serialize_label_file(boxes))
         yield image
-
-
-def _runs(paths: list[str]):
-    """Split ``paths`` into runs of consecutive files whose sizes total at most
-    twice the largest of the run.
-
-    A size is read from the file system before its file is, so a run is noised
-    and written before the next run's first frame is read: noise holds at most
-    three frames. A file whose size cannot be read counts as empty; reading it
-    gives the error.
-    """
-    run, total, largest = [], 0, 0
-    for path in paths:
-        size = 0
-        with suppress(OSError):
-            size = os.stat(path).st_size
-        if run and total + size > 2 * max(largest, size):
-            yield run
-            run, total, largest = [], 0, 0
-        run.append(path)
-        total += size
-        largest = max(largest, size)
-    if run:
-        yield run
 
 
 def _preprocess_enlarge(args, write) -> str:

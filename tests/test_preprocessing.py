@@ -352,6 +352,25 @@ def random_image(shape, seed):
     return RasterImage.from_array(rng.integers(0, 256, size=shape, dtype=np.uint8))
 
 
+def noise_draws(fn, *args):
+    """The sizes of the normal draws that ``fn(*args)`` makes, in order."""
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, out):
+            drawn.append(out.size)
+            return self.rng.standard_normal(out=out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", CountingGenerator)
+        fn(*args)
+    return drawn
+
+
 def whole_frame_noise(image, variance, seed):
     samples = np.frombuffer(image.pixels, dtype=np.uint8).astype(np.float64)
     noise = gaussian_noise_stream(variance, seed, samples.size)
@@ -390,23 +409,32 @@ class TestStripsChangeNoBytes:
             (i.width, i.height, i.channels) for i in images]
         assert [o.pixels for o in out] == [whole_frame_noise(i, 25.0, 11) for i in images]
 
-    def test_noise_batch_draws_the_longest_frame_once(self, monkeypatch):
-        drawn = []
-        default_rng = np.random.default_rng
-
-        class CountingGenerator:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def standard_normal(self, out):
-                drawn.append(out.size)
-                return self.rng.standard_normal(out=out)
-
+    def test_noise_batch_draws_the_longest_frame_once(self):
         images = [random_image(shape, seed=1) for shape in STRIP_SHAPES]
-        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-        add_gaussian_noise(images, 25.0, seed=3)
+        drawn = noise_draws(add_gaussian_noise, images, 25.0, 3)
         assert sum(drawn) == max(len(image.pixels) for image in images)
         assert max(drawn) == preprocessing._STRIP_SAMPLES
+
+    @pytest.mark.parametrize("shapes, drawn_frames", [
+        # The benchmark's frames: two RGB, then one gray of the same size.
+        ([(150, 200, 3), (150, 200, 3), (150, 200, 1)], [0, 2]),
+        ([(150, 200, 3)] * 5, [0, 2, 4]),
+        # A large frame and two small ones: a pair, then the last frame.
+        ([(150, 200, 3), (50, 200, 3), (50, 200, 3)], [0, 2]),
+    ], ids=["benchmark", "five-equal", "large-small-small"])
+    def test_noise_command_draws_each_pair_once(self, tmp_path, shapes, drawn_frames):
+        images = [random_image(shape, seed=n) for n, shape in enumerate(shapes)]
+        paths = [tmp_path / f"frame{n}.pnm" for n in range(len(images))]
+        for path, image in zip(paths, images):
+            path.write_bytes(encode_raster(image))
+        out = tmp_path / "out"
+        argv = ["preprocess", "noise", *map(str, paths), "--variance", "25", "--seed", "3",
+                "--out-dir", str(out)]
+        drawn = noise_draws(cli.main, argv)
+        assert sum(drawn) == sum(len(images[n].pixels) for n in drawn_frames)
+        assert [(out / path.name).read_bytes() for path in paths] == [
+            encode_raster(RasterImage(i.width, i.height, i.channels,
+                                      whole_frame_noise(i, 25.0, 3))) for i in images]
 
     def test_large_variance_saturates_both_ends(self):
         image = random_image((65, STRIP_W, 3), seed=3)
@@ -610,7 +638,8 @@ def traced_peak(fn, *args):
 
 class TestWorkingMemory:
     """Noise and mask hold their input and one output frame, a noise command
-    at most three frames, and decoding holds no copy of the payload."""
+    at most three frames (a pair of outputs and one encoded copy), and decoding
+    holds no copy of the payload."""
 
     def frame(self):
         return random_image((1000, 1200, 3), seed=8)
@@ -619,22 +648,25 @@ class TestWorkingMemory:
         image = self.frame()
         assert traced_peak(add_gaussian_noise, [image], 25.0, 7) <= 1.5 * len(image.pixels)
 
-    @pytest.mark.parametrize("count", [2, 4, 8])
-    def test_noise_command_peak(self, tmp_path, count):
-        # A run of frames is noised and written before the next run is read,
+    @pytest.mark.parametrize("frames", ["L" * n for n in (2, 3, 4, 5, 8)] + ["Lss"],
+                             ids=["2", "3", "4", "5", "8", "large-small-small"])
+    def test_noise_command_peak(self, tmp_path, frames):
+        # A pair of frames is noised and written before the next pair is read,
         # so the command holds at most three frames and two float64 strips.
-        image = self.frame()
-        paths = [tmp_path / f"frame{n}.ppm" for n in range(count)]
-        for path in paths:
-            path.write_bytes(encode_raster(image))
+        images = {"L": self.frame(), "s": random_image((500, 600, 3), seed=9)}
+        paths = [tmp_path / f"frame{n}.ppm" for n in range(len(frames))]
+        for path, kind in zip(paths, frames):
+            path.write_bytes(encode_raster(images[kind]))
         out = tmp_path / "out"
         argv = ["preprocess", "noise", *map(str, paths), "--variance", "25", "--seed", "3",
                 "--out-dir", str(out)]
         strips = 2 * 8 * preprocessing._STRIP_SAMPLES
-        assert traced_peak(cli.main, argv) <= 3 * len(image.pixels) + strips + 65536
-        expected = encode_raster(RasterImage(image.width, image.height, image.channels,
-                                             whole_frame_noise(image, 25.0, 3)))
-        assert all((out / path.name).read_bytes() == expected for path in paths)
+        assert traced_peak(cli.main, argv) <= 3 * len(images["L"].pixels) + strips + 65536
+        expected = {kind: encode_raster(RasterImage(i.width, i.height, i.channels,
+                                                    whole_frame_noise(i, 25.0, 3)))
+                    for kind, i in images.items()}
+        assert all((out / path.name).read_bytes() == expected[kind]
+                   for path, kind in zip(paths, frames))
 
     def test_mask_peak(self):
         image = self.frame()
