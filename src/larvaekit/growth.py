@@ -9,10 +9,12 @@ Gompertz, ``l_inf·exp(-k2·exp(-a(t - tr)))``, depends on ``k2`` and ``tr``
 only through ``k2·exp(a·tr)``, so it is fitted as ``(l_inf, k2, a)`` and
 reported with ``tr = 0``.
 
-The damping schedule is the classic one: multiply the factor by 10 when a
-trial step increases the SSE (and reject the step), divide by 10 when it
-decreases. Iteration stops when the relative SSE improvement of an
-accepted step falls below 1e-10 or after 200 attempts.
+A trial step is kept only if it lowers the SSE, and the damping factor is
+then divided by 10, to no less than 1e-12. Any other step, one that leaves
+the SSE as it was too, is rejected and multiplies the factor by 10. The fit has
+converged at an SSE of exactly 0, at the start or after any kept step, or
+when a kept step lowers the SSE by less than 1e-10 of its value. It stops
+unconverged after 200 attempted steps, or once the factor exceeds 1e12.
 
 ``rank_models`` returns plain ``FitResult``s: the first family, in
 declaration order, that cannot be fitted fails the whole ranking.

@@ -44,27 +44,6 @@ class RasterImage:
         if len(self.pixels) != expected:
             raise LarvaekitError(f"expected {expected} payload bytes, got {len(self.pixels)}")
 
-    def to_array(self) -> np.ndarray:
-        """View the pixels as a (height, width, channels) uint8 array."""
-        import numpy as np
-
-        arr = np.frombuffer(self.pixels, dtype=np.uint8)
-        return arr.reshape(self.height, self.width, self.channels)
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "RasterImage":
-        """Build an image from a (h, w) or (h, w, c) uint8 array."""
-        import numpy as np
-
-        if arr.dtype != np.uint8:
-            raise LarvaekitError(f"expected uint8 samples, got {arr.dtype}")
-        if arr.ndim == 2:
-            arr = arr[:, :, np.newaxis]
-        if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-            raise LarvaekitError(f"bad array shape {arr.shape}")
-        h, w, c = arr.shape
-        return RasterImage(w, h, c, arr.tobytes())
-
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     # Skip whitespace and '#' comments, netpbm style.

@@ -46,7 +46,7 @@ from pathlib import Path
 
 from larvaekit import AGGREGATIONS, AP_METHODS, GROUP_FIELDS, cli
 from larvaekit.annotations import serialize_label_file
-from larvaekit.raster import RasterImage, encode_raster
+from larvaekit.raster import encode_raster
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 
@@ -197,6 +197,7 @@ def build_inputs(root: Path) -> None:
     import numpy as np
 
     from conftest import crowded_instance
+    from oracles import frame_from_array
 
     rng = np.random.default_rng(2024)
     rows = [MANIFEST_HEADER]
@@ -213,9 +214,9 @@ def build_inputs(root: Path) -> None:
 
     rgb = rng.integers(0, 256, size=(36, 48, 3), dtype=np.uint8)
     gray = rng.integers(0, 256, size=(30, 40), dtype=np.uint8)
-    (root / "frame.ppm").write_bytes(encode_raster(RasterImage.from_array(rgb)))
+    (root / "frame.ppm").write_bytes(encode_raster(frame_from_array(rgb)))
     (root / "frame.txt").write_bytes(FRAME_GT.encode())
-    (root / "gray.pgm").write_bytes(encode_raster(RasterImage.from_array(gray)))
+    (root / "gray.pgm").write_bytes(encode_raster(frame_from_array(gray)))
     (root / "gray.txt").write_bytes(FRAME_PRED.encode())
     (root / "small_gt.txt").write_bytes(ENLARGE_GT.encode())
     (root / "small_pred.txt").write_bytes(ENLARGE_PRED.encode())
@@ -244,7 +245,7 @@ def build_inputs(root: Path) -> None:
     (root / "labels_dir").mkdir()
     for name, (width, height, labels) in STRIP_FRAMES.items():
         pixels = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-        (root / name).write_bytes(encode_raster(RasterImage.from_array(pixels)))
+        (root / name).write_bytes(encode_raster(frame_from_array(pixels)))
         if labels is not None:
             (root / name).with_suffix(".txt").write_bytes(labels.encode())
     (root / "refused_frame.pgm").write_bytes(REFUSED_INPUTS["small.pgm"])

@@ -7,7 +7,9 @@ SSE. No subcommand calls the forms here; they live with the tests, which
 require the package's forms to give the same values. The numpy forms of
 the frame and box operations are kept here whole, as the package had
 them before it dropped numpy from them, and so is the text-mode read of
-a manifest entry's label files.
+a manifest entry's label files. ``frame_array`` and ``frame_from_array``
+turn a frame into a uint8 array and back, for the tests that build or
+read frames as arrays; the package's frame layer takes and gives bytes.
 """
 
 from __future__ import annotations
@@ -127,6 +129,18 @@ def r_squared(
     return 1.0 - float(residuals @ residuals) / sst
 
 
+def frame_array(image: RasterImage) -> np.ndarray:
+    """The frame's pixels as a read-only ``(height, width, channels)`` uint8 array."""
+    return np.frombuffer(image.pixels, np.uint8).reshape(image.height, image.width,
+                                                         image.channels)
+
+
+def frame_from_array(arr: np.ndarray) -> RasterImage:
+    """A frame from a ``(h, w)`` or ``(h, w, c)`` uint8 array; nothing else is checked."""
+    h, w, *c = arr.shape
+    return RasterImage(w, h, c[0] if c else 1, arr.tobytes())
+
+
 # The numpy forms of the frame and box operations. From ``min_rows`` rows,
 # checked_boxes first tests the moved rows as arrays and checks them one at
 # a time only when a row fails; a ``min_rows`` of 0 tests every size so.
@@ -168,8 +182,8 @@ def array_center_crop(image: RasterImage, boxes, target_w: int, target_h: int,
     """``preprocessing.center_crop`` on a numpy view of the frame and an array of the boxes."""
     off_x = (image.width - target_w) // 2
     off_y = (image.height - target_h) // 2
-    arr = image.to_array()[off_y : off_y + target_h, off_x : off_x + target_w]
-    cropped = RasterImage.from_array(arr)
+    arr = frame_array(image)[off_y : off_y + target_h, off_x : off_x + target_w]
+    cropped = frame_from_array(arr)
     columns = _columns(boxes)
     if (off_x, off_y, target_w, target_h) == (0, 0, image.width, image.height):
         return cropped, columns
@@ -188,7 +202,7 @@ def array_center_crop(image: RasterImage, boxes, target_w: int, target_h: int,
 
 def array_circular_mask(image: RasterImage, cx: float, cy: float, radius: float) -> RasterImage:
     """``preprocessing.circular_mask`` with the kept runs found over numpy rows."""
-    arr = image.to_array().copy()
+    arr = frame_array(image).copy()
     r2 = radius * radius
     with np.errstate(over="ignore"):
         dx2 = (np.arange(image.width, dtype=np.float64) - cx) ** 2
@@ -201,7 +215,7 @@ def array_circular_mask(image: RasterImage, cx: float, cy: float, radius: float)
     for gap_start, gap_stop in zip([0, *(row_start + hi).tolist()],
                                    [*(row_start + lo).tolist(), len(pixels)]):
         pixels[gap_start:gap_stop] = 0
-    return RasterImage.from_array(arr)
+    return frame_from_array(arr)
 
 
 def _kept_run(dx2: np.ndarray, dy2: np.ndarray, r2: float) -> np.ndarray:

@@ -50,7 +50,7 @@ from conftest import (
     separated_instance,
     solid_image,
 )
-from oracles import PixelBox, iou, jacobian
+from oracles import PixelBox, frame_array, iou, jacobian
 
 K = GrowthModelKind
 
@@ -208,7 +208,7 @@ def test_criterion_7_property_suites():
     [noisy] = add_gaussian_noise([base], 25.0, seed=11)
     [again] = add_gaussian_noise([base], 25.0, seed=11)
     assert noisy.pixels == again.pixels
-    delta = noisy.to_array().astype(np.float64) - 128.0
+    delta = frame_array(noisy).astype(np.float64) - 128.0
     assert abs(float(delta.mean())) <= 0.05
     assert abs(float(delta.var()) - 25.0) <= 0.5
 

@@ -5,6 +5,7 @@ argument parsing, exit codes and the exact bytes written to --out-dir,
 not just the library calls underneath.
 """
 
+import ast
 import csv
 import gc
 import json
@@ -37,6 +38,7 @@ from conftest import (
     solid_image,
     write_dataset,
 )
+from oracles import frame_array
 
 
 # The directory holding the larvaekit this test process imported, so every
@@ -268,7 +270,7 @@ class TestPreprocessMask:
         result = run_cli("preprocess", "mask", tmp_path / "img.ppm",
                          "--cx", 0, "--cy", 0, "--radius", 3, "--out-dir", out)
         assert result.returncode == 0, result.stderr
-        arr = decode_raster((out / "img.ppm").read_bytes()).to_array()
+        arr = frame_array(decode_raster((out / "img.ppm").read_bytes()))
         assert arr[0, 0, 0] == 200
         assert arr[7, 7, 0] == 0
 
@@ -1111,6 +1113,31 @@ class TestImportGraph:
                             "print(larvaekit.__version__, evaluation.evaluate_dataset.__name__)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "['larvaekit']\n0.1.0 evaluate_dataset\n"
+
+    def test_numpy_is_imported_only_for_noise_fitting_and_the_chart(self):
+        # Static, so a numpy import in a function no command calls shows too:
+        # (module, innermost enclosing function or None) of each one.
+        found = set()
+
+        def visit(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Import):
+                    names = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom) and not child.level:
+                    names = [child.module]
+                else:
+                    names = []
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    found.add((module, function))
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, module, child.name)
+                else:
+                    visit(child, module, function)
+
+        for path in Path(larvaekit.__file__).parent.glob("*.py"):
+            visit(ast.parse(path.read_bytes(), str(path)), path.stem, None)
+        assert found == {("chart", None), ("growth", None),
+                         ("preprocessing", "add_gaussian_noise")}
 
 
 class TestExitPath:

@@ -66,6 +66,7 @@ from oracles import (
     array_enlarge_small_boxes,
     array_rotate90,
     checked_boxes,
+    frame_from_array,
     to_absolute,
     to_normalized,
 )
@@ -687,7 +688,7 @@ class TestParity:
             for p, b in zip(labels, parsed)}
 
         rng = np.random.default_rng(5)
-        frame = RasterImage.from_array(rng.integers(0, 256, (30, 40, 3), dtype=np.uint8))
+        frame = frame_from_array(rng.integers(0, 256, (30, 40, 3), dtype=np.uint8))
         (tmp_path / "frames").mkdir()
         for p in labels:
             (tmp_path / "frames" / p.with_suffix(".ppm").name).write_bytes(encode_raster(frame))

@@ -26,6 +26,8 @@ from oracles import (
     array_circular_mask,
     array_enlarge_small_boxes,
     array_rotate90,
+    frame_array,
+    frame_from_array,
     gaussian_noise_stream,
 )
 
@@ -35,11 +37,11 @@ class TestCenterCrop:
         # 3024x4032 -> 2100x2100 puts the window at offsets (462, 966)
         arr = np.zeros((4032, 3024), dtype=np.uint8)
         arr[966, 462] = 201  # lands at the crop origin
-        image = RasterImage.from_array(arr)
+        image = frame_from_array(arr)
         gt = [LabeledBox(0, Box2D(1512 / 3024, 2016 / 4032, 100 / 3024, 100 / 4032))]
         cropped, boxes = center_crop(image, gt, 2100, 2100)
         assert (cropped.width, cropped.height) == (2100, 2100)
-        assert cropped.to_array()[0, 0, 0] == 201
+        assert frame_array(cropped)[0, 0, 0] == 201
         assert boxes[0].box.cx == pytest.approx(0.5, abs=1e-12)
         assert boxes[0].box.cy == pytest.approx(0.5, abs=1e-12)
         assert boxes[0].box.w == pytest.approx(100 / 2100, abs=1e-12)
@@ -101,18 +103,18 @@ class TestCircularMask:
     def test_radius_covering_frame_is_identity(self):
         rng = np.random.default_rng(32)
         arr = rng.integers(0, 256, size=(8, 10, 1), dtype=np.uint8)
-        image = RasterImage.from_array(arr)
+        image = frame_from_array(arr)
         assert circular_mask(image, 5, 4, 50).pixels == image.pixels
 
     def test_tiny_radius_keeps_only_the_center_pixel(self):
         image = solid_image(7, 5, value=255)
-        masked = circular_mask(image, 3, 2, 0.0001).to_array()[:, :, 0]
+        masked = frame_array(circular_mask(image, 3, 2, 0.0001))[:, :, 0]
         assert masked[2, 3] == 255
         assert int(np.count_nonzero(masked)) == 1
 
     def test_pixel_exactly_on_circle_survives(self):
         image = solid_image(6, 6, value=7)
-        masked = circular_mask(image, 0, 0, 5).to_array()[:, :, 0]
+        masked = frame_array(circular_mask(image, 0, 0, 5))[:, :, 0]
         assert masked[4, 3] == 7  # 3*3 + 4*4 = 25 = r*r, not strictly outside
         assert masked[4, 4] == 0  # 32 > 25
 
@@ -120,7 +122,7 @@ class TestCircularMask:
         rng = np.random.default_rng(33)
         for _ in range(25):
             arr = rng.integers(0, 256, size=(12, 9, 3), dtype=np.uint8)
-            image = RasterImage.from_array(arr)
+            image = frame_from_array(arr)
             cx, cy = rng.uniform(-2, 11), rng.uniform(-2, 14)
             radius = rng.uniform(0.5, 10)
             once = circular_mask(image, cx, cy, radius)
@@ -300,7 +302,7 @@ class TestRotate90:
     def test_four_turns_restore_everything(self):
         rng = np.random.default_rng(37)
         arr = rng.integers(0, 256, size=(6, 9, 3), dtype=np.uint8)
-        image = RasterImage.from_array(arr)
+        image = frame_from_array(arr)
         boxes = [
             ScoredBox(0, Box2D(0.31, 0.62, 0.11, 0.07), 0.5),
             LabeledBox(1, Box2D(0.74, 0.2, 0.2, 0.3)),
@@ -321,7 +323,7 @@ class TestRotate90:
     def test_pixels_as_numpy_turns_them(self, shape, channels):
         image = random_image((*shape, channels), seed=sum(shape) + channels)
         rotated, _ = rotate90(image, [])
-        expected = np.rot90(image.to_array())
+        expected = np.rot90(frame_array(image))
         assert (rotated.height, rotated.width, rotated.channels) == expected.shape
         assert rotated.pixels == expected.tobytes()
 
@@ -349,7 +351,7 @@ STRIP_SHAPES = [
 
 def random_image(shape, seed):
     rng = np.random.default_rng(seed)
-    return RasterImage.from_array(rng.integers(0, 256, size=shape, dtype=np.uint8))
+    return frame_from_array(rng.integers(0, 256, size=shape, dtype=np.uint8))
 
 
 def noise_draws(fn, *args):
@@ -378,7 +380,7 @@ def whole_frame_noise(image, variance, seed):
 
 
 def whole_frame_mask(image, cx, cy, radius):
-    arr = image.to_array().copy()
+    arr = frame_array(image).copy()
     ys = np.arange(image.height, dtype=np.float64)[:, np.newaxis]
     xs = np.arange(image.width, dtype=np.float64)[np.newaxis, :]
     arr[(xs - cx) ** 2 + (ys - cy) ** 2 > radius * radius] = 0

@@ -8,6 +8,17 @@ from larvaekit.errors import LarvaekitError
 from larvaekit.raster import RasterImage, decode_raster, encode_raster
 
 
+def read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def strided_view():
+    """A read-only view of every other sample, and the array it views."""
+    storage = np.arange(12, dtype=np.uint8)
+    return read_only(storage[::2]), storage
+
+
 class TestRasterImage:
     def test_buffer_length_checked(self):
         with pytest.raises(LarvaekitError, match="^expected 4 payload bytes, got 3$"):
@@ -21,26 +32,38 @@ class TestRasterImage:
         with pytest.raises(LarvaekitError, match="^bad dimensions 0x2$"):
             RasterImage(0, 2, 1, b"")
 
-    @pytest.mark.parametrize("arr, message", [
-        (np.zeros((2, 2), dtype=np.uint16), "expected uint8 samples, got uint16"),
-        (np.zeros((2, 2, 2), dtype=np.uint8), r"bad array shape \(2, 2, 2\)"),
-        (np.zeros(4, dtype=np.uint8), r"bad array shape \(4,\)"),
-    ], ids=["uint16", "two-channels", "flat"])
-    def test_from_array_refuses_other_samples_and_shapes(self, arr, message):
-        with pytest.raises(LarvaekitError, match=f"^{message}$"):
-            RasterImage.from_array(arr)
+    @pytest.mark.parametrize("make", [
+        lambda: bytes(range(6)),
+        lambda: memoryview(bytes(range(6))),
+        lambda: read_only(np.arange(6, dtype=np.uint8)),
+        # Any buffer is read as bytes: three uint16 samples are six gray pixels.
+        lambda: read_only(np.arange(3, dtype=np.uint16)),
+    ], ids=["bytes", "memoryview-of-bytes", "read-only-uint8-array", "read-only-uint16-array"])
+    def test_read_only_buffer_is_held_uncopied(self, make):
+        source = make()
+        image = RasterImage(3, 2, 1, source)
+        assert image == RasterImage(3, 2, 1, bytes(source))
+        if isinstance(source, bytes):
+            assert image.pixels is source
+        else:
+            owner = source.obj if isinstance(source, memoryview) else source
+            assert image.pixels.obj is owner
+            assert image.pixels.readonly
 
-    def test_array_round_trip_gray(self):
-        img = RasterImage(3, 2, 1, bytes(range(6)))
-        arr = img.to_array()
-        assert arr.shape == (2, 3, 1)
-        assert RasterImage.from_array(arr) == img
-
-    def test_array_round_trip_rgb(self):
-        img = RasterImage(2, 2, 3, bytes(range(12)))
-        arr = img.to_array()
-        assert arr.shape == (2, 2, 3)
-        assert RasterImage.from_array(arr) == img
+    @pytest.mark.parametrize("make", [
+        lambda: (bytearray(range(6)),) * 2,
+        lambda: (np.arange(6, dtype=np.uint8),) * 2,
+        strided_view,
+    ], ids=["bytearray", "writable-uint8-array", "read-only-strided-view"])
+    def test_writable_or_scattered_buffer_is_copied(self, make):
+        source, storage = make()
+        image = RasterImage(3, 2, 1, source)
+        expected = RasterImage(3, 2, 1, bytes(source))
+        assert type(image.pixels) is bytes
+        assert image == expected
+        storage[0] = 99
+        assert bytes(source)[0] == 99
+        assert image == expected
 
 
 class TestDecode:
