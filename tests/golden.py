@@ -5,8 +5,10 @@ lengths end before, on and past noise-strip edges), label files
 for ``enlarge`` and an observations CSV, all from fixed seeds and literal
 text (nothing is downloaded), label files each refused at one line,
 observation CSVs on which ``fit`` fails, manifests, frames and a label
-file that other commands refuse, and label files read through other
-spellings of their paths or with other line endings and encodings.
+file that other commands refuse, label files read through other
+spellings of their paths or with other line endings and encodings, a
+manifest whose groups leave every ratio's denominator at 0, one whose id
+and day label need quoting, and a frame whose header holds comments.
 Each entry of ``CASES`` is one command line; ``run_case`` runs it in
 process through ``cli.main`` and returns the sha256 of its stdout and of
 every file it wrote to its ``--out-dir``, and raises if it wrote to
@@ -126,7 +128,17 @@ REFUSED_INPUTS = {
     "maxval.pgm": b"P5\n4 4\n65535\n" + bytes(32),
     "plain.pgm": b"P2\n4 4\n255\n" + b"0 " * 16,
     "empty.txt": b"",
+    "empty_id.csv": (MANIFEST_HEADER + " ,,,,640,480,50,\n").encode(),
+    "width_text.csv": (MANIFEST_HEADER + "a,,,,wide,480,50,\n").encode(),
+    "zero_height.csv": (MANIFEST_HEADER + "a,,,,640,0,50,\n").encode(),
+    "density_text.csv": (MANIFEST_HEADER + "a,,,,640,480,fifty,\n").encode(),
+    "header_short.pgm": b"P5\n4 4\n",
+    "width_text.pgm": b"P5\nfour 4\n255\n" + bytes(16),
+    "zero_width.pgm": b"P5\n0 4\n255\n",
+    "no_separator.pgm": b"P5\n4 4\n255",
 }
+# A frame whose header holds comments, ended by LF and by CR.
+COMMENT_FRAME = b"P5 # by hand\n4 # wide\r3\n255\n" + bytes(range(12))
 
 # Gray frames for noise whose sample counts end before, on and past the edges
 # of preprocessing._STRIP_SAMPLES = 65536-sample strips, by file name:
@@ -165,6 +177,14 @@ PATH_MANIFESTS = {
     "utf8_start.csv": "larva_é,,utf8_start.txt,gray.txt,640,480,50,\n",
     "utf8_after_bom.csv": "larva_é,,frame.txt,utf8_after_bom.txt,640,480,50,\n",
     "utf8_late.csv": "larva_é,,utf8_late.txt,gray.txt,640,480,50,\n",
+    # An image id and a day label that a CSV field must quote.
+    "quoted.csv": ('"a,""b""",,frame.txt,gray.txt,640,480,50,"day ""1"", late"\n'
+                   "c,,img0_gt.txt,img0_pred.txt,640,480,100,day 2\n"),
+    # Groups whose counts leave ratio denominators at 0: no box at all above
+    # the threshold, one false positive only, and missed ground truth only.
+    "zero_rows.csv": ("none,,,low_pred.txt,640,480,50,no boxes\n"
+                      "fp,,,high_pred.txt,640,480,50,one fp\n"
+                      "fn,,frame.txt,,640,480,100,all missed\n"),
 }
 # Cases run with the input directory as the working directory.
 IN_ROOT = frozenset({"missing-label-file-cwd"})
@@ -220,6 +240,9 @@ def build_inputs(root: Path) -> None:
     (root / "gray.txt").write_bytes(FRAME_PRED.encode())
     (root / "small_gt.txt").write_bytes(ENLARGE_GT.encode())
     (root / "small_pred.txt").write_bytes(ENLARGE_PRED.encode())
+    (root / "low_pred.txt").write_bytes(b"0 0.500000 0.500000 0.200000 0.200000 0.100000\n")
+    (root / "high_pred.txt").write_bytes(b"0 0.500000 0.500000 0.200000 0.200000 0.900000\n")
+    (root / "comment.pgm").write_bytes(COMMENT_FRAME)
 
     for kind, _, _, stem, text in _refused_files():
         (root / f"{stem}.txt").write_bytes(text.encode())
@@ -300,7 +323,15 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
         "eval-newlines": ["eval", "{root}/newlines.csv", "--aggregation", "per_image_mean"],
         "count-newlines": ["count", "{root}/newlines.csv"],
         "eval-dotted-paths": ["eval", "{root}/dotted.csv", "--group-by", "density_group"],
+        "count-quoted": ["count", "{root}/quoted.csv"],
+        "eval-quoted": ["eval", "{root}/quoted.csv", "--group-by", "day_label"],
+        "report-zero-rows": ["report", "{root}/zero_rows.csv"],
+        "crop-header-comments": ["preprocess", "crop", "{root}/comment.pgm",
+                                 "--width", "2", "--height", "2"],
     })
+    for aggregation in AGGREGATIONS:
+        cases[f"eval-zero-rows-{aggregation}"] = [
+            "eval", "{root}/zero_rows.csv", "--group-by", "day_label", "--aggregation", aggregation]
     failing = {}
     for kind, size, name, stem, _ in _refused_files():
         failing[f"refused-eval-{kind}-{size}-{name}"] = ["eval", f"{{root}}/{stem}.csv"]
@@ -336,6 +367,16 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
         "rotate-error-truncated": ["preprocess", "rotate", "{root}/truncated.pgm"],
         "rotate-error-maxval": ["preprocess", "rotate", "{root}/maxval.pgm"],
         "rotate-error-magic": ["preprocess", "rotate", "{root}/plain.pgm"],
+        "rotate-error-header-short": ["preprocess", "rotate", "{root}/header_short.pgm"],
+        "rotate-error-width-text": ["preprocess", "rotate", "{root}/width_text.pgm"],
+        "crop-error-zero-width": ["preprocess", "crop", "{root}/zero_width.pgm",
+                                  "--width", "1", "--height", "1"],
+        "mask-error-no-separator": ["preprocess", "mask", "{root}/no_separator.pgm",
+                                    "--cx", "1", "--cy", "1", "--radius", "1"],
+        "eval-error-empty-id": ["eval", "{root}/empty_id.csv"],
+        "count-error-width-text": ["count", "{root}/width_text.csv"],
+        "report-error-zero-height": ["report", "{root}/zero_height.csv"],
+        "eval-error-density-text": ["eval", "{root}/density_text.csv"],
         "enlarge-error-quantile-empty": ["preprocess", "enlarge", "{root}/empty.txt",
                                          "--quantile", "0.5"],
         "noise-error-truncated-second": ["preprocess", "noise", "{root}/frame.ppm",
