@@ -235,6 +235,14 @@ def _columns(boxes: Sequence[AnyBox]) -> BoxColumns:
                        for b in (item.box for item in items)], confidence, items)
 
 
+def _scored(boxes: Sequence[AnyBox]) -> BoxColumns:
+    """``boxes`` as columns, refused unless every box carries a confidence."""
+    columns = _columns(boxes)
+    if columns.confidence is None:
+        raise ValueError("predictions need a confidence per box; these boxes have none")
+    return columns
+
+
 def _lines(text: str) -> list[str]:
     """The lines of ``text``, ended only by LF, CRLF or CR as universal-newline
     reading counts them; any other line break ``str.splitlines`` knows, such

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import DEFAULT_VOLUME_FACTOR
-from .annotations import ImageAnnotation, _columns, _csv_field
+from .annotations import ImageAnnotation, _csv_field, _scored
 from .errors import LarvaekitError, OutOfRange
 
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ def count_image(
         raise OutOfRange(
             f"confidence_threshold must be non-negative, got {confidence_threshold}"
         )
-    confidence = _columns(annotation.predictions).confidence
+    confidence = _scored(annotation.predictions).confidence
     predicted = sum(score >= confidence_threshold for score in confidence)
     true_count = len(annotation.ground_truth) if truth_known else None
     return CountRecord(annotation.image_id, predicted, true_count)

@@ -9,8 +9,8 @@ in plain Python, and only against the ground-truth boxes a sweep along x
 finds within reach of each prediction. Counts feed precision/recall/F1
 and two accuracy flavors that are deliberately kept apart:
 
-- ``confusion_accuracy``: (TP + TN) / (TP + TN + FP + FN), with TN fixed
-  at 0 since "everything that is not an object" is uncountable.
+- ``confusion_accuracy``: TP / (TP + FP + FN), because true negatives
+  ("everything that is not an object") are not counted.
 - ``counting_accuracy``: TP / num_gt, the definition our result tables
   use; it coincides with recall exactly.
 
@@ -45,6 +45,7 @@ from .annotations import (
     ScoredBox,
     _columns,
     _csv_field,
+    _scored,
     load_image_annotation,
 )
 from .errors import LarvaekitError, OutOfRange
@@ -76,27 +77,15 @@ class MatchConfig:
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Detection outcome counts; true negatives are identically zero."""
+    """Detection outcome counts; true negatives are not counted."""
 
     tp: int
     fp: int
     fn: int
-    tn: int = 0
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.fn) < 0 or self.tn != 0:
-            raise LarvaekitError(f"bad counts tp={self.tp} fp={self.fp} fn={self.fn} tn={self.tn}")
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    """Scalar detection and counting metrics derived from confusion counts."""
-
-    precision: float
-    recall: float
-    f1: float
-    confusion_accuracy: float
-    counting_accuracy: float
+        if min(self.tp, self.fp, self.fn) < 0:
+            raise LarvaekitError(f"bad counts tp={self.tp} fp={self.fp} fn={self.fn}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +196,7 @@ def match_detections(
     takes the same float operations on one pair's corners as a pairwise
     loop over the boxes, so every match is the one that loop gives.
     """
-    gt, pred = _columns(ground_truth), _columns(predictions)
+    gt, pred = _columns(ground_truth), _scored(predictions)
     threshold = config.confidence_threshold
     kept = [(score, box) for score, box in zip(pred.confidence, pred.boxes) if score >= threshold]
     confidence = [score for score, _ in kept]
@@ -215,24 +204,6 @@ def match_detections(
                           [_box_corners(*box) for _, box in kept], confidence,
                           config.iou_threshold)
     return MatchResult(_counts(flags, len(gt)), tuple(zip(confidence, flags)))
-
-
-def confusion_metrics(counts: ConfusionCounts, num_gt: int) -> MetricSet:
-    """Derive the ratio metrics from confusion counts.
-
-    ``num_gt`` must equal TP + FN. Ratios whose denominator is zero are
-    reported as 0 by convention.
-    """
-    if num_gt != counts.tp + counts.fn:
-        raise LarvaekitError(f"num_gt={num_gt} but tp+fn={counts.tp + counts.fn}")
-    tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    denom = tp + tn + fp + fn
-    confusion_accuracy = (tp + tn) / denom if denom else 0.0
-    counting_accuracy = tp / num_gt if num_gt else 0.0
-    return MetricSet(precision, recall, f1, confusion_accuracy, counting_accuracy)
 
 
 def _curve_columns(scored_flags: Iterable[tuple[float, bool]],
@@ -319,13 +290,17 @@ class EvalReport:
     @staticmethod
     def build(
         counts: ConfusionCounts,
-        num_gt: int,
         num_images: int,
         scored_flags: Iterable[tuple[float, bool]],
         ap_method: str = "envelope",
         mean_image_ap: float | None = None,
     ) -> "EvalReport":
-        metrics = confusion_metrics(counts, num_gt)
+        """The report of ``counts``, with ``num_gt`` = TP + FN; a ratio over 0 reads 0."""
+        tp, fp, fn = counts.tp, counts.fp, counts.fn
+        num_gt = tp + fn
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / num_gt if num_gt else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         curve: tuple[PRPoint, ...] = ()
         ap = 0.0
         if num_gt > 0:
@@ -335,11 +310,11 @@ class EvalReport:
             num_images=num_images,
             num_gt=num_gt,
             counts=counts,
-            precision=metrics.precision,
-            recall=metrics.recall,
-            f1=metrics.f1,
-            confusion_accuracy=metrics.confusion_accuracy,
-            counting_accuracy=metrics.counting_accuracy,
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            confusion_accuracy=tp / (tp + fp + fn) if tp + fp + fn else 0.0,
+            counting_accuracy=recall,
             ap=ap,
             curve=curve,
             mean_image_ap=mean_image_ap,
@@ -398,7 +373,7 @@ def _report(sweeps, config: MatchConfig, mean_image_ap: float | None = None) -> 
     num_gt = sum(n for n, _ in sweeps)
     flags = [flag for _, image_flags in sweeps for flag in image_flags]
     counts = _counts([f for c, f in flags if c >= config.confidence_threshold], num_gt)
-    return EvalReport.build(counts, num_gt, len(sweeps), flags, config.ap_method, mean_image_ap)
+    return EvalReport.build(counts, len(sweeps), flags, config.ap_method, mean_image_ap)
 
 
 def evaluate_dataset(

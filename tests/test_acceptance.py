@@ -16,9 +16,9 @@ import pytest
 from larvaekit.annotations import Box2D, LabeledBox, ScoredBox
 from larvaekit.counting import extrapolate_pond
 from larvaekit.evaluation import (
+    EvalReport,
     MatchConfig,
     average_precision,
-    confusion_metrics,
     match_detections,
     pr_curve,
 )
@@ -64,7 +64,8 @@ def test_criterion_1_confusion_fixture_metrics(confusion_fixture):
     gt, preds = confusion_fixture
     counts = match_detections(gt, preds, MatchConfig()).counts
     assert (counts.tp, counts.fp, counts.fn) == (1851, 70, 72)
-    m = confusion_metrics(counts, num_gt=TEST_SET_NUM_GT)
+    m = EvalReport.build(counts, 1, ())
+    assert m.num_gt == TEST_SET_NUM_GT
     assert round(m.precision, 4) == pytest.approx(0.9636, abs=0.0005)
     assert round(m.recall, 4) == pytest.approx(0.9626, abs=0.0005)
     assert round(m.f1, 4) == pytest.approx(0.9631, abs=0.0005)
@@ -269,7 +270,6 @@ def test_criterion_8_detector_tables_are_fixtures_only():
     # the recorded trend is not strictly monotone (the 150 dish recovers)
     assert any(later > earlier for earlier, later in zip(accuracies, accuracies[1:]))
     assert FINAL_RUN_COUNTS.tp + FINAL_RUN_COUNTS.fn == TEST_SET_NUM_GT
-    assert FINAL_RUN_COUNTS.tn == 0
     rows = load_tuning_sweep()
     assert all(0.0 <= r.map_test <= 1.0 and 0.0 <= r.map_train <= 1.0 for r in rows)
     print(

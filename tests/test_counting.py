@@ -32,9 +32,7 @@ def annotation(confidences, gt_n: int = 0) -> ImageAnnotation:
 
 def report(tp: int, fn: int, fp: int = 0) -> EvalReport:
     flags = [(0.9, True)] * tp + [(0.5, False)] * fp
-    return EvalReport.build(
-        ConfusionCounts(tp, fp, fn), num_gt=tp + fn, num_images=1, scored_flags=flags
-    )
+    return EvalReport.build(ConfusionCounts(tp, fp, fn), num_images=1, scored_flags=flags)
 
 
 class TestCountImage:

@@ -14,10 +14,12 @@ from larvaekit import AP_METHODS, GROUP_FIELDS
 from larvaekit.annotations import (
     MANIFEST_COLUMNS,
     Box2D,
+    ImageAnnotation,
     LabeledBox,
     ScoredBox,
     load_image_annotation,
     load_manifest,
+    parse_label_file,
 )
 from larvaekit.errors import (
     AnnotationLoadError,
@@ -25,14 +27,13 @@ from larvaekit.errors import (
     LarvaekitError,
     OutOfRange,
 )
-from larvaekit.counting import CountRecord, render_counts_csv
+from larvaekit.counting import CountRecord, count_image, render_counts_csv
 from larvaekit.evaluation import (
     ConfusionCounts,
     EvalReport,
     MatchConfig,
     PRPoint,
     average_precision,
-    confusion_metrics,
     evaluate_dataset,
     match_detections,
     pr_curve,
@@ -139,6 +140,8 @@ class TestMatchDetections:
         gt = [LabeledBox(0, Box2D(0.2 * i + 0.1, 0.5, 0.05, 0.05)) for i in range(3)]
         counts = match_detections(gt, []).counts
         assert (counts.tp, counts.fp, counts.fn) == (0, 0, 3)
+        # The empty tuple a manifest row without a prediction file gives.
+        assert match_detections(gt, ()).counts == counts
 
     def test_low_confidence_predictions_filtered(self):
         gt = [LabeledBox(0, Box2D(0.5, 0.5, 0.2, 0.2))]
@@ -206,6 +209,25 @@ class TestMatchDetections:
             scored = [ScoredBox(0, corners_to_box(p), c) for c, p in preds]
             got = match_detections(gt, scored, SWEEP).counts.tp
             assert got == brute_force_tp(gts, preds)
+
+
+# Each call hands over predictions of which at least one lacks a confidence.
+GT_BOX = LabeledBox(0, Box2D(0.5, 0.5, 0.2, 0.2))
+MIXED = [ScoredBox(0, Box2D(0.5, 0.5, 0.2, 0.2), 0.9), GT_BOX]
+WITHOUT_CONFIDENCE = {
+    "match-ground-truth-as-predictions": lambda: match_detections([GT_BOX], [GT_BOX]),
+    "match-parsed-ground-truth": lambda: match_detections(
+        parse_label_file("0 0.5 0.5 0.2 0.2\n"), parse_label_file("0 0.5 0.5 0.2 0.2\n")),
+    "match-mixed": lambda: match_detections([GT_BOX], MIXED),
+    "count-mixed": lambda: count_image(ImageAnnotation("img", [GT_BOX], MIXED)),
+}
+
+
+@pytest.mark.parametrize("name", WITHOUT_CONFIDENCE)
+def test_predictions_without_confidence_are_refused_in_plain_words(name):
+    with pytest.raises(ValueError, match="^predictions need a confidence per box; "
+                                         "these boxes have none$"):
+        WITHOUT_CONFIDENCE[name]()
 
 
 def counts_of(flags, num_gt):
@@ -345,7 +367,8 @@ class TestSweepWindow:
 
 class TestConfusionMetrics:
     def test_final_run_metrics(self):
-        m = confusion_metrics(ConfusionCounts(1851, 70, 72), num_gt=1923)
+        m = EvalReport.build(ConfusionCounts(1851, 70, 72), 1, ())
+        assert m.num_gt == 1923
         assert m.precision == pytest.approx(1851 / 1921, abs=1e-12)
         assert m.recall == pytest.approx(1851 / 1923, abs=1e-12)
         assert round(m.precision, 4) == 0.9636
@@ -354,28 +377,25 @@ class TestConfusionMetrics:
         assert round(m.confusion_accuracy, 5) == 0.92875
 
     def test_empty_counts_all_zero(self):
-        m = confusion_metrics(ConfusionCounts(0, 0, 0), num_gt=0)
+        m = EvalReport.build(ConfusionCounts(0, 0, 0), 1, ())
         assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
         assert (m.confusion_accuracy, m.counting_accuracy) == (0.0, 0.0)
 
     def test_counting_accuracy_from_sweep_row(self):
         # 640px / density 500 / epoch-16 row: 1754 of 1923 found
-        m = confusion_metrics(ConfusionCounts(1754, 0, 169), num_gt=1923)
+        m = EvalReport.build(ConfusionCounts(1754, 0, 169), 1, ())
         assert round(100 * m.counting_accuracy, 1) == 91.2
-
-    def test_inconsistent_counts(self):
-        with pytest.raises(LarvaekitError, match="^num_gt=9 but tp[+]fn=7$"):
-            confusion_metrics(ConfusionCounts(5, 1, 2), num_gt=9)
 
     def test_counting_accuracy_equals_recall(self):
         rng = np.random.default_rng(45)
         for _ in range(100):
             tp, fp, fn = (int(v) for v in rng.integers(0, 50, size=3))
-            m = confusion_metrics(ConfusionCounts(tp, fp, fn), num_gt=tp + fn)
+            m = EvalReport.build(ConfusionCounts(tp, fp, fn), 1, ())
             assert m.counting_accuracy == m.recall
+            assert m.num_gt == tp + fn
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(LarvaekitError, match="^bad counts tp=-1 fp=0 fn=0 tn=0$"):
+        with pytest.raises(LarvaekitError, match="^bad counts tp=-1 fp=0 fn=0$"):
             ConfusionCounts(-1, 0, 0)
 
 
@@ -743,7 +763,7 @@ class TestEvaluateDataset:
             flags = [flag for _, sweep, _ in group for flag in sweep]
             tp, fp, fn = counts_of([(c, f) for c, f in flags if c >= 0.5], num_gt)
             aps = [ap for _, _, ap in group if ap is not None]
-            return EvalReport.build(ConfusionCounts(tp, fp, fn), num_gt, len(group), flags,
+            return EvalReport.build(ConfusionCounts(tp, fp, fn), len(group), flags,
                                     "101point", reduce(add, aps, 0.0) / len(aps))
 
         def ties_across_images(group):
@@ -854,7 +874,7 @@ class TestImageAPIdentity:
             ann = load_image_annotation(entry, root)
             counts = match_detections(ann.ground_truth, ann.predictions, config).counts
             num_gt, sweep = sweeps[entry.image_id]
-            expected[entry.image_id] = EvalReport.build(counts, num_gt, 1, sweep, method)
+            expected[entry.image_id] = EvalReport.build(counts, 1, sweep, method)
         got = dict(ev.per_image)
         assert list(got) == [entry.image_id for entry in manifest]
         assert got == expected
@@ -888,7 +908,7 @@ class TestReportsOnRead:
         build = EvalReport.build
 
         def counted(*args, **kwargs):
-            calls.append(args[2])  # num_images
+            calls.append(args[1])  # num_images
             return build(*args, **kwargs)
 
         monkeypatch.setattr(EvalReport, "build", staticmethod(counted))
